@@ -69,41 +69,53 @@ def _report(theorem: str, table: PairwiseConcurrenceTable) -> BoundReport:
     return BoundReport(theorem, table.n_qubits, pair_sum, coeff, c2, math.sqrt(c2))
 
 
+# The qubit-count domain of each theorem, and the message for a table outside it.
+_DOMAINS = {
+    "T1": (lambda n: n == 4, "four-qubit bound applied to N={n}"),
+    "T2": (lambda n: n >= 5, "N >= 5 bound applied to N={n} (use the four-qubit bound)"),
+    "T3": (lambda n: n >= 6 and n % 2 == 0, "even-N >= 6 bound applied to N={n}"),
+}
+
+
+def applicable_theorems(n: int) -> list[str]:
+    """The theorems whose bound holds on N = n qubits, in THEOREMS order."""
+    return [t for t in THEOREMS if _DOMAINS[t][0](n)]
+
+
+def require_domain(theorem: str, n: int) -> None:
+    """Raise WrongQubitCount unless the theorem's bound holds on N = n qubits."""
+    holds, message = _DOMAINS[theorem]
+    if not holds(n):
+        raise WrongQubitCount(message.format(n=n))
+
+
 def theorem1_bound(table: PairwiseConcurrenceTable) -> BoundReport:
     """Four-qubit bound: C^2 >= 7/8 sum_{i<j} C_ij^2."""
-    if table.n_qubits != 4:
-        raise WrongQubitCount(f"four-qubit bound applied to N={table.n_qubits}")
+    require_domain("T1", table.n_qubits)
     return _report("T1", table)
 
 
 def theorem2_bound(table: PairwiseConcurrenceTable) -> BoundReport:
     """General bound for N >= 5: C^2 >= N/2^(N-2) sum_{i<j} C_ij^2."""
-    if table.n_qubits < 5:
-        raise WrongQubitCount(
-            f"N >= 5 bound applied to N={table.n_qubits} (use the four-qubit bound)"
-        )
+    require_domain("T2", table.n_qubits)
     return _report("T2", table)
 
 
 def theorem3_bound(table: PairwiseConcurrenceTable) -> BoundReport:
     """Even-N bound for N >= 6: C^2 >= (N-2)/2^(N-3) sum_{i<j} C_ij^2."""
-    n = table.n_qubits
-    if n < 6 or n % 2 != 0:
-        raise WrongQubitCount(f"even-N >= 6 bound applied to N={n}")
+    require_domain("T3", table.n_qubits)
     return _report("T3", table)
+
+
+def theorem_bound(theorem: str, table: PairwiseConcurrenceTable) -> BoundReport:
+    """The named theorem's bound.  The functions are looked up at call time,
+    so a wrapper installed on a module attribute sees every call."""
+    return {"T1": theorem1_bound, "T2": theorem2_bound, "T3": theorem3_bound}[theorem](table)
 
 
 def applicable_bounds(table: PairwiseConcurrenceTable) -> list[BoundReport]:
     """Every theorem bound whose qubit-count domain matches the table."""
-    n = table.n_qubits
-    reports = []
-    if n == 4:
-        reports.append(theorem1_bound(table))
-    if n >= 5:
-        reports.append(theorem2_bound(table))
-    if n >= 6 and n % 2 == 0:
-        reports.append(theorem3_bound(table))
-    return reports
+    return [theorem_bound(t, table) for t in applicable_theorems(table.n_qubits)]
 
 
 @dataclass(frozen=True)
@@ -124,7 +136,7 @@ def best_bound(rho: DensityMatrix) -> BestBound:
     For even N >= 6 the even-N coefficient dominates the general one, so
     that report leads, but all applicable bounds are retained.
     """
-    if rho.n_qubits < 4:
+    if not applicable_theorems(rho.n_qubits):
         raise WrongQubitCount(f"theorem bounds need N >= 4, got {rho.n_qubits}")
     table = pairwise_table(rho)
     reports = applicable_bounds(table)

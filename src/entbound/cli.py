@@ -15,15 +15,22 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import states
 from .concurrence import pairwise_table, pure_concurrence
 from .errors import ConvergenceFailure
 from .states import DensityMatrix, NoisyFamily, load_density_matrix
-from .witness import Source, detect_k_nonseparability, detection_threshold, k_nonsep_threshold
+from .witness import (
+    THEOREM_SOURCES,
+    Source,
+    detect_k_nonseparability,
+    detection_threshold,
+    k_nonsep_threshold,
+    require_source,
+    source_bound,
+)
 
 EXIT_OK = 0
 EXIT_NO_DETECTION = 1
@@ -50,25 +57,10 @@ def _round9(x: float) -> float:
     return float(f"{x:.9g}")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    family: str
-    n_qubits: int
-    param_grid: tuple[float, float, int]
-    k: int | None
-    sources: tuple[Source, ...]
-
-    def __post_init__(self):
-        start, stop, steps = self.param_grid
-        if not (0.0 <= start <= stop <= 1.0) or steps < 2:
-            raise ValueError("grid must satisfy 0 <= start <= stop <= 1 and steps >= 2")
-        if self.family not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.family!r}")
-
-    @property
-    def grid(self) -> list[float]:
-        start, stop, steps = self.param_grid
-        return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+def _grid_points(start: float, stop: float, steps: int) -> list[float]:
+    if not (0.0 <= start <= stop <= 1.0) or steps < 2:
+        raise ValueError("grid must satisfy 0 <= start <= stop <= 1 and steps >= 2")
+    return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
 def make_family(name: str, n: int, excitations: int | None = None) -> NoisyFamily:
@@ -85,17 +77,17 @@ def make_family(name: str, n: int, excitations: int | None = None) -> NoisyFamil
     raise ValueError(f"unknown family {name!r}")
 
 
-def applicable_sources(n: int, family: str | None) -> list[Source]:
-    out = []
-    if n == 4:
-        out.append(Source.THEOREM1)
-    if n >= 5:
-        out.append(Source.THEOREM2)
-    if n >= 6 and n % 2 == 0:
-        out.append(Source.THEOREM3)
-    if family == "ghz-noise":
-        out.append(Source.GHZ_EXACT)
-    return out
+def _sources(args, n: int) -> list[Source]:
+    """The --source values, else every source that applies to N qubits:
+    each theorem on its qubit-count domain, plus ghz-exact on ghz-noise."""
+    if args.source:
+        return [CLI_SOURCES[s] for s in args.source]
+    sources = [Source(t.lower()) for t in bounds_mod.applicable_theorems(n)]
+    if args.family == "ghz-noise":
+        sources.append(Source.GHZ_EXACT)
+    if not sources:
+        raise ValueError(f"no bound source applies to {n} qubits")
+    return sources
 
 
 # ---------------------------------------------------------------- output
@@ -152,32 +144,10 @@ def emit(header, rows, doc, args) -> None:
         _write_text(_render_table(header, rows), args.out)
 
 
-def _bound_report_dict(r: bounds_mod.BoundReport) -> dict:
-    return {
-        "theorem": r.theorem,
-        "n_qubits": r.n_qubits,
-        "pair_sum": r.pair_sum,
-        "coefficient": r.coefficient,
-        "bound_on_C2": r.bound_on_C2,
-        "bound_on_C": r.bound_on_C,
-    }
-
-
-def _verdict_dict(v) -> dict:
-    return {
-        "n_parties": v.n_parties,
-        "local_dim": v.local_dim,
-        "k": v.k,
-        "threshold": v.threshold,
-        "certified_lower_bound_on_C": v.certified_lower_bound_on_C,
-        "source": v.source,
-        "detected": v.detected,
-    }
-
-
 # ---------------------------------------------------------------- input
 
-def load_input_state(args) -> DensityMatrix:
+def load_input(args) -> DensityMatrix | NoisyFamily:
+    """The --state matrix, or the --family whose --param point is built later."""
     if args.state and args.family:
         raise ValueError("give either --state or --family, not both")
     if args.state:
@@ -185,18 +155,24 @@ def load_input_state(args) -> DensityMatrix:
     if args.family:
         if args.param is None:
             raise ValueError("--family point evaluation needs --param")
-        family = make_family(args.family, args.n, args.excitations)
-        return family.state_at(args.param)
+        return make_family(args.family, args.n, args.excitations)
     raise ValueError("need --state FILE or --family NAME")
+
+
+def at_param(given: DensityMatrix | NoisyFamily, args) -> DensityMatrix:
+    return given.state_at(args.param) if isinstance(given, NoisyFamily) else given
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_bound(args) -> int:
-    rho = load_input_state(args)
-    # below four qubits no theorem applies; still report the pair table
-    table = pairwise_table(rho)
-    reports = bounds_mod.best_bound(rho).reports if rho.n_qubits >= 4 else ()
+    rho = at_param(load_input(args), args)
+    if bounds_mod.applicable_theorems(rho.n_qubits):
+        best = bounds_mod.best_bound(rho)
+        table, reports = best.table, best.reports
+    else:
+        # below four qubits no theorem applies; still report the pair table
+        table, reports = pairwise_table(rho), ()
     pair_rows = [[f"C_{i}_{j}", v] for (i, j), v in table.pairs()]
     bound_rows = [
         [r.theorem, r.n_qubits, r.pair_sum, r.coefficient, r.bound_on_C2, r.bound_on_C]
@@ -207,7 +183,7 @@ def cmd_bound(args) -> int:
         "pairwise": [
             {"i": i, "j": j, "value": v} for (i, j), v in table.pairs()
         ],
-        "bounds": [_bound_report_dict(r) for r in reports],
+        "bounds": [asdict(r) for r in reports],
     }
     if args.format == "json":
         _write_text(_render_json(doc), args.out)
@@ -229,15 +205,19 @@ def cmd_bound(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    rho = load_input_state(args)
+    given = load_input(args)
+    n = given.n_qubits
     ks = args.k or [2]
-    sources = [CLI_SOURCES[s] for s in args.source] if args.source else applicable_sources(
-        rho.n_qubits, args.family
-    )
-    if not sources:
-        raise ValueError(f"no bound source applies to {rho.n_qubits} qubits")
+    sources = _sources(args, n)
+    # reject inapplicable theorems and impossible k before building the state
+    for source in sources:
+        require_source(source, n)
+    for k in ks:
+        k_nonsep_threshold(n, 2, k)
+    rho = at_param(given, args)
+    table = pairwise_table(rho) if any(s in THEOREM_SOURCES for s in sources) else None
     verdicts = [
-        detect_k_nonseparability(rho, k, source) for k in ks for source in sources
+        detect_k_nonseparability(rho, k, s, table=table) for k in ks for s in sources
     ]
     header = [
         "n_parties", "local_dim", "k", "threshold",
@@ -248,27 +228,10 @@ def cmd_witness(args) -> int:
          v.certified_lower_bound_on_C, v.source.value, v.detected]
         for v in verdicts
     ]
-    emit(header, rows, {"verdicts": [_verdict_dict(v) for v in verdicts]}, args)
+    emit(header, rows, {"verdicts": [asdict(v) for v in verdicts]}, args)
     if args.require_detection and not all(v.detected for v in verdicts):
         return EXIT_NO_DETECTION
     return EXIT_OK
-
-
-def _sweep_point(family, spec: SweepSpec, x: float) -> dict:
-    rho = family.state_at(x)
-    table = pairwise_table(rho)
-    point = {"param": x, "pairwise": dict(table.pairs())}
-    for source in spec.sources:
-        if source is Source.GHZ_EXACT:
-            bound_c = bounds_mod.ghz_noise_exact_concurrence(spec.n_qubits, x)
-            point[source] = {"bound_on_C2": bound_c**2, "bound_on_C": bound_c}
-        else:
-            theorem = {Source.THEOREM1: bounds_mod.theorem1_bound,
-                       Source.THEOREM2: bounds_mod.theorem2_bound,
-                       Source.THEOREM3: bounds_mod.theorem3_bound}[source]
-            r = theorem(table)
-            point[source] = {"bound_on_C2": r.bound_on_C2, "bound_on_C": r.bound_on_C}
-    return point
 
 
 def cmd_sweep(args) -> int:
@@ -277,46 +240,37 @@ def cmd_sweep(args) -> int:
     if not args.grid:
         raise ValueError("sweep needs --grid start:stop:steps")
     family = make_family(args.family, args.n, args.excitations)
-    sources = tuple(
-        CLI_SOURCES[s] for s in args.source
-    ) if args.source else tuple(applicable_sources(family.n_qubits, args.family))
-    if not sources:
-        raise ValueError(f"no bound source applies to {family.n_qubits} qubits")
-    spec = SweepSpec(args.family, family.n_qubits, args.grid, args.k, sources)
+    n = family.n_qubits
+    sources = _sources(args, n)
+    grid = _grid_points(*args.grid)
+    threshold = None if args.k is None else k_nonsep_threshold(n, 2, args.k)
+    for source in sources:
+        require_source(source, n, family)
 
-    threshold = None if spec.k is None else k_nonsep_threshold(spec.n_qubits, 2, spec.k)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        points = list(pool.map(lambda x: _sweep_point(family, spec, x), spec.grid))
-
-    pair_keys = sorted(points[0]["pairwise"]) if points else []
-    header = ["param"] + [f"C_{i}_{j}" for i, j in pair_keys]
+    rows = []
+    for x in grid:
+        table = pairwise_table(family.state_at(x))
+        found = [source_bound(s, n, table=table, visibility=x) for s in sources]
+        row = [x] + [v for _, v in table.pairs()]
+        for bound_c2, bound_c in found:
+            row += [bound_c2, bound_c]
+        if threshold is not None:
+            row.append(threshold)
+            row += [bound_c > threshold for _, bound_c in found]
+        rows.append(row)
+    header = ["param"] + [f"C_{i}_{j}" for (i, j), _ in table.pairs()]
     for source in sources:
         header += [f"bound_on_C2[{source.value}]", f"bound_on_C[{source.value}]"]
     if threshold is not None:
         header += ["threshold"] + [f"detected[{s.value}]" for s in sources]
-    rows = []
-    for point in points:
-        row = [point["param"]] + [point["pairwise"][k] for k in pair_keys]
-        for source in sources:
-            row += [point[source]["bound_on_C2"], point[source]["bound_on_C"]]
-        if threshold is not None:
-            row.append(threshold)
-            row += [point[s]["bound_on_C"] > threshold for s in sources]
-        rows.append(row)
 
-    crossings = []
-    for source in sources:
-        x = detection_threshold(family, spec.k, source)
-        crossings.append({
-            "source": source,
-            "k": spec.k,
-            "crossing": x if x is not None else None,
-        })
+    crossings = [{"source": s, "k": args.k, "crossing": detection_threshold(family, args.k, s)}
+                 for s in sources]
 
     doc = {
-        "family": spec.family,
-        "n_qubits": spec.n_qubits,
-        "k": spec.k,
+        "family": args.family,
+        "n_qubits": n,
+        "k": args.k,
         "threshold": threshold,
         "rows": [
             {h: _jsonable(v) for h, v in zip(header, row)} for row in rows
@@ -328,7 +282,7 @@ def cmd_sweep(args) -> int:
     if args.format == "table" or (args.format == "csv" and args.out):
         for c in crossings:
             where = fmt(c["crossing"]) if c["crossing"] is not None else "no crossing"
-            label = "entanglement" if spec.k is None else f"k={spec.k}"
+            label = "entanglement" if args.k is None else f"k={args.k}"
             print(f"crossing[{c['source'].value}, {label}] = {where}")
     return EXIT_OK
 
@@ -337,11 +291,7 @@ def cmd_threshold(args) -> int:
     if not args.family:
         raise ValueError("threshold needs --family")
     family = make_family(args.family, args.n, args.excitations)
-    sources = [CLI_SOURCES[s] for s in args.source] if args.source else applicable_sources(
-        family.n_qubits, args.family
-    )
-    if not sources:
-        raise ValueError(f"no bound source applies to {family.n_qubits} qubits")
+    sources = _sources(args, family.n_qubits)
     crossings = [(source, detection_threshold(family, args.k, source))
                  for source in sources]
     rows = [
@@ -362,10 +312,6 @@ def cmd_threshold(args) -> int:
 
 
 # ---------------------------------------------------------------- reproduce
-
-def _grid01(steps: int = 101) -> list[float]:
-    return [i / (steps - 1) for i in range(steps)]
-
 
 class _CaseChecker:
     def __init__(self, case: int, title: str):
@@ -388,33 +334,26 @@ class _CaseChecker:
         )
 
 
-def _pairwise_grid_error(family, closed_forms) -> float:
-    """Worst |computed - closed form| over a 101-point grid and all pairs."""
-    worst = 0.0
-    for x in _grid01():
+def _grid_errors(family, closed_forms, pair_coeff: float) -> tuple[float, float]:
+    """Worst |computed - closed form| over a 101-point grid and all pairs, and
+    worst |T1 bound - pair_coeff * C12^2| over the same grid."""
+    worst_pair = worst_t1 = 0.0
+    for x in _grid_points(0.0, 1.0, 101):
         table = pairwise_table(family.state_at(x))
         for (i, j), value in table.pairs():
-            worst = max(worst, abs(value - closed_forms(i, j, x)))
-    return worst
-
-
-def _t1_coefficient_error(family, pair_coeff: float) -> float:
-    """Worst |T1 bound - pair_coeff * C12^2| over the grid."""
-    worst = 0.0
-    for x in _grid01():
-        table = pairwise_table(family.state_at(x))
+            worst_pair = max(worst_pair, abs(value - closed_forms(i, j, x)))
         r = bounds_mod.theorem1_bound(table)
-        worst = max(worst, abs(r.bound_on_C2 - pair_coeff * table.value(1, 2) ** 2))
-    return worst
+        worst_t1 = max(worst_t1, abs(r.bound_on_C2 - pair_coeff * table.value(1, 2) ** 2))
+    return worst_pair, worst_t1
 
 
 def _case1() -> bool:
     family = states.w_noise_family(4)
     c = _CaseChecker(1, "four-qubit W state + white noise")
     closed = lambda i, j, t: max(0.0, (t - math.sqrt(1 - t * t)) / 2)
-    c.check("pairwise closed form max{0,(t-sqrt(1-t^2))/2}, 101-pt grid",
-            _pairwise_grid_error(family, closed), 1e-9)
-    c.check("T1 bound equals 21/4 C12^2 on grid", _t1_coefficient_error(family, 21 / 4), 1e-12)
+    pair_err, t1_err = _grid_errors(family, closed, 21 / 4)
+    c.check("pairwise closed form max{0,(t-sqrt(1-t^2))/2}, 101-pt grid", pair_err, 1e-9)
+    c.check("T1 bound equals 21/4 C12^2 on grid", t1_err, 1e-12)
     return c.ok
 
 
@@ -422,9 +361,9 @@ def _case2() -> bool:
     family = states.dicke_noise_family(4, 2)
     c = _CaseChecker(2, "four-qubit two-excitation Dicke state + white noise")
     closed = lambda i, j, t: max(0.0, (5 * t - 3) / 6)
-    c.check("pairwise closed form max{0,(5t-3)/6}, 101-pt grid",
-            _pairwise_grid_error(family, closed), 1e-9)
-    c.check("T1 bound equals 21/4 C12^2 on grid", _t1_coefficient_error(family, 21 / 4), 1e-12)
+    pair_err, t1_err = _grid_errors(family, closed, 21 / 4)
+    c.check("pairwise closed form max{0,(5t-3)/6}, 101-pt grid", pair_err, 1e-9)
+    c.check("T1 bound equals 21/4 C12^2 on grid", t1_err, 1e-12)
     x = detection_threshold(family, None, Source.THEOREM1)
     c.check_value("entanglement crossing via T1", x, 0.6, 1e-4)
     lo, hi = bounds_mod.PRIOR_DICKE_DETECTION_THRESHOLDS
@@ -443,9 +382,9 @@ def _case3() -> bool:
             return 0.0
         return max(0.0, (a - math.sqrt(1 - a)) / 2)
 
-    c.check("pairwise closed form (cycle pairs (a-sqrt(1-a))/2, diagonals 0)",
-            _pairwise_grid_error(family, closed), 1e-9)
-    c.check("T1 bound equals 7/2 C12^2 on grid", _t1_coefficient_error(family, 7 / 2), 1e-12)
+    pair_err, t1_err = _grid_errors(family, closed, 7 / 2)
+    c.check("pairwise closed form (cycle pairs (a-sqrt(1-a))/2, diagonals 0)", pair_err, 1e-9)
+    c.check("T1 bound equals 7/2 C12^2 on grid", t1_err, 1e-12)
     return c.ok
 
 
@@ -458,9 +397,9 @@ def _case4() -> bool:
             return max(0.0, (3 * t - 1) / 2)
         return 0.0
 
-    c.check("pairwise closed form (C12=C34=max{0,(3t-1)/2}, rest 0)",
-            _pairwise_grid_error(family, closed), 1e-9)
-    c.check("T1 bound equals 7/4 C12^2 on grid", _t1_coefficient_error(family, 7 / 4), 1e-12)
+    pair_err, t1_err = _grid_errors(family, closed, 7 / 4)
+    c.check("pairwise closed form (C12=C34=max{0,(3t-1)/2}, rest 0)", pair_err, 1e-9)
+    c.check("T1 bound equals 7/4 C12^2 on grid", t1_err, 1e-12)
     x = detection_threshold(family, None, Source.THEOREM1)
     c.check_value("entanglement crossing via T1", x, 1 / 3, 1e-4)
     r = bounds_mod.theorem1_bound(pairwise_table(family.state_at(1.0)))
@@ -539,8 +478,6 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--param", type=float, help="family parameter in [0, 1]")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", help="write the report to this file instead of stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampling paths (reserved; current commands are deterministic)")
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:

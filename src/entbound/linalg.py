@@ -38,10 +38,7 @@ TOL = Tolerances()
 DENSE_DIM_CAP = 2**12
 PURE_DIM_CAP = 2**14
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)

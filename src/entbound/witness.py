@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .concurrence import pairwise_table, pure_concurrence
+from .concurrence import PairwiseConcurrenceTable, pairwise_table, pure_concurrence
 from .errors import (
     FamilyMismatch,
     NegativeRadicand,
@@ -26,6 +26,11 @@ from .linalg import hermitian_eigensystem, purity
 from .states import DensityMatrix, NoisyFamily, PureState, ghz_state, white_noise_mix
 
 RADICAND_DUST = 1e-10
+# detection_threshold: the reported crossing is within BISECTION_TOL (the
+# bisection runs on to a thousandth of it), after a monotonicity check of
+# the bound on MONOTONICITY_SAMPLES evenly spaced parameters.
+BISECTION_TOL = 1e-6
+MONOTONICITY_SAMPLES = 21
 
 
 class Source(str, enum.Enum):
@@ -37,6 +42,9 @@ class Source(str, enum.Enum):
     GHZ_EXACT = "ghz-exact"
     PURE_EXACT = "pure-exact"
     USER_SUPPLIED = "user"
+
+
+THEOREM_SOURCES = (Source.THEOREM1, Source.THEOREM2, Source.THEOREM3)
 
 
 @dataclass(frozen=True)
@@ -111,26 +119,65 @@ def _pure_state_of(rho: DensityMatrix) -> PureState:
     return PureState(rho.n_qubits, top / np.linalg.norm(top))
 
 
-def certified_bound(
-    rho: DensityMatrix, source: Source, user_bound: float | None = None
-) -> float:
-    """Certified lower bound on C(rho) from the requested source."""
-    if source is Source.USER_SUPPLIED:
-        if user_bound is None or user_bound < 0:
-            raise ParameterOutOfRange("user source needs a nonnegative bound value")
-        return float(user_bound)
+def source_bound(
+    source: Source,
+    n_qubits: int,
+    table: PairwiseConcurrenceTable | None = None,
+    visibility: float | None = None,
+    value: float | None = None,
+) -> tuple[float, float]:
+    """Certified lower bounds (on C^2, on C) of an N-qubit state from one source.
+
+    Theorem sources read the state's pairwise table, ghz-exact reads the
+    visibility of a GHZ + white-noise state, and the pure-exact and user
+    sources read the concurrence value itself.
+    """
+    if source in THEOREM_SOURCES:
+        r = bounds_mod.theorem_bound(source.value.upper(), table)
+        return r.bound_on_C2, r.bound_on_C
     if source is Source.GHZ_EXACT:
-        return bounds_mod.ghz_noise_exact_concurrence(rho.n_qubits, _ghz_visibility(rho))
-    if source is Source.PURE_EXACT:
-        return pure_concurrence(_pure_state_of(rho))
-    table = pairwise_table(rho)
-    if source is Source.THEOREM1:
-        return bounds_mod.theorem1_bound(table).bound_on_C
-    if source is Source.THEOREM2:
-        return bounds_mod.theorem2_bound(table).bound_on_C
-    if source is Source.THEOREM3:
-        return bounds_mod.theorem3_bound(table).bound_on_C
+        c = bounds_mod.ghz_noise_exact_concurrence(n_qubits, visibility)
+        return c**2, c
+    if source in (Source.PURE_EXACT, Source.USER_SUPPLIED):
+        if value is None or value < 0:
+            raise ParameterOutOfRange(f"{source.value} source needs a nonnegative bound value")
+        return float(value) ** 2, float(value)
     raise ParameterOutOfRange(f"unknown source {source!r}")
+
+
+def require_source(source: Source, n_qubits: int, family: NoisyFamily | None = None) -> None:
+    """Raise unless source can bound an N-qubit state, or every member of
+    family when one is given; needs no state, so it runs before any is built."""
+    if source in THEOREM_SOURCES:
+        bounds_mod.require_domain(source.value.upper(), n_qubits)
+    elif family is None:
+        return
+    elif source is not Source.GHZ_EXACT:
+        raise ParameterOutOfRange(f"source {source.value!r} cannot sweep a noise family")
+    elif not np.allclose(family.base.amplitudes, ghz_state(n_qubits).amplitudes, atol=1e-12):
+        raise FamilyMismatch("ghz-exact source requires the GHZ noise family")
+
+
+def certified_bound(
+    rho: DensityMatrix,
+    source: Source,
+    user_bound: float | None = None,
+    table: PairwiseConcurrenceTable | None = None,
+) -> float:
+    """Certified lower bound on C(rho) from the requested source.
+
+    table is rho's pairwise table, for callers that already have it.
+    """
+    visibility = value = None
+    if source in THEOREM_SOURCES and table is None:
+        table = pairwise_table(rho)
+    elif source is Source.GHZ_EXACT:
+        visibility = _ghz_visibility(rho)
+    elif source is Source.PURE_EXACT:
+        value = pure_concurrence(_pure_state_of(rho))
+    elif source is Source.USER_SUPPLIED:
+        value = user_bound
+    return source_bound(source, rho.n_qubits, table, visibility, value)[1]
 
 
 def detect_k_nonseparability(
@@ -138,12 +185,14 @@ def detect_k_nonseparability(
     k: int,
     source: Source,
     user_bound: float | None = None,
+    table: PairwiseConcurrenceTable | None = None,
 ) -> WitnessVerdict:
     """Certify k-nonseparability of a qubit state (local dimension 2).
 
     detected=False means "not detected by this bound", never "k-separable".
+    table is rho's pairwise table, for callers that already have it.
     """
-    bound = certified_bound(rho, source, user_bound)
+    bound = certified_bound(rho, source, user_bound, table)
     threshold = k_nonsep_threshold(rho.n_qubits, 2, k)
     return WitnessVerdict(
         n_parties=rho.n_qubits,
@@ -156,41 +205,26 @@ def detect_k_nonseparability(
     )
 
 
-def _family_bound_fn(family, source: Source):
-    n = family.n_qubits
-    if source is Source.GHZ_EXACT:
-        base = getattr(family, "base", None)
-        ghz = ghz_state(n)
-        if base is None or not np.allclose(
-            base.amplitudes, ghz.amplitudes, atol=1e-12
-        ):
-            raise FamilyMismatch("ghz-exact source requires the GHZ noise family")
-        return lambda x: bounds_mod.ghz_noise_exact_concurrence(n, x)
-    if source in (Source.THEOREM1, Source.THEOREM2, Source.THEOREM3):
-        return lambda x: certified_bound(family.state_at(x), source)
-    raise ParameterOutOfRange(f"source {source.value!r} cannot sweep a noise family")
-
-
-def detection_threshold(
-    family: NoisyFamily,
-    k: int | None,
-    source: Source,
-    tol: float = 1e-6,
-    monotonicity_samples: int = 21,
-) -> float | None:
+def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> float | None:
     """Smallest family parameter at which the certified bound crosses the
-    detection threshold, found by bisection to within tol.
+    detection threshold, found by bisection to within BISECTION_TOL.
 
     k=None solves for plain entanglement detection (bound > 0); otherwise
     the threshold is the k-nonseparability constant for local dimension 2.
     Returns None when even the noiseless endpoint is not detected.  Raises
-    NonMonotoneFamily if the sampled bound decreases anywhere by more than
-    1e-9, since bisection only makes sense for nondecreasing bounds.
+    NonMonotoneFamily if the bound, sampled at MONOTONICITY_SAMPLES points,
+    decreases anywhere by more than 1e-9, since bisection only makes sense
+    for nondecreasing bounds.
     """
-    bound = _family_bound_fn(family, source)
+    require_source(source, family.n_qubits, family)
     threshold = 0.0 if k is None else k_nonsep_threshold(family.n_qubits, 2, k)
 
-    grid = np.linspace(0.0, 1.0, monotonicity_samples)
+    def bound(x: float) -> float:
+        if source is Source.GHZ_EXACT:
+            return source_bound(source, family.n_qubits, visibility=x)[1]
+        return certified_bound(family.state_at(x), source)
+
+    grid = np.linspace(0.0, 1.0, MONOTONICITY_SAMPLES)
     samples = [bound(float(x)) for x in grid]
     for a, b, x in zip(samples, samples[1:], grid[1:]):
         if b < a - 1e-9:
@@ -201,7 +235,7 @@ def detection_threshold(
     if not samples[-1] > threshold:
         return None
     lo, hi = 0.0, 1.0
-    while hi - lo > tol * 1e-3:
+    while hi - lo > BISECTION_TOL * 1e-3:
         mid = (lo + hi) / 2
         if bound(mid) > threshold:
             hi = mid

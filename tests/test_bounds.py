@@ -9,12 +9,14 @@ from entbound.bounds import (
     PRIOR_DICKE_DETECTION_THRESHOLDS,
     BoundReport,
     applicable_bounds,
+    applicable_theorems,
     best_bound,
     ghz_noise_exact_concurrence,
     ghz_noise_separability_edge,
     theorem1_bound,
     theorem2_bound,
     theorem3_bound,
+    theorem_bound,
     theorem_coefficient,
 )
 from entbound.concurrence import PairwiseConcurrenceTable, pairwise_table, pure_concurrence
@@ -134,6 +136,24 @@ class TestBestBound:
 
     def test_applicable_bounds_odd_seven(self):
         assert [r.theorem for r in applicable_bounds(table_of(7, {}))] == ["T2"]
+
+
+class TestQubitCountDomain:
+    def test_applicable_theorems(self):
+        assert {n: applicable_theorems(n) for n in range(1, 10)} == {
+            1: [], 2: [], 3: [], 4: ["T1"], 5: ["T2"], 6: ["T2", "T3"],
+            7: ["T2"], 8: ["T2", "T3"], 9: ["T2"],
+        }
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_theorem_functions_follow_the_domain(self, n):
+        table = table_of(n, {(1, 2): 0.5})
+        for theorem in ("T1", "T2", "T3"):
+            if theorem in applicable_theorems(n):
+                assert theorem_bound(theorem, table).theorem == theorem
+            else:
+                with pytest.raises(WrongQubitCount):
+                    theorem_bound(theorem, table)
 
 
 class TestMonotonicity:

@@ -218,3 +218,119 @@ class TestFormatting:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+def count_pairwise_tables(monkeypatch) -> dict:
+    """Wrap pairwise_table at every entbound module that binds it; the returned
+    dict counts calls per binding module."""
+    import sys
+
+    import entbound.concurrence as concurrence
+
+    original = concurrence.pairwise_table
+    counts = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entbound") and getattr(module, "pairwise_table", None) is original:
+            def counting(rho, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return original(rho)
+
+            monkeypatch.setattr(module, "pairwise_table", counting)
+    return counts
+
+
+class TestOneTablePerState:
+    @pytest.mark.parametrize("n, family", [(4, "w-noise"), (5, "dicke-noise"), (6, "ghz-noise")])
+    def test_bound_builds_one_table(self, monkeypatch, capsys, n, family):
+        counts = count_pairwise_tables(monkeypatch)
+        code, _, _ = run(capsys, "bound", "--family", family, "--n", str(n),
+                         "--param", "0.9", "--format", "json")
+        assert code == 0
+        assert sum(counts.values()) == 1
+
+    def test_bound_below_four_qubits_builds_one_table(self, monkeypatch, tmp_path, capsys):
+        rho = white_noise_mix(ghz_state(2), 0.9).matrix
+        entries = [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"n_qubits": 2, "entries": entries}))
+        counts = count_pairwise_tables(monkeypatch)
+        code, _, _ = run(capsys, "bound", "--state", str(path))
+        assert code == 0
+        assert sum(counts.values()) == 1
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--k", "2", "--k", "3", "--k", "6"],
+        ["--k", "2", "--k", "4", "--source", "t2", "--source", "t3", "--source", "ghz-exact"],
+    ])
+    def test_witness_builds_one_table(self, monkeypatch, capsys, extra):
+        counts = count_pairwise_tables(monkeypatch)
+        code, _, _ = run(capsys, "witness", "--family", "ghz-noise", "--n", "6",
+                         "--param", "0.97", *extra)
+        assert code == 0
+        assert sum(counts.values()) == 1
+
+    def test_witness_ghz_exact_only_builds_no_table(self, monkeypatch, capsys):
+        counts = count_pairwise_tables(monkeypatch)
+        code, _, _ = run(capsys, "witness", "--family", "ghz-noise", "--n", "4",
+                         "--param", "0.95", "--k", "3", "--source", "ghz-exact")
+        assert code == 0
+        assert sum(counts.values()) == 0
+
+    def test_sweep_builds_one_table_per_grid_point(self, monkeypatch, capsys):
+        # ghz-exact crossings need no table, so every table is a grid point's
+        counts = count_pairwise_tables(monkeypatch)
+        code, _, _ = run(capsys, "sweep", "--family", "ghz-noise", "--n", "5",
+                         "--grid", "0:1:7", "--k", "3", "--source", "ghz-exact")
+        assert code == 0
+        assert sum(counts.values()) == 7
+
+    def test_sweep_rows_build_one_table_per_grid_point(self, monkeypatch, capsys):
+        # theorem crossings bisect on their own states; the rows take one each
+        counts = count_pairwise_tables(monkeypatch)
+        code, _, _ = run(capsys, "sweep", "--family", "ex4", "--n", "4",
+                         "--grid", "0:1:9", "--k", "3", "--source", "t1")
+        assert code == 0
+        assert counts["entbound.cli"] == 9
+
+
+class TestRejectionBeforeStateIsBuilt:
+    @pytest.fixture
+    def no_states(self, monkeypatch):
+        from entbound.states import NoisyFamily
+
+        def refuse(self, x):
+            raise AssertionError("a family state was built")
+
+        monkeypatch.setattr(NoisyFamily, "state_at", refuse)
+
+    def test_witness_k_below_two(self, no_states, capsys):
+        code, _, err = run(capsys, "witness", "--family", "ex4", "--n", "4",
+                           "--param", "0.9", "--k", "1")
+        assert code == 2
+        assert err == "error: k=1 outside 2..4\n"
+
+    def test_witness_theorem_outside_domain(self, no_states, capsys):
+        code, _, err = run(capsys, "witness", "--family", "w-noise", "--n", "5",
+                           "--param", "0.9", "--source", "t1")
+        assert code == 2
+        assert err == "error: four-qubit bound applied to N=5\n"
+
+    def test_sweep_ghz_exact_on_other_family(self, no_states, capsys):
+        code, _, err = run(capsys, "sweep", "--family", "dicke-noise", "--n", "4",
+                           "--grid", "0:1:5", "--source", "ghz-exact")
+        assert code == 2
+        assert err == "error: ghz-exact source requires the GHZ noise family\n"
+
+    def test_sweep_theorem_outside_domain(self, no_states, capsys):
+        code, _, err = run(capsys, "sweep", "--family", "w-noise", "--n", "5",
+                           "--grid", "0:1:5", "--source", "t1")
+        assert code == 2
+        assert err == "error: four-qubit bound applied to N=5\n"
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--family", "w-noise", "--param", "0.9", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err

@@ -31,6 +31,7 @@ from entbound.witness import (
     detect_k_nonseparability,
     detection_threshold,
     k_nonsep_threshold,
+    source_bound,
 )
 
 
@@ -220,3 +221,39 @@ class TestCertifiedBound:
         assert certified_bound(rho, Source.GHZ_EXACT) == pytest.approx(
             ghz_noise_exact_concurrence(5, 0.77), abs=1e-10
         )
+
+
+class TestSourceBound:
+    def test_theorem_source_reads_the_table(self):
+        from entbound.bounds import theorem1_bound
+        from entbound.concurrence import pairwise_table
+
+        table = pairwise_table(white_noise_mix(w_state(4), 0.9))
+        r = theorem1_bound(table)
+        assert source_bound(Source.THEOREM1, 4, table=table) == (r.bound_on_C2, r.bound_on_C)
+
+    def test_ghz_exact_reads_the_visibility(self):
+        from entbound.bounds import ghz_noise_exact_concurrence
+
+        c = ghz_noise_exact_concurrence(5, 0.8)
+        assert source_bound(Source.GHZ_EXACT, 5, visibility=0.8) == (c**2, c)
+
+    def test_user_value(self):
+        assert source_bound(Source.USER_SUPPLIED, 4, value=0.5) == (0.25, 0.5)
+        with pytest.raises(ParameterOutOfRange):
+            source_bound(Source.USER_SUPPLIED, 4, value=-0.1)
+
+    def test_given_table_is_used(self):
+        from entbound.concurrence import pairwise_table
+
+        rho = white_noise_mix(w_state(4), 0.9)
+        table = pairwise_table(rho)
+        v = detect_k_nonseparability(rho, 2, Source.THEOREM1, table=table)
+        assert v.certified_lower_bound_on_C == certified_bound(rho, Source.THEOREM1)
+
+    def test_detection_threshold_takes_no_tolerance_arguments(self):
+        import inspect
+
+        assert list(inspect.signature(detection_threshold).parameters) == [
+            "family", "k", "source",
+        ]
