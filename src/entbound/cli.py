@@ -159,14 +159,14 @@ def load_input(args) -> DensityMatrix | NoisyFamily:
     raise ValueError("need --state FILE or --family NAME")
 
 
-def at_param(given: DensityMatrix | NoisyFamily, args) -> DensityMatrix:
-    return given.state_at(args.param) if isinstance(given, NoisyFamily) else given
+def at_param(given: DensityMatrix | NoisyFamily, param: float) -> DensityMatrix:
+    return given.state_at(param) if isinstance(given, NoisyFamily) else given
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_bound(args) -> int:
-    rho = at_param(load_input(args), args)
+    rho = at_param(load_input(args), args.param)
     if bounds_mod.applicable_theorems(rho.n_qubits):
         best = bounds_mod.best_bound(rho)
         table, reports = best.table, best.reports
@@ -214,7 +214,7 @@ def cmd_witness(args) -> int:
         require_source(source, n)
     for k in ks:
         k_nonsep_threshold(n, 2, k)
-    rho = at_param(given, args)
+    rho = at_param(given, args.param)
     table = pairwise_table(rho) if any(s in THEOREM_SOURCES for s in sources) else None
     verdicts = [
         detect_k_nonseparability(rho, k, s, table=table) for k in ks for s in sources
