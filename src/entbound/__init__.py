@@ -20,7 +20,7 @@ from .concurrence import (
     pure_concurrence,
     wootters_concurrence,
 )
-from .linalg import SubsetMask, Tolerances, TOL
+from .linalg import SubsetMask
 from .oracle import SamplerConfig, brute_force_purity_sum, haar_random_pure, random_product_pure
 from .states import (
     DensityMatrix,
@@ -55,8 +55,6 @@ __all__ = [
     "SamplerConfig",
     "Source",
     "SubsetMask",
-    "TOL",
-    "Tolerances",
     "WitnessVerdict",
     "best_bound",
     "brute_force_purity_sum",

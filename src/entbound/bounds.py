@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .concurrence import PairwiseConcurrenceTable, pairwise_table
 from .errors import ParameterOutOfRange, WrongQubitCount
+from .linalg import REPORT_REL_TOL
 from .states import DensityMatrix
 
 THEOREMS = ("T1", "T2", "T3")
@@ -46,7 +47,7 @@ class BoundReport:
     def __post_init__(self):
         if self.theorem in THEOREMS:
             prod = self.coefficient * self.pair_sum
-            if abs(self.bound_on_C2 - prod) > 1e-12 * max(1.0, abs(prod)):
+            if abs(self.bound_on_C2 - prod) > REPORT_REL_TOL * max(1.0, abs(prod)):
                 raise ParameterOutOfRange("bound_on_C2 must equal coefficient * pair_sum")
         if self.bound_on_C2 < 0 or self.bound_on_C < 0:
             raise ParameterOutOfRange("bounds must be nonnegative")

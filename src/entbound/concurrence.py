@@ -15,15 +15,13 @@ import numpy as np
 
 from . import linalg
 from .errors import ConvergenceFailure, EmptySubset, WrongDimension
-from .linalg import SIGMA_Y, SubsetMask
+from .linalg import SIGMA_Y, ZERO_DUST, SubsetMask
 from .states import DensityMatrix, PureState
-
-# Floating-point dust below theoretical zeros: radicands and max{.,0}
-# arguments in [-ZERO_DUST, 0) are clamped to 0 before square roots.
-ZERO_DUST = 1e-10
 
 
 def _clamp_dust(x: float) -> float:
+    """Radicands and max{., 0} arguments in [-ZERO_DUST, 0) are floating-point
+    dust below a theoretical zero; clamp them to 0 before square roots."""
     return 0.0 if -ZERO_DUST <= x < 0.0 else x
 
 

@@ -21,17 +21,24 @@ from .errors import (
     NotPSD,
 )
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances shared by every kernel (single calibration knob)."""
-
-    herm: float = 1e-10
-    psd: float = 1e-10
-    recon: float = 1e-9
-
-
-TOL = Tolerances()
+# ---------------------------------------------------------------- tolerances
+# Every numerical tolerance of the package.  States are checked against the
+# first four once, where they enter (``states``); the rest are read by the
+# kernels, the bounds and the witness.
+HERM_TOL = 1e-10  # max-norm of m - m^dagger for a Hermitian matrix
+PSD_TOL = 1e-10  # eigenvalues in [-PSD_TOL, 0) of a PSD matrix count as zero
+TRACE_TOL = 1e-10  # |Tr rho - 1| of a density matrix
+NORM_TOL = 1e-12  # | |psi| - 1 | of a pure state
+CLAMP_FLOOR = -1e-8  # --clamp repairs eigenvalues down to this, rejects lower
+ZERO_DUST = 1e-10  # values in [-ZERO_DUST, 0) are rounding dust below a true zero
+EIGEN_DUST = 64 * np.finfo(float).eps  # eigenvalues below this x scale are solver dust
+FAMILY_MATCH_TOL = 1e-10  # max-norm gap between a state and its GHZ-noise model
+GHZ_BASE_TOL = 1e-12  # amplitude gap between a family's base state and GHZ
+PURITY_TOL = 1e-10  # |Tr rho^2 - 1| of a state read as pure
+MONOTONICITY_SLACK = 1e-9  # decrease of a bound along a family still read as flat
+BISECTION_TOL = 1e-6  # a reported crossing is within this of the true one
+BISECTION_STOP = BISECTION_TOL * 1e-3  # bracket width at which bisection stops
+REPORT_REL_TOL = 1e-12  # relative gap of bound_on_C2 from coefficient * pair_sum
 
 # Dense matrices are capped at 2^12 to keep complex-double storage ~1 GB;
 # pure-state-only paths may go up to 2^14 amplitudes.
@@ -96,18 +103,17 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def hermitian_eigensystem(m: np.ndarray, tol: Tolerances = TOL):
+def hermitian_eigensystem(m: np.ndarray):
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
 
-    Returns ``(w, v)`` with ``m = v @ diag(w) @ v.conj().T`` to within
-    ``tol.recon`` in max norm and v unitary.  Raises NotHermitian when the
-    input fails the Hermiticity precheck and ConvergenceFailure when the
-    underlying solver gives up.
+    Returns ``(w, v)`` with ``m = v @ diag(w) @ v.conj().T`` and v unitary.
+    Raises NotHermitian when the input fails the Hermiticity precheck and
+    ConvergenceFailure when the underlying solver gives up.
     """
     m = require_square(m)
     defect = hermiticity_defect(m)
-    if defect > tol.herm:
-        raise NotHermitian(f"|m - m^dagger|_max = {defect:.3e} exceeds {tol.herm:.1e}")
+    if defect > HERM_TOL:
+        raise NotHermitian(f"|m - m^dagger|_max = {defect:.3e} exceeds {HERM_TOL:.1e}")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -115,41 +121,37 @@ def hermitian_eigensystem(m: np.ndarray, tol: Tolerances = TOL):
     return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
 
 
-def _floored_psd_eigenvalues(
-    w: np.ndarray, tol: Tolerances, scale: float | None = None
-) -> np.ndarray:
+def _floored_psd_eigenvalues(w: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Clamp descending eigenvalues of a PSD matrix for square roots.
 
-    Values in [-tol.psd, 0) clamp to zero; anything lower raises NotPSD.
-    Positive values below a noise floor (64 eps of the largest eigenvalue,
+    Values in [-PSD_TOL, 0) clamp to zero; anything lower raises NotPSD.
+    Positive values below a noise floor (EIGEN_DUST of the largest eigenvalue,
     or of ``scale`` when the caller knows the matrix's natural scale) also
     clamp to zero: such dust is below the eigensolver's own backward error,
     and carrying it through a square root would inflate it from ~1e-16 to
     ~1e-8.
     """
     low = float(w.min()) if w.size else 0.0
-    if low < -tol.psd:
-        raise NotPSD(f"eigenvalue {low:.3e} below -{tol.psd:.1e}")
+    if low < -PSD_TOL:
+        raise NotPSD(f"eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
     w = np.clip(w, 0.0, None)
     top = float(w[0]) if w.size else 0.0
-    floor = 64 * np.finfo(float).eps * max(top, scale or 0.0)
+    floor = EIGEN_DUST * max(top, scale or 0.0)
     w[w < floor] = 0.0
     return w
 
 
-def psd_sqrt(m: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix."""
-    w, v = hermitian_eigensystem(m, tol)
-    w = _floored_psd_eigenvalues(w, tol)
+    w, v = hermitian_eigensystem(m)
+    w = _floored_psd_eigenvalues(w)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_sqrt_spectrum(
-    m: np.ndarray, tol: Tolerances = TOL, scale: float | None = None
-) -> np.ndarray:
+def psd_sqrt_spectrum(m: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Descending eigenvalues of psd_sqrt(m), without forming the matrix."""
-    w, _ = hermitian_eigensystem(m, tol)
-    return np.sqrt(_floored_psd_eigenvalues(w, tol, scale))
+    w, _ = hermitian_eigensystem(m)
+    return np.sqrt(_floored_psd_eigenvalues(w, scale))
 
 
 def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:

@@ -3,7 +3,8 @@
 Seeded Haar sampling, product-state sampling over arbitrary qubit
 partitions, a brute-force purity-sum recomputation, and local-unitary
 helpers.  Everything here exists to cross-check the closed-form paths, so
-none of it reuses the Gram-matrix shortcut.
+none of it reuses them: the purity sum takes dense partial traces of the
+full density matrix, not the Schmidt coefficients ``concurrence`` uses.
 """
 
 from __future__ import annotations

@@ -22,17 +22,21 @@ from .errors import (
     TooFewQubits,
 )
 from . import linalg
+from .linalg import CLAMP_FLOOR, DENSE_DIM_CAP, HERM_TOL, NORM_TOL, PSD_TOL, TRACE_TOL
 
-NORM_TOL = 1e-12
-TRACE_TOL = 1e-10
-EIG_TOL = 1e-10
-CLAMP_FLOOR = -1e-8
+# A qubit count above this would need a dense matrix beyond DENSE_DIM_CAP.
+MAX_DENSE_QUBITS = DENSE_DIM_CAP.bit_length() - 1
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex)
     a.setflags(write=False)
     return a
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise InvariantViolation(f"{what} has non-finite entries (NaN or inf)")
 
 
 @dataclass(frozen=True)
@@ -51,18 +55,26 @@ class PureState:
                 f"amplitude vector of length {amps.shape} does not match "
                 f"2^{self.n_qubits}"
             )
+        _require_finite(amps, "amplitude vector")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise InvariantViolation(f"norm {norm!r} deviates from 1 by {abs(norm-1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
 
     def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix._derived(
+            self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj())
+        )
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD matrix over n_qubits labeled 1..n."""
+    """Hermitian, unit-trace, PSD matrix over n_qubits labeled 1..n.
+
+    The constructor validates; it is the boundary for matrices from outside
+    the package.  States the package derives from validated ones keep the
+    invariants by construction and come from ``_derived`` unchecked.
+    """
 
     n_qubits: int
     matrix: np.ndarray
@@ -72,23 +84,35 @@ class DensityMatrix:
         d = 2**self.n_qubits
         if m.shape != (d, d):
             raise InvariantViolation(f"matrix shape {m.shape} does not match 2^{self.n_qubits}")
+        _require_finite(m, "matrix")
         defect = linalg.hermiticity_defect(m)
-        if defect > TRACE_TOL:
-            raise InvariantViolation(f"Hermiticity defect {defect:.3e} exceeds {TRACE_TOL:.1e}")
+        if defect > HERM_TOL:
+            raise InvariantViolation(f"Hermiticity defect {defect:.3e} exceeds {HERM_TOL:.1e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"trace {tr!r} deviates from 1 by {abs(tr-1.0):.3e}")
         low = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-        if low < -EIG_TOL:
-            raise InvariantViolation(f"negative eigenvalue {low:.3e} below -{EIG_TOL:.1e}")
+        if low < -PSD_TOL:
+            raise InvariantViolation(f"negative eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _derived(cls, n_qubits: int, matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap a matrix built from validated data by an invariant-preserving
+        operation (white-noise mixing, partial trace), without re-checking."""
+        m = np.asarray(matrix, dtype=complex)
+        m.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "n_qubits", n_qubits)
+        object.__setattr__(rho, "matrix", m)
+        return rho
 
     @classmethod
     def from_array(cls, arr: np.ndarray, clamp: bool = False) -> "DensityMatrix":
         """Validate an array as a density matrix.
 
         With clamp=True, near-PSD inputs are repaired: eigenvalues in
-        [-1e-8, 0) are clamped to zero and the trace is renormalized.
+        [CLAMP_FLOOR, 0) are clamped to zero and the trace is renormalized.
         Rejection is the default because silent repair hides data errors.
         """
         arr = linalg.require_square(arr)
@@ -96,6 +120,7 @@ class DensityMatrix:
         if 2**n != arr.shape[0]:
             raise InvariantViolation(f"dimension {arr.shape[0]} is not a power of two")
         if clamp:
+            _require_finite(arr, "matrix")
             herm = (arr + arr.conj().T) / 2
             w, v = np.linalg.eigh(herm)
             if float(w.min()) < CLAMP_FLOOR:
@@ -109,7 +134,7 @@ class DensityMatrix:
 
     def reduced(self, qubits) -> "DensityMatrix":
         keep = linalg.SubsetMask.from_qubits(qubits, self.n_qubits)
-        return DensityMatrix(keep.size, linalg.partial_trace(self.matrix, keep))
+        return DensityMatrix._derived(keep.size, linalg.partial_trace(self.matrix, keep))
 
 
 @dataclass(frozen=True)
@@ -184,7 +209,7 @@ def white_noise_mix(psi: PureState, x: float) -> DensityMatrix:
     d = 2**psi.n_qubits
     m = np.eye(d, dtype=complex) * ((1.0 - x) / d)
     m += x * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(psi.n_qubits, m)
+    return DensityMatrix._derived(psi.n_qubits, m)
 
 
 def w_noise_family(n: int = 4) -> NoisyFamily:
@@ -216,7 +241,9 @@ def load_density_matrix(source, clamp: bool = False) -> DensityMatrix:
     in row-major order.  CSV: one "i,j,re,im" row per nonzero entry
     (0-based indices, missing entries are zero); lines starting with '#'
     are comments and may declare "# n_qubits = N", otherwise the dimension
-    is inferred from the largest index present.
+    is inferred from the largest index present.  A qubit count outside
+    1..MAX_DENSE_QUBITS is a ParseError, raised before the matrix is
+    allocated; the matrix itself is then validated once, as it enters.
     """
     text = _read_text(source)
     stripped = text.lstrip()
@@ -230,34 +257,52 @@ def load_density_matrix(source, clamp: bool = False) -> DensityMatrix:
 
 
 def _read_text(source) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        if isinstance(source, bytes):
+            return source.decode("utf-8")
+        if isinstance(source, io.IOBase) or hasattr(source, "read"):
+            data = source.read()
+            return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"matrix file is not UTF-8 text: {exc}") from exc
     raise ParseError(f"unsupported matrix source {type(source)!r}")
+
+
+def _dense_dim(n: int) -> int:
+    """2^n for a declared qubit count, or ParseError outside 1..MAX_DENSE_QUBITS."""
+    if not 1 <= n <= MAX_DENSE_QUBITS:
+        raise ParseError(
+            f"n_qubits = {n} outside 1..{MAX_DENSE_QUBITS} "
+            f"(dense matrices are capped at {DENSE_DIM_CAP})"
+        )
+    return 2**n
 
 
 def _parse_json_matrix(text: str) -> np.ndarray:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         n = int(doc["n_qubits"])
         entries = doc["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError("JSON matrix needs 'n_qubits' and 'entries'") from exc
-    d = 2**n
+    d = _dense_dim(n)
+    if not isinstance(entries, list):
+        raise ParseError("JSON 'entries' must be a list of [re, im] pairs")
     if len(entries) != d * d:
         raise ParseError(f"expected {d * d} entries for {n} qubits, got {len(entries)}")
     flat = np.empty(d * d, dtype=complex)
     for pos, pair in enumerate(entries):
-        if len(pair) != 2:
-            raise ParseError(f"entry {pos} is not a [re, im] pair")
-        flat[pos] = float(pair[0]) + 1j * float(pair[1])
+        try:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise TypeError("not a list of two numbers")
+            flat[pos] = float(pair[0]) + 1j * float(pair[1])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"entry {pos} is not a [re, im] pair") from exc
     return flat.reshape(d, d)
 
 
@@ -271,7 +316,10 @@ def _parse_csv_matrix(text: str) -> np.ndarray:
         if line.startswith("#"):
             body = line.lstrip("#").replace("=", " ").replace(":", " ").split()
             if len(body) == 2 and body[0] == "n_qubits":
-                declared_n = int(body[1])
+                try:
+                    declared_n = int(body[1])
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from exc
             continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
@@ -287,12 +335,12 @@ def _parse_csv_matrix(text: str) -> np.ndarray:
     if not triples:
         raise ParseError("CSV matrix has no entries")
     if declared_n is not None:
-        d = 2**declared_n
+        d = _dense_dim(declared_n)
     else:
         top = max(max(i, j) for i, j, _, _ in triples)
-        d = 1
-        while d <= top:
-            d *= 2
+        if top >= DENSE_DIM_CAP:
+            raise ParseError(f"index {top} needs a dimension above the dense cap {DENSE_DIM_CAP}")
+        d = 1 << top.bit_length()
     arr = np.zeros((d, d), dtype=complex)
     for i, j, re, im in triples:
         if i >= d or j >= d:

@@ -22,14 +22,20 @@ from .errors import (
     NonMonotoneFamily,
     ParameterOutOfRange,
 )
-from .linalg import hermitian_eigensystem, purity
+from .linalg import (
+    BISECTION_STOP,
+    FAMILY_MATCH_TOL,
+    GHZ_BASE_TOL,
+    MONOTONICITY_SLACK,
+    PURITY_TOL,
+    ZERO_DUST,
+    hermitian_eigensystem,
+    purity,
+)
 from .states import DensityMatrix, NoisyFamily, PureState, ghz_state, white_noise_mix
 
-RADICAND_DUST = 1e-10
-# detection_threshold: the reported crossing is within BISECTION_TOL (the
-# bisection runs on to a thousandth of it), after a monotonicity check of
-# the bound on MONOTONICITY_SAMPLES evenly spaced parameters.
-BISECTION_TOL = 1e-6
+# detection_threshold checks the bound for monotonicity on this many evenly
+# spaced parameters before it bisects.
 MONOTONICITY_SAMPLES = 21
 
 
@@ -90,7 +96,7 @@ def k_nonsep_threshold(n: int, d: int, k: int, min_block_size: int = 1) -> float
         tail = 2 * sum(math.comb(n, i) / d**i for i in range(1, n // 2))
         tail += math.comb(n, n // 2) / d ** (n // 2)
     radicand = 2**n - 2**k + (2**k - 2) / d**min_block_size - tail
-    if radicand < -RADICAND_DUST:
+    if radicand < -ZERO_DUST:
         raise NegativeRadicand(
             f"radicand {radicand:.3e} for (n={n}, d={d}, k={k}): invalid regime"
         )
@@ -101,18 +107,18 @@ def _ghz_visibility(rho: DensityMatrix) -> float:
     """Recover p from a GHZ + white-noise matrix, rejecting other states."""
     n = rho.n_qubits
     p = 2.0 * float(np.real(rho.matrix[0, -1]))
-    if not -1e-10 <= p <= 1.0 + 1e-10:
+    if not -FAMILY_MATCH_TOL <= p <= 1.0 + FAMILY_MATCH_TOL:
         raise FamilyMismatch(f"recovered visibility {p} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
     model = white_noise_mix(ghz_state(n), p)
     gap = float(np.max(np.abs(model.matrix - rho.matrix)))
-    if gap > 1e-10:
+    if gap > FAMILY_MATCH_TOL:
         raise FamilyMismatch(f"state deviates from the GHZ noise family by {gap:.3e}")
     return p
 
 
 def _pure_state_of(rho: DensityMatrix) -> PureState:
-    if abs(purity(rho.matrix) - 1.0) > 1e-10:
+    if abs(purity(rho.matrix) - 1.0) > PURITY_TOL:
         raise FamilyMismatch("pure-exact source requires a pure state")
     _, vecs = hermitian_eigensystem(rho.matrix)
     top = vecs[:, 0]
@@ -154,7 +160,9 @@ def require_source(source: Source, n_qubits: int, family: NoisyFamily | None = N
         return
     elif source is not Source.GHZ_EXACT:
         raise ParameterOutOfRange(f"source {source.value!r} cannot sweep a noise family")
-    elif not np.allclose(family.base.amplitudes, ghz_state(n_qubits).amplitudes, atol=1e-12):
+    elif not np.allclose(
+        family.base.amplitudes, ghz_state(n_qubits).amplitudes, atol=GHZ_BASE_TOL
+    ):
         raise FamilyMismatch("ghz-exact source requires the GHZ noise family")
 
 
@@ -207,14 +215,14 @@ def detect_k_nonseparability(
 
 def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> float | None:
     """Smallest family parameter at which the certified bound crosses the
-    detection threshold, found by bisection to within BISECTION_TOL.
+    detection threshold, found by bisection to within linalg.BISECTION_TOL.
 
     k=None solves for plain entanglement detection (bound > 0); otherwise
     the threshold is the k-nonseparability constant for local dimension 2.
     Returns None when even the noiseless endpoint is not detected.  Raises
     NonMonotoneFamily if the bound, sampled at MONOTONICITY_SAMPLES points,
-    decreases anywhere by more than 1e-9, since bisection only makes sense
-    for nondecreasing bounds.
+    decreases anywhere by more than MONOTONICITY_SLACK, since bisection only
+    makes sense for nondecreasing bounds.
     """
     require_source(source, family.n_qubits, family)
     threshold = 0.0 if k is None else k_nonsep_threshold(family.n_qubits, 2, k)
@@ -227,7 +235,7 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     grid = np.linspace(0.0, 1.0, MONOTONICITY_SAMPLES)
     samples = [bound(float(x)) for x in grid]
     for a, b, x in zip(samples, samples[1:], grid[1:]):
-        if b < a - 1e-9:
+        if b < a - MONOTONICITY_SLACK:
             raise NonMonotoneFamily(
                 f"bound decreases from {a!r} to {b!r} near parameter {float(x)!r}"
             )
@@ -235,7 +243,7 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     if not samples[-1] > threshold:
         return None
     lo, hi = 0.0, 1.0
-    while hi - lo > BISECTION_TOL * 1e-3:
+    while hi - lo > BISECTION_STOP:
         mid = (lo + hi) / 2
         if bound(mid) > threshold:
             hi = mid

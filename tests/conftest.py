@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from entbound.states import DensityMatrix, PureState
+
+# Every @given test draws the same examples on every run, with no time limit.
+settings.register_profile("entbound", derandomize=True, deadline=None)
+settings.load_profile("entbound")
 
 
 def random_pure(rng: np.random.Generator, n: int) -> PureState:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from entbound.cli import main
-from entbound.states import ghz_state, white_noise_mix
+from entbound.states import ghz_state, w_state, white_noise_mix
 
 
 def run(capsys, *argv):
@@ -334,3 +334,92 @@ def test_seed_flag_is_gone(capsys):
         main(["bound", "--family", "w-noise", "--param", "0.9", "--seed", "1"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+MALFORMED_FILES = {
+    "index-3000000.csv": ("0,0,1,0\n3000000,3000000,0,0\n", "above the dense cap"),
+    "n13.csv": ("# n_qubits = 13\n0,0,1,0\n", "n_qubits = 13 outside 1..12"),
+    "n-minus-2.csv": ("# n_qubits = -2\n0,0,1,0\n", "n_qubits = -2 outside 1..12"),
+    "entries-5.json": ('{"n_qubits": 1, "entries": 5}', "'entries' must be a list"),
+    "n-minus-3.json": ('{"n_qubits": -3, "entries": []}', "n_qubits = -3 outside 1..12"),
+    "nan-diagonal.csv": ("# n_qubits = 2\n0,0,nan,0\n1,1,0.5,0\n2,2,0.5,0\n", "non-finite"),
+    "nan-off-diagonal.csv": (
+        "# n_qubits = 2\n0,0,0.5,0\n0,1,nan,0\n1,0,nan,0\n1,1,0.5,0\n", "non-finite"),
+    "inf-diagonal.json": (
+        '{"n_qubits": 1, "entries": [[Infinity, 0], [0, 0], [0, 0], [0, 0]]}', "non-finite"),
+}
+
+
+@pytest.mark.parametrize("clamp", [[], ["--clamp"]])
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_file_is_input_error_without_large_allocation(tmp_path, capsys, name, clamp):
+    import tracemalloc
+
+    from entbound.linalg import DENSE_DIM_CAP
+
+    text, message = MALFORMED_FILES[name]
+    path = tmp_path / name
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "bound", "--state", str(path), *clamp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert peak < DENSE_DIM_CAP**2 * 16  # less than one complex matrix at the cap
+
+
+def count_validations(monkeypatch) -> list:
+    """Count runs of the validating DensityMatrix constructor."""
+    from entbound.states import DensityMatrix
+
+    original = DensityMatrix.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self.n_qubits)
+        return original(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    return calls
+
+
+class TestValidationAtEntryOnly:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--family", "dicke-noise", "--n", "6", "--param", "0.9"],
+        ["witness", "--family", "ghz-noise", "--n", "6", "--param", "0.97",
+         "--k", "2", "--k", "3", "--source", "t2", "--source", "ghz-exact"],
+        ["sweep", "--family", "ex4", "--n", "4", "--grid", "0:1:5", "--k", "3"],
+        ["threshold", "--family", "w-noise", "--n", "5", "--source", "t2"],
+    ])
+    def test_family_commands_validate_nothing(self, monkeypatch, capsys, argv):
+        calls = count_validations(monkeypatch)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("clamp", [[], ["--clamp"]])
+    def test_bound_on_a_file_validates_once(self, monkeypatch, tmp_path, capsys, clamp):
+        path = tmp_path / "w5.json"
+        rho = white_noise_mix(w_state(5), 0.9).matrix
+        path.write_text(json.dumps({
+            "n_qubits": 5,
+            "entries": [[float(z.real), float(z.imag)] for z in rho.reshape(-1)],
+        }))
+        calls = count_validations(monkeypatch)
+        code, _, _ = run(capsys, "bound", "--state", str(path), *clamp)
+        assert code == 0
+        assert calls == [5]
+
+    def test_ghz_exact_witness_on_a_file_validates_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "ghz6.json"
+        write_ghz_json(path, n=6, p=0.95)
+        calls = count_validations(monkeypatch)
+        code, out, _ = run(capsys, "witness", "--state", str(path), "--source", "ghz-exact",
+                           "--k", "2", "--k", "3", "--k", "4")
+        assert code == 0
+        assert out.count("ghz-exact") == 3
+        assert calls == [6]

@@ -206,6 +206,18 @@ class TestPurity:
 
 
 def test_tolerances_record():
-    assert linalg.TOL.herm == 1e-10
-    assert linalg.TOL.psd == 1e-10
-    assert linalg.TOL.recon == 1e-9
+    assert linalg.HERM_TOL == 1e-10
+    assert linalg.PSD_TOL == 1e-10
+    assert linalg.TRACE_TOL == 1e-10
+    assert linalg.NORM_TOL == 1e-12
+    assert linalg.CLAMP_FLOOR == -1e-8
+    assert linalg.ZERO_DUST == 1e-10
+    assert linalg.EIGEN_DUST == 64 * np.finfo(float).eps
+    assert linalg.FAMILY_MATCH_TOL == 1e-10
+    assert linalg.GHZ_BASE_TOL == 1e-12
+    assert linalg.PURITY_TOL == 1e-10
+    assert linalg.MONOTONICITY_SLACK == 1e-9
+    assert linalg.BISECTION_TOL == 1e-6
+    assert linalg.BISECTION_STOP == 1e-9
+    assert linalg.REPORT_REL_TOL == 1e-12
+    assert not hasattr(linalg, "Tolerances") and not hasattr(linalg, "TOL")

@@ -106,6 +106,22 @@ class TestInvariants:
         with pytest.raises(InvariantViolation, match="eigenvalue"):
             DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pure_state_rejects_non_finite(self, bad):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            PureState(1, np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_density_rejects_non_finite(self, bad, where):
+        m = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        m[where] = bad
+        m[where[::-1]] = np.conj(bad)
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            DensityMatrix(1, m)
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            DensityMatrix.from_array(m, clamp=True)
+
     def test_clamp_repairs_small_negative(self):
         m = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
         rho = DensityMatrix.from_array(m, clamp=True)
@@ -196,3 +212,33 @@ class TestMatrixFiles:
         text = "# n_qubits = 1\n0,0,1.0,0\n1,1,1.0,0\n"
         with pytest.raises(InvariantViolation, match="trace"):
             load_density_matrix(io.StringIO(text))
+
+
+class TestDerivedStatesKeepInvariants:
+    """States built without the validating constructor must still pass it."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_white_noise_mixtures_of_haar_states(self, n):
+        from entbound.oracle import SamplerConfig, haar_random_pure
+
+        for psi in haar_random_pure(SamplerConfig(n, seed=100 + n, count=3)):
+            for x in np.linspace(0.0, 1.0, 11):
+                rho = white_noise_mix(psi, float(x))
+                DensityMatrix(n, rho.matrix)
+            DensityMatrix(n, psi.density_matrix().matrix)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_pair_marginals_of_random_mixed_states(self, rng, n):
+        from conftest import random_density
+
+        for rank in (1, 2, 2**n):
+            rho = random_density(rng, n, rank)
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    DensityMatrix(2, rho.reduced([i, j]).matrix)
+
+    def test_derived_matrices_are_read_only(self):
+        rho = white_noise_mix(ghz_state(3), 0.5)
+        for m in (rho.matrix, rho.reduced([1, 2]).matrix, ghz_state(2).density_matrix().matrix):
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
