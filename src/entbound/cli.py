@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 from . import bounds as bounds_mod
 from . import states
@@ -25,6 +25,7 @@ from .states import DensityMatrix, NoisyFamily, load_density_matrix
 from .witness import (
     THEOREM_SOURCES,
     Source,
+    WitnessVerdict,
     detect_k_nonseparability,
     detection_threshold,
     k_nonsep_threshold,
@@ -48,6 +49,8 @@ CLI_SOURCES = {
 
 def fmt(x) -> str:
     """9 significant digits, round-half-even (stable diffs)."""
+    if isinstance(x, Source):
+        return x.value
     if isinstance(x, bool) or not isinstance(x, float):
         return str(x)
     return f"{x:.9g}"
@@ -174,10 +177,8 @@ def cmd_bound(args) -> int:
         # below four qubits no theorem applies; still report the pair table
         table, reports = pairwise_table(rho), ()
     pair_rows = [[f"C_{i}_{j}", v] for (i, j), v in table.pairs()]
-    bound_rows = [
-        [r.theorem, r.n_qubits, r.pair_sum, r.coefficient, r.bound_on_C2, r.bound_on_C]
-        for r in reports
-    ]
+    bound_header = [f.name for f in fields(bounds_mod.BoundReport)]
+    bound_rows = [list(astuple(r)) for r in reports]
     doc = {
         "n_qubits": rho.n_qubits,
         "pairwise": [
@@ -189,17 +190,13 @@ def cmd_bound(args) -> int:
         _write_text(_render_json(doc), args.out)
     elif args.format == "csv":
         # single file, two record kinds: the pair table and the bounds
-        header = ["record", "pair", "value", "theorem", "n_qubits", "pair_sum",
-                  "coefficient", "bound_on_C2", "bound_on_C"]
-        rows = [["pairwise", name, v, "", "", "", "", "", ""] for name, v in pair_rows]
+        header = ["record", "pair", "value"] + bound_header
+        rows = [["pairwise", name, v] + [""] * len(bound_header) for name, v in pair_rows]
         rows += [["bound", "", ""] + row for row in bound_rows]
         _write_text(_render_csv(header, rows), args.out)
     else:
         text = _render_table(["pair", "concurrence"], pair_rows)
-        text += _render_table(
-            ["theorem", "n_qubits", "pair_sum", "coefficient", "bound_on_C2", "bound_on_C"],
-            bound_rows,
-        )
+        text += _render_table(bound_header, bound_rows)
         _write_text(text, args.out)
     return EXIT_OK
 
@@ -219,15 +216,8 @@ def cmd_witness(args) -> int:
     verdicts = [
         detect_k_nonseparability(rho, k, s, table=table) for k in ks for s in sources
     ]
-    header = [
-        "n_parties", "local_dim", "k", "threshold",
-        "certified_lower_bound_on_C", "source", "detected",
-    ]
-    rows = [
-        [v.n_parties, v.local_dim, v.k, v.threshold,
-         v.certified_lower_bound_on_C, v.source.value, v.detected]
-        for v in verdicts
-    ]
+    header = [f.name for f in fields(WitnessVerdict)]
+    rows = [list(astuple(v)) for v in verdicts]
     emit(header, rows, {"verdicts": [asdict(v) for v in verdicts]}, args)
     if args.require_detection and not all(v.detected for v in verdicts):
         return EXIT_NO_DETECTION

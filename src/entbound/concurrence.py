@@ -15,14 +15,15 @@ import numpy as np
 
 from . import linalg
 from .errors import ConvergenceFailure, EmptySubset, WrongDimension
-from .linalg import SIGMA_Y, ZERO_DUST, SubsetMask
+from .linalg import SIGMA_Y, SubsetMask
 from .states import DensityMatrix, PureState
 
 
-def _clamp_dust(x: float) -> float:
-    """Radicands and max{., 0} arguments in [-ZERO_DUST, 0) are floating-point
-    dust below a theoretical zero; clamp them to 0 before square roots."""
-    return 0.0 if -ZERO_DUST <= x < 0.0 else x
+def _canonical_cuts(n: int):
+    """Each bipartition S|rest of n qubits once, as the mask below its
+    complement: the masks 1 .. 2^(n-1) - 1, which leave out qubit 1."""
+    for bits in range(1, 2 ** (n - 1)):
+        yield SubsetMask(bits, n)
 
 
 def _schmidt_squares(psi: PureState, subset: SubsetMask) -> np.ndarray:
@@ -72,12 +73,9 @@ def purity_sum(psi: PureState) -> float:
     Complementary subsets of a pure state have equal purity, so only the
     canonical half of the masks is evaluated.
     """
-    n = psi.n_qubits
-    full = 2**n - 1
     total = 0.0
-    for bits in range(1, full):
-        if bits < (full ^ bits):
-            total += 2.0 * subset_purity(psi, SubsetMask(bits, n))
+    for cut in _canonical_cuts(psi.n_qubits):
+        total += 2.0 * subset_purity(psi, cut)
     return total
 
 
@@ -91,12 +89,9 @@ def pure_concurrence(psi: PureState) -> float:
     n = psi.n_qubits
     if n < 2:
         raise WrongDimension("concurrence needs at least 2 qubits")
-    full = 2**n - 1
     radicand = 0.0
-    for bits in range(1, full):
-        if bits < (full ^ bits):
-            radicand += 2.0 * subset_purity_deficit(psi, SubsetMask(bits, n))
-    radicand = _clamp_dust(radicand)
+    for cut in _canonical_cuts(n):
+        radicand += 2.0 * subset_purity_deficit(psi, cut)
     return 2.0 ** (1 - n / 2) * math.sqrt(max(radicand, 0.0))
 
 
@@ -106,7 +101,7 @@ def cut_concurrence_squared(psi: PureState, cut: SubsetMask) -> float:
     Normalized as 2 (1 - Tr rho_cut^2), which makes the bipartition
     decompositions of the squared multipartite concurrence exact identities.
     """
-    return max(_clamp_dust(2.0 * subset_purity_deficit(psi, cut)), 0.0)
+    return max(2.0 * subset_purity_deficit(psi, cut), 0.0)
 
 
 @dataclass(frozen=True)
@@ -131,14 +126,16 @@ class CutConcurrenceProfile:
 
 
 def cut_profile(psi: PureState) -> CutConcurrenceProfile:
+    """Squared concurrence of every cut; a mask and its complement share one
+    value, so each bipartition is decomposed once."""
     n = psi.n_qubits
-    per_subset: dict[int, float] = {}
+    values: dict[int, float] = {}
+    for cut in _canonical_cuts(n):
+        values[cut.bits] = values[cut.complement().bits] = cut_concurrence_squared(psi, cut)
+    per_subset = dict(sorted(values.items()))
     size_sums = {j: 0.0 for j in range(1, n)}
-    for bits in range(1, 2**n - 1):
-        mask = SubsetMask(bits, n)
-        v = cut_concurrence_squared(psi, mask)
-        per_subset[bits] = v
-        size_sums[mask.size] += v
+    for bits, v in per_subset.items():
+        size_sums[bits.bit_count()] += v
     return CutConcurrenceProfile(n, per_subset, size_sums)
 
 
@@ -164,7 +161,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     # states with vanishing concurrence gets floored to an exact zero
     lam = linalg.psd_sqrt_spectrum(r, scale=1.0)
     c = float(lam[0] - lam[1] - lam[2] - lam[3])
-    return min(max(_clamp_dust(c), 0.0), 1.0)
+    return min(max(c, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,6 @@ class NoisyFamily:
     """White-noise mixture family x -> (1-x)/2^N I + x |base><base|."""
 
     base: PureState
-    parameter_name: str = "t"
 
     @property
     def n_qubits(self) -> int:
@@ -213,25 +212,25 @@ def white_noise_mix(psi: PureState, x: float) -> DensityMatrix:
 
 
 def w_noise_family(n: int = 4) -> NoisyFamily:
-    return NoisyFamily(w_state(n), "t")
+    return NoisyFamily(w_state(n))
 
 
 def dicke_noise_family(n: int = 4, excitations: int | None = None) -> NoisyFamily:
     if excitations is None:
         excitations = n // 2
-    return NoisyFamily(dicke_state(n, excitations), "t")
+    return NoisyFamily(dicke_state(n, excitations))
 
 
 def example3_family() -> NoisyFamily:
-    return NoisyFamily(example3_state(), "a")
+    return NoisyFamily(example3_state())
 
 
 def example4_family() -> NoisyFamily:
-    return NoisyFamily(example4_state(), "t")
+    return NoisyFamily(example4_state())
 
 
 def ghz_noise_family(n: int) -> NoisyFamily:
-    return NoisyFamily(ghz_state(n), "p")
+    return NoisyFamily(ghz_state(n))
 
 
 def load_density_matrix(source, clamp: bool = False) -> DensityMatrix:
@@ -271,7 +270,7 @@ def _read_text(source) -> str:
 
 
 def _dense_dim(n: int) -> int:
-    """2^n for a declared qubit count, or ParseError outside 1..MAX_DENSE_QUBITS."""
+    """2^n for a declared or inferred qubit count; ParseError outside 1..MAX_DENSE_QUBITS."""
     if not 1 <= n <= MAX_DENSE_QUBITS:
         raise ParseError(
             f"n_qubits = {n} outside 1..{MAX_DENSE_QUBITS} "
@@ -340,7 +339,7 @@ def _parse_csv_matrix(text: str) -> np.ndarray:
         top = max(max(i, j) for i, j, _, _ in triples)
         if top >= DENSE_DIM_CAP:
             raise ParseError(f"index {top} needs a dimension above the dense cap {DENSE_DIM_CAP}")
-        d = 1 << top.bit_length()
+        d = _dense_dim(top.bit_length())
     arr = np.zeros((d, d), dtype=complex)
     for i, j, re, im in triples:
         if i >= d or j >= d:

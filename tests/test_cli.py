@@ -340,6 +340,7 @@ MALFORMED_FILES = {
     "index-3000000.csv": ("0,0,1,0\n3000000,3000000,0,0\n", "above the dense cap"),
     "n13.csv": ("# n_qubits = 13\n0,0,1,0\n", "n_qubits = 13 outside 1..12"),
     "n-minus-2.csv": ("# n_qubits = -2\n0,0,1,0\n", "n_qubits = -2 outside 1..12"),
+    "zero-index-only.csv": ("0,0,1,0\n", "n_qubits = 0 outside 1..12"),
     "entries-5.json": ('{"n_qubits": 1, "entries": 5}', "'entries' must be a list"),
     "n-minus-3.json": ('{"n_qubits": -3, "entries": []}', "n_qubits = -3 outside 1..12"),
     "nan-diagonal.csv": ("# n_qubits = 2\n0,0,nan,0\n1,1,0.5,0\n2,2,0.5,0\n", "non-finite"),

@@ -97,6 +97,31 @@ class TestCutConcurrence:
         for bits, v in prof.per_subset.items():
             assert v == pytest.approx(prof.per_subset[full ^ bits], abs=1e-12)
 
+    def test_profile_decomposes_each_bipartition_once(self, monkeypatch, rng):
+        from entbound import concurrence
+
+        original = concurrence._schmidt_squares
+        calls = []
+
+        def counting(psi, subset):
+            calls.append(subset.bits)
+            return original(psi, subset)
+
+        monkeypatch.setattr(concurrence, "_schmidt_squares", counting)
+        cut_profile(random_pure(rng, 5))
+        assert calls == list(range(1, 2**4))
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_profile_complements_share_the_canonical_value(self, rng, n):
+        psi = random_pure(rng, n)
+        prof = cut_profile(psi)
+        full = 2**n - 1
+        assert list(prof.per_subset) == list(range(1, full))
+        for bits, v in prof.per_subset.items():
+            assert v == prof.per_subset[full ^ bits]
+            if bits < full ^ bits:
+                assert v == cut_concurrence_squared(psi, SubsetMask(bits, n))
+
 
 class TestWootters:
     def test_bell(self):
