@@ -26,11 +26,13 @@ from .witness import (
     THEOREM_SOURCES,
     Source,
     WitnessVerdict,
+    certified_bound,
     detect_k_nonseparability,
     detection_threshold,
     k_nonsep_threshold,
     require_source,
     source_bound,
+    verdict,
 )
 
 EXIT_OK = 0
@@ -39,12 +41,7 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 FAMILY_NAMES = ("w-noise", "dicke-noise", "ex3", "ex4", "ghz-noise")
-CLI_SOURCES = {
-    "t1": Source.THEOREM1,
-    "t2": Source.THEOREM2,
-    "t3": Source.THEOREM3,
-    "ghz-exact": Source.GHZ_EXACT,
-}
+CLI_SOURCES = {s.value: s for s in (*THEOREM_SOURCES, Source.GHZ_EXACT)}
 
 
 def fmt(x) -> str:
@@ -67,6 +64,8 @@ def _grid_points(start: float, stop: float, steps: int) -> list[float]:
 
 
 def make_family(name: str, n: int, excitations: int | None = None) -> NoisyFamily:
+    if excitations is not None and name != "dicke-noise":
+        raise ValueError("--excitations applies only to --family dicke-noise")
     if name == "w-noise":
         return states.w_noise_family(n)
     if name == "dicke-noise":
@@ -154,8 +153,13 @@ def load_input(args) -> DensityMatrix | NoisyFamily:
     if args.state and args.family:
         raise ValueError("give either --state or --family, not both")
     if args.state:
+        for flag, value in (("--param", args.param), ("--excitations", args.excitations)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to --family, not --state")
         return load_density_matrix(args.state, clamp=args.clamp)
     if args.family:
+        if args.clamp:
+            raise ValueError("--clamp applies to --state, not --family")
         if args.param is None:
             raise ValueError("--family point evaluation needs --param")
         return make_family(args.family, args.n, args.excitations)
@@ -213,9 +217,8 @@ def cmd_witness(args) -> int:
         k_nonsep_threshold(n, 2, k)
     rho = at_param(given, args.param)
     table = pairwise_table(rho) if any(s in THEOREM_SOURCES for s in sources) else None
-    verdicts = [
-        detect_k_nonseparability(rho, k, s, table=table) for k in ks for s in sources
-    ]
+    found = [(s, certified_bound(rho, s, table=table)) for s in sources]
+    verdicts = [verdict(n, k, s, bound) for k in ks for s, bound in found]
     header = [f.name for f in fields(WitnessVerdict)]
     rows = [list(astuple(v)) for v in verdicts]
     emit(header, rows, {"verdicts": [asdict(v) for v in verdicts]}, args)
@@ -225,10 +228,6 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.family:
-        raise ValueError("sweep needs --family")
-    if not args.grid:
-        raise ValueError("sweep needs --grid start:stop:steps")
     family = make_family(args.family, args.n, args.excitations)
     n = family.n_qubits
     sources = _sources(args, n)
@@ -278,8 +277,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    if not args.family:
-        raise ValueError("threshold needs --family")
     family = make_family(args.family, args.n, args.excitations)
     sources = _sources(args, family.n_qubits)
     crossings = [(source, detection_threshold(family, args.k, source))
@@ -457,19 +454,6 @@ def cmd_reproduce(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", help="density-matrix file (JSON or CSV)")
-    p.add_argument("--clamp", action="store_true",
-                   help="repair near-PSD input matrices instead of rejecting")
-    p.add_argument("--family", choices=FAMILY_NAMES)
-    p.add_argument("--n", type=int, default=4, help="qubit count for --family")
-    p.add_argument("--excitations", type=int, default=None,
-                   help="excitation number for dicke-noise (default n//2)")
-    p.add_argument("--param", type=float, help="family parameter in [0, 1]")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--out", help="write the report to this file instead of stdout")
-
-
 def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -485,36 +469,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", help="pairwise concurrences and every applicable bound")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_bound)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("witness", help="k-nonseparability verdicts")
-    _add_io_flags(p)
-    p.add_argument("--k", type=int, action="append", help="repeatable; default 2")
-    p.add_argument("--source", action="append", choices=sorted(CLI_SOURCES))
-    p.add_argument("--require-detection", action="store_true",
-                   help="exit 1 unless every requested verdict detects")
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("sweep", help="evaluate a family over a parameter grid")
-    _add_io_flags(p)
-    p.add_argument("--grid", type=_parse_grid, help="start:stop:steps")
-    p.add_argument("--k", type=int, default=None,
-                   help="witness k; omit for plain entanglement detection")
-    p.add_argument("--source", action="append", choices=sorted(CLI_SOURCES))
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("threshold", help="solve the detection crossing parameter")
-    _add_io_flags(p)
-    p.add_argument("--k", type=int, default=None,
-                   help="witness k; omit for plain entanglement detection")
-    p.add_argument("--source", action="append", choices=sorted(CLI_SOURCES))
-    p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser("reproduce", help="replay the built-in benchmark cases")
-    p.add_argument("case", help="1..6 or 'all'")
-    p.set_defaults(func=cmd_reproduce)
+    bound = command("bound", cmd_bound, "pairwise concurrences and every applicable bound")
+    witness = command("witness", cmd_witness, "k-nonseparability verdicts")
+    sweep = command("sweep", cmd_sweep, "evaluate a family over a parameter grid")
+    threshold = command("threshold", cmd_threshold, "solve the detection crossing parameter")
+    point, family = (bound, witness), (sweep, threshold)
+    for p in point:
+        p.add_argument("--state", help="density-matrix file (JSON or CSV)")
+        p.add_argument("--clamp", action="store_true",
+                       help="repair near-PSD input matrices instead of rejecting")
+    for p in point + family:
+        p.add_argument("--family", choices=FAMILY_NAMES, required=p in family)
+        p.add_argument("--n", type=int, default=4, help="qubit count for --family")
+        p.add_argument("--excitations", type=int, default=None,
+                       help="excitation number for dicke-noise (default n//2)")
+        if p in point:
+            p.add_argument("--param", type=float, help="family parameter in [0, 1]")
+        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        p.add_argument("--out", help="write the report to this file instead of stdout")
+    witness.add_argument("--k", type=int, action="append", help="repeatable; default 2")
+    sweep.add_argument("--grid", type=_parse_grid, required=True, help="start:stop:steps")
+    for p in family:
+        p.add_argument("--k", type=int, default=None,
+                       help="witness k; omit for plain entanglement detection")
+    for p in (witness, sweep, threshold):
+        p.add_argument("--source", action="append", choices=sorted(CLI_SOURCES))
+    witness.add_argument("--require-detection", action="store_true",
+                         help="exit 1 unless every requested verdict detects")
+    reproduce = command("reproduce", cmd_reproduce, "replay the built-in benchmark cases")
+    reproduce.add_argument("case", help="1..6 or 'all'")
 
     return parser
 

@@ -1,9 +1,9 @@
 """Minimal dense complex linear algebra for qubit systems.
 
-Hermitian eigendecomposition, PSD matrix square roots, Kronecker products,
-and a subset-indexed partial trace.  Qubit 1 is the most significant bit of
-the computational-basis index everywhere in this package, so the four-qubit
-ket |0001> sits at index 1.
+Hermitian eigendecomposition, PSD matrix square roots, a subset-indexed
+partial trace, and the size caps on dense and pure-state arrays.  Qubit 1 is
+the most significant bit of the computational-basis index everywhere in this
+package, so the four-qubit ket |0001> sits at index 1.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ BISECTION_TOL = 1e-6  # a reported crossing is within this of the true one
 BISECTION_STOP = BISECTION_TOL * 1e-3  # bracket width at which bisection stops
 REPORT_REL_TOL = 1e-12  # relative gap of bound_on_C2 from coefficient * pair_sum
 
-# Dense matrices are capped at 2^12 to keep complex-double storage ~1 GB;
-# pure-state-only paths may go up to 2^14 amplitudes.
+# Dense matrices are capped at 2^12, so one complex128 matrix takes at most
+# 256 MiB; pure-state-only paths may go up to 2^14 amplitudes.
 DENSE_DIM_CAP = 2**12
 PURE_DIM_CAP = 2**14
 
@@ -89,6 +89,14 @@ class SubsetMask:
 
     def complement(self) -> "SubsetMask":
         return SubsetMask(self.bits ^ (2**self.n_qubits - 1), self.n_qubits)
+
+
+def require_within_cap(n_qubits: int, cap: int, kind: str) -> None:
+    """Raise DimensionOverflow, before anything is allocated, when 2^n_qubits
+    exceeds cap (DENSE_DIM_CAP or PURE_DIM_CAP)."""
+    top = cap.bit_length() - 1
+    if n_qubits > top:
+        raise DimensionOverflow(f"{n_qubits} qubits exceeds the {kind} cap of {top} qubits")
 
 
 def require_square(m: np.ndarray) -> np.ndarray:
@@ -152,17 +160,6 @@ def psd_sqrt_spectrum(m: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Descending eigenvalues of psd_sqrt(m), without forming the matrix."""
     w, _ = hermitian_eigensystem(m)
     return np.sqrt(_floored_psd_eigenvalues(w, scale))
-
-
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
-    """Kronecker product with the left factor on the more significant qubits."""
-    a = require_square(a)
-    b = require_square(b)
-    if a.shape[0] * b.shape[0] > dim_cap:
-        raise DimensionOverflow(
-            f"kron dimension {a.shape[0] * b.shape[0]} exceeds cap {dim_cap}"
-        )
-    return np.kron(a, b)
 
 
 def partial_trace(rho: np.ndarray, keep: SubsetMask) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionOverflow, InvalidPartition
-from .linalg import PURE_DIM_CAP, SubsetMask, partial_trace, purity
+from .linalg import PURE_DIM_CAP, SubsetMask, partial_trace, purity, require_within_cap
 from .states import DensityMatrix, PureState
 
 
@@ -38,8 +38,7 @@ def _ginibre_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def haar_random_pure(config: SamplerConfig) -> list[PureState]:
     """Haar-random pure states: normalized standard complex Gaussians."""
-    if 2**config.n_qubits > PURE_DIM_CAP:
-        raise DimensionOverflow(f"{config.n_qubits} qubits exceeds the pure-state cap")
+    require_within_cap(config.n_qubits, PURE_DIM_CAP, "pure-state")
     rng = np.random.default_rng(config.seed)
     dim = 2**config.n_qubits
     return [PureState(config.n_qubits, _ginibre_vector(rng, dim)) for _ in range(config.count)]
@@ -76,8 +75,7 @@ def random_product_pure(config: SamplerConfig, partition) -> list[PureState]:
     The output is k-separable by construction for k = number of blocks.
     """
     n = config.n_qubits
-    if 2**n > PURE_DIM_CAP:
-        raise DimensionOverflow(f"{n} qubits exceeds the pure-state cap")
+    require_within_cap(n, PURE_DIM_CAP, "pure-state")
     blocks = _check_partition(partition, n)
     rng = np.random.default_rng(config.seed)
     indices = np.arange(2**n)

@@ -22,7 +22,9 @@ from .errors import (
     TooFewQubits,
 )
 from . import linalg
-from .linalg import CLAMP_FLOOR, DENSE_DIM_CAP, HERM_TOL, NORM_TOL, PSD_TOL, TRACE_TOL
+from .linalg import (
+    CLAMP_FLOOR, DENSE_DIM_CAP, HERM_TOL, NORM_TOL, PSD_TOL, PURE_DIM_CAP, TRACE_TOL,
+)
 
 # A qubit count above this would need a dense matrix beyond DENSE_DIM_CAP.
 MAX_DENSE_QUBITS = DENSE_DIM_CAP.bit_length() - 1
@@ -62,6 +64,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
     def density_matrix(self) -> "DensityMatrix":
+        linalg.require_within_cap(self.n_qubits, DENSE_DIM_CAP, "dense-matrix")
         return DensityMatrix._derived(
             self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj())
         )
@@ -153,6 +156,7 @@ class NoisyFamily:
 
 def w_state(n: int) -> PureState:
     """Equal superposition of all single-excitation basis states."""
+    linalg.require_within_cap(n, PURE_DIM_CAP, "pure-state")
     if n < 2:
         raise TooFewQubits("W state needs at least 2 qubits")
     amps = np.zeros(2**n, dtype=complex)
@@ -163,6 +167,7 @@ def w_state(n: int) -> PureState:
 
 def dicke_state(n: int, k: int) -> PureState:
     """Equal superposition of all basis states with exactly k excitations."""
+    linalg.require_within_cap(n, PURE_DIM_CAP, "pure-state")
     if not 1 <= k <= n - 1:
         raise ExcitationOutOfRange(f"excitation number {k} outside 1..{n - 1}")
     idx = [i for i in range(2**n) if bin(i).count("1") == k]
@@ -173,6 +178,7 @@ def dicke_state(n: int, k: int) -> PureState:
 
 def ghz_state(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2)."""
+    linalg.require_within_cap(n, PURE_DIM_CAP, "pure-state")
     if n < 2:
         raise TooFewQubits("GHZ state needs at least 2 qubits")
     amps = np.zeros(2**n, dtype=complex)
@@ -205,6 +211,7 @@ def white_noise_mix(psi: PureState, x: float) -> DensityMatrix:
     """(1-x)/2^N I + x |psi><psi| for visibility x in [0, 1]."""
     if not 0.0 <= x <= 1.0:
         raise ParameterOutOfRange(f"mixing parameter {x} outside [0, 1]")
+    linalg.require_within_cap(psi.n_qubits, DENSE_DIM_CAP, "dense-matrix")
     d = 2**psi.n_qubits
     m = np.eye(d, dtype=complex) * ((1.0 - x) / d)
     m += x * np.outer(psi.amplitudes, psi.amplitudes.conj())

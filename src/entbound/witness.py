@@ -188,22 +188,12 @@ def certified_bound(
     return source_bound(source, rho.n_qubits, table, visibility, value)[1]
 
 
-def detect_k_nonseparability(
-    rho: DensityMatrix,
-    k: int,
-    source: Source,
-    user_bound: float | None = None,
-    table: PairwiseConcurrenceTable | None = None,
-) -> WitnessVerdict:
-    """Certify k-nonseparability of a qubit state (local dimension 2).
-
-    detected=False means "not detected by this bound", never "k-separable".
-    table is rho's pairwise table, for callers that already have it.
-    """
-    bound = certified_bound(rho, source, user_bound, table)
-    threshold = k_nonsep_threshold(rho.n_qubits, 2, k)
+def verdict(n_qubits: int, k: int, source: Source, bound: float) -> WitnessVerdict:
+    """The k-nonseparability verdict of a certified lower bound on the
+    concurrence of an N-qubit state (local dimension 2)."""
+    threshold = k_nonsep_threshold(n_qubits, 2, k)
     return WitnessVerdict(
-        n_parties=rho.n_qubits,
+        n_parties=n_qubits,
         local_dim=2,
         k=k,
         threshold=threshold,
@@ -211,6 +201,16 @@ def detect_k_nonseparability(
         source=source,
         detected=bound > threshold,
     )
+
+
+def detect_k_nonseparability(
+    rho: DensityMatrix, k: int, source: Source, user_bound: float | None = None
+) -> WitnessVerdict:
+    """Certify k-nonseparability of a qubit state (local dimension 2).
+
+    detected=False means "not detected by this bound", never "k-separable".
+    """
+    return verdict(rho.n_qubits, k, source, certified_bound(rho, source, user_bound))
 
 
 def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> float | None:

@@ -1,8 +1,16 @@
+import argparse
+import inspect
 import json
+import re
+import tracemalloc
+from collections import Counter
 
 import pytest
 
-from entbound.cli import main
+from entbound import cli
+from entbound.cli import build_parser, main
+from entbound.concurrence import pairwise_table
+from entbound.linalg import DENSE_DIM_CAP
 from entbound.states import ghz_state, w_state, white_noise_mix
 
 
@@ -220,29 +228,26 @@ class TestFormatting:
         assert outs[0] == outs[1]
 
 
-def count_pairwise_tables(monkeypatch) -> dict:
-    """Wrap pairwise_table at every entbound module that binds it; the returned
-    dict counts calls per binding module."""
+def count_calls(monkeypatch, original) -> dict:
+    """Wrap the function original at every entbound module that binds it; the
+    returned dict counts calls per binding module."""
     import sys
 
-    import entbound.concurrence as concurrence
-
-    original = concurrence.pairwise_table
     counts = {}
     for name, module in list(sys.modules.items()):
-        if name.startswith("entbound") and getattr(module, "pairwise_table", None) is original:
-            def counting(rho, _name=name):
+        if name.startswith("entbound") and getattr(module, original.__name__, None) is original:
+            def counting(*args, _name=name, **kwargs):
                 counts[_name] = counts.get(_name, 0) + 1
-                return original(rho)
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "pairwise_table", counting)
+            monkeypatch.setattr(module, original.__name__, counting)
     return counts
 
 
 class TestOneTablePerState:
     @pytest.mark.parametrize("n, family", [(4, "w-noise"), (5, "dicke-noise"), (6, "ghz-noise")])
     def test_bound_builds_one_table(self, monkeypatch, capsys, n, family):
-        counts = count_pairwise_tables(monkeypatch)
+        counts = count_calls(monkeypatch, pairwise_table)
         code, _, _ = run(capsys, "bound", "--family", family, "--n", str(n),
                          "--param", "0.9", "--format", "json")
         assert code == 0
@@ -253,7 +258,7 @@ class TestOneTablePerState:
         entries = [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
         path = tmp_path / "two.json"
         path.write_text(json.dumps({"n_qubits": 2, "entries": entries}))
-        counts = count_pairwise_tables(monkeypatch)
+        counts = count_calls(monkeypatch, pairwise_table)
         code, _, _ = run(capsys, "bound", "--state", str(path))
         assert code == 0
         assert sum(counts.values()) == 1
@@ -264,14 +269,14 @@ class TestOneTablePerState:
         ["--k", "2", "--k", "4", "--source", "t2", "--source", "t3", "--source", "ghz-exact"],
     ])
     def test_witness_builds_one_table(self, monkeypatch, capsys, extra):
-        counts = count_pairwise_tables(monkeypatch)
+        counts = count_calls(monkeypatch, pairwise_table)
         code, _, _ = run(capsys, "witness", "--family", "ghz-noise", "--n", "6",
                          "--param", "0.97", *extra)
         assert code == 0
         assert sum(counts.values()) == 1
 
     def test_witness_ghz_exact_only_builds_no_table(self, monkeypatch, capsys):
-        counts = count_pairwise_tables(monkeypatch)
+        counts = count_calls(monkeypatch, pairwise_table)
         code, _, _ = run(capsys, "witness", "--family", "ghz-noise", "--n", "4",
                          "--param", "0.95", "--k", "3", "--source", "ghz-exact")
         assert code == 0
@@ -279,7 +284,7 @@ class TestOneTablePerState:
 
     def test_sweep_builds_one_table_per_grid_point(self, monkeypatch, capsys):
         # ghz-exact crossings need no table, so every table is a grid point's
-        counts = count_pairwise_tables(monkeypatch)
+        counts = count_calls(monkeypatch, pairwise_table)
         code, _, _ = run(capsys, "sweep", "--family", "ghz-noise", "--n", "5",
                          "--grid", "0:1:7", "--k", "3", "--source", "ghz-exact")
         assert code == 0
@@ -287,7 +292,7 @@ class TestOneTablePerState:
 
     def test_sweep_rows_build_one_table_per_grid_point(self, monkeypatch, capsys):
         # theorem crossings bisect on their own states; the rows take one each
-        counts = count_pairwise_tables(monkeypatch)
+        counts = count_calls(monkeypatch, pairwise_table)
         code, _, _ = run(capsys, "sweep", "--family", "ex4", "--n", "4",
                          "--grid", "0:1:9", "--k", "3", "--source", "t1")
         assert code == 0
@@ -354,16 +359,17 @@ MALFORMED_FILES = {
 @pytest.mark.parametrize("clamp", [[], ["--clamp"]])
 @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
 def test_malformed_file_is_input_error_without_large_allocation(tmp_path, capsys, name, clamp):
-    import tracemalloc
-
-    from entbound.linalg import DENSE_DIM_CAP
-
     text, message = MALFORMED_FILES[name]
     path = tmp_path / name
     path.write_text(text)
+    assert_input_error_without_large_allocation(
+        capsys, message, "bound", "--state", str(path), *clamp)
+
+
+def assert_input_error_without_large_allocation(capsys, message, *argv):
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "bound", "--state", str(path), *clamp)
+        code, out, err = run(capsys, *argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -424,3 +430,134 @@ class TestValidationAtEntryOnly:
         assert code == 0
         assert out.count("ghz-exact") == 3
         assert calls == [6]
+
+
+OVERSIZE = [
+    (["bound", "--family", "w-noise", "--n", "13", "--param", "0.5"],
+     "13 qubits exceeds the dense-matrix cap"),
+    (["sweep", "--family", "w-noise", "--n", "13", "--grid", "0:1:3"],
+     "13 qubits exceeds the dense-matrix cap"),
+    (["witness", "--family", "ghz-noise", "--n", "40", "--param", "0.9"],
+     "40 qubits exceeds the pure-state cap"),
+    (["threshold", "--family", "dicke-noise", "--n", "30"],
+     "30 qubits exceeds the pure-state cap"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OVERSIZE, ids=[a[0] for a, _ in OVERSIZE])
+def test_oversize_family_is_input_error_without_large_allocation(capsys, argv, message):
+    assert_input_error_without_large_allocation(capsys, message, *argv)
+
+
+def test_ghz_exact_threshold_above_the_dense_cap_builds_no_state(capsys):
+    code, out, err = run(capsys, "threshold", "--family", "ghz-noise", "--n", "13",
+                         "--source", "ghz-exact", "--k", "3")
+    assert (code, err) == (0, "")
+    assert out == ("family     n_qubits  k  source     crossing\n"
+                   "ghz-noise  13        3  ghz-exact  no crossing\n")
+
+
+def option_strings(command: str) -> set[str]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    return {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+
+
+POINT_OPTIONS = {"--state", "--clamp", "--family", "--n", "--excitations", "--param",
+                 "--format", "--out"}
+SWEEP_OPTIONS = {"--family", "--n", "--excitations", "--format", "--out", "--grid", "--k",
+                 "--source"}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command, options", [
+        ("bound", POINT_OPTIONS),
+        ("witness", POINT_OPTIONS | {"--k", "--source", "--require-detection"}),
+        ("sweep", SWEEP_OPTIONS),
+        ("threshold", SWEEP_OPTIONS - {"--grid"}),
+    ])
+    def test_each_command_has_the_flags_it_reads(self, command, options):
+        assert option_strings(command) == options
+
+    def test_each_flag_is_declared_once(self):
+        # --k twice: repeatable on witness, a single value shared by sweep and threshold
+        declared = Counter(re.findall(r'add_argument\(\s*"(--[\w-]+)"', inspect.getsource(cli)))
+        assert declared == Counter(set(declared)) + Counter({"--k": 1})
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["sweep", "--grid", "0:1:3"], "--family"),
+        (["sweep", "--family", "ex4"], "--grid"),
+        (["threshold", "--k", "3"], "--family"),
+    ])
+    def test_required_flags(self, capsys, argv, missing):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required" in err and missing in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "ex4", "--grid", "0:1:3", "--state", "x"],
+        ["sweep", "--family", "ex4", "--grid", "0:1:3", "--state", "/nonexistent",
+         "--param", "7", "--clamp"],
+        ["threshold", "--family", "ex4", "--k", "3", "--param", "0.5"],
+        ["threshold", "--family", "ex4", "--k", "3", "--clamp"],
+    ])
+    def test_sweep_and_threshold_refuse_point_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestIgnoredFlagsAreErrors:
+    @pytest.mark.parametrize("command", ["bound", "witness"])
+    def test_param_with_state(self, tmp_path, capsys, command):
+        path = tmp_path / "ghz.json"
+        write_ghz_json(path)
+        code, out, err = run(capsys, command, "--state", str(path), "--param", "0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: --param applies to --family, not --state\n"
+
+    def test_excitations_with_state(self, tmp_path, capsys):
+        path = tmp_path / "ghz.json"
+        write_ghz_json(path)
+        code, _, err = run(capsys, "bound", "--state", str(path), "--excitations", "2")
+        assert code == 2
+        assert err == "error: --excitations applies to --family, not --state\n"
+
+    @pytest.mark.parametrize("command", ["bound", "witness"])
+    def test_clamp_with_family(self, capsys, command):
+        code, out, err = run(capsys, command, "--family", "w-noise", "--param", "0.9",
+                             "--clamp")
+        assert (code, out) == (2, "")
+        assert err == "error: --clamp applies to --state, not --family\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--family", "w-noise", "--param", "0.9"],
+        ["witness", "--family", "ghz-noise", "--param", "0.9"],
+        ["sweep", "--family", "ex4", "--grid", "0:1:3"],
+        ["threshold", "--family", "ex3", "--k", "3"],
+    ])
+    def test_excitations_off_dicke(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--excitations", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: --excitations applies only to --family dicke-noise\n"
+
+    def test_excitations_on_dicke(self, capsys):
+        code, out, _ = run(capsys, "bound", "--family", "dicke-noise", "--n", "5",
+                           "--excitations", "1", "--param", "0.9", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["n_qubits"] == 5
+
+
+def test_ghz_witness_recovers_the_visibility_once_for_every_k(monkeypatch, capsys):
+    counts = count_calls(monkeypatch, white_noise_mix)
+    code, out, _ = run(capsys, "witness", "--family", "ghz-noise", "--n", "6",
+                       "--param", "0.97", "--source", "ghz-exact",
+                       "--k", "2", "--k", "3", "--k", "4")
+    assert code == 0
+    assert out.count("ghz-exact") == 3
+    # one for the family state, one for the GHZ model its visibility is checked against
+    assert sum(counts.values()) == 2

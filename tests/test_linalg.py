@@ -13,7 +13,6 @@ from entbound.linalg import (
     SIGMA_Y,
     SubsetMask,
     hermitian_eigensystem,
-    kron,
     partial_trace,
     psd_sqrt,
     purity,
@@ -81,33 +80,14 @@ class TestPsdSqrt:
             psd_sqrt(np.diag([1.0, -1.0]).astype(complex))
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), np.eye(4))
-
-    def test_sigma_y_pair(self):
-        yy = kron(SIGMA_Y, SIGMA_Y)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = -1, 1, 1, -1
-        assert np.allclose(yy, expected)
-
-    def test_mixed_product_identity(self, rng):
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                      for _ in range(4))
-        assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d))
-
-    def test_associativity(self, rng):
-        for _ in range(10):
-            a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                       for _ in range(3))
-            lhs = kron(kron(a, b), c)
-            rhs = kron(a, kron(b, c))
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_dimension_cap(self):
-        big = np.eye(2**7, dtype=complex)
-        with pytest.raises(DimensionOverflow):
-            kron(big, big)
+class TestCaps:
+    def test_require_within_cap(self):
+        linalg.require_within_cap(12, linalg.DENSE_DIM_CAP, "dense-matrix")
+        linalg.require_within_cap(14, linalg.PURE_DIM_CAP, "pure-state")
+        with pytest.raises(DimensionOverflow, match="13 qubits exceeds the dense-matrix cap"):
+            linalg.require_within_cap(13, linalg.DENSE_DIM_CAP, "dense-matrix")
+        with pytest.raises(DimensionOverflow, match="pure-state cap of 14 qubits"):
+            linalg.require_within_cap(10**9, linalg.PURE_DIM_CAP, "pure-state")
 
 
 class TestSubsetMask:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entbound.errors import (
+    DimensionOverflow,
     ExcitationOutOfRange,
     InvariantViolation,
     ParameterOutOfRange,
@@ -160,6 +161,25 @@ class TestWhiteNoiseMix:
         mid = white_noise_mix(psi, (x1 + x2) / 2).matrix
         avg = (white_noise_mix(psi, x1).matrix + white_noise_mix(psi, x2).matrix) / 2
         assert np.max(np.abs(mid - avg)) < 1e-14
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("build", [
+        lambda: w_state(15), lambda: dicke_state(30, 15), lambda: ghz_state(40),
+    ])
+    def test_pure_constructors_refuse_above_the_pure_cap(self, build):
+        with pytest.raises(DimensionOverflow, match="pure-state cap"):
+            build()
+
+    def test_pure_constructors_reach_the_pure_cap(self):
+        assert w_state(14).amplitudes.shape == (2**14,)
+
+    def test_dense_matrices_refuse_above_the_dense_cap(self):
+        psi = ghz_state(13)
+        with pytest.raises(DimensionOverflow, match="dense-matrix cap"):
+            white_noise_mix(psi, 0.5)
+        with pytest.raises(DimensionOverflow, match="dense-matrix cap"):
+            psi.density_matrix()
 
 
 class TestMatrixFiles:

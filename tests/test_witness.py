@@ -32,6 +32,7 @@ from entbound.witness import (
     detection_threshold,
     k_nonsep_threshold,
     source_bound,
+    verdict,
 )
 
 
@@ -243,13 +244,19 @@ class TestSourceBound:
         with pytest.raises(ParameterOutOfRange):
             source_bound(Source.USER_SUPPLIED, 4, value=-0.1)
 
-    def test_given_table_is_used(self):
-        from entbound.concurrence import pairwise_table
+    @pytest.mark.parametrize("source", [Source.THEOREM1, Source.GHZ_EXACT])
+    def test_verdict_of_the_certified_bound(self, source):
+        rho = white_noise_mix(ghz_state(4), 0.95)
+        bound = certified_bound(rho, source)
+        for k in (2, 3, 4):
+            assert verdict(4, k, source, bound) == detect_k_nonseparability(rho, k, source)
 
-        rho = white_noise_mix(w_state(4), 0.9)
-        table = pairwise_table(rho)
-        v = detect_k_nonseparability(rho, 2, Source.THEOREM1, table=table)
-        assert v.certified_lower_bound_on_C == certified_bound(rho, Source.THEOREM1)
+    def test_detect_takes_no_table(self):
+        import inspect
+
+        assert list(inspect.signature(detect_k_nonseparability).parameters) == [
+            "rho", "k", "source", "user_bound",
+        ]
 
     def test_detection_threshold_takes_no_tolerance_arguments(self):
         import inspect
