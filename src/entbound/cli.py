@@ -42,6 +42,7 @@ EXIT_NUMERICAL = 3
 
 FAMILY_NAMES = ("w-noise", "dicke-noise", "ex3", "ex4", "ghz-noise")
 CLI_SOURCES = {s.value: s for s in (*THEOREM_SOURCES, Source.GHZ_EXACT)}
+MAX_GRID_STEPS = 10_001  # rows are held for csv/json; crossings resolve to BISECTION_TOL
 
 
 def fmt(x) -> str:
@@ -60,10 +61,13 @@ def _round9(x: float) -> float:
 def _grid_points(start: float, stop: float, steps: int) -> list[float]:
     if not (0.0 <= start <= stop <= 1.0) or steps < 2:
         raise ValueError("grid must satisfy 0 <= start <= stop <= 1 and steps >= 2")
+    if steps > MAX_GRID_STEPS:
+        raise ValueError(f"grid steps {steps} exceeds the cap of {MAX_GRID_STEPS}")
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-def make_family(name: str, n: int, excitations: int | None = None) -> NoisyFamily:
+def make_family(name: str, n: int | None, excitations: int | None = None) -> NoisyFamily:
+    n = 4 if n is None else n
     if excitations is not None and name != "dicke-noise":
         raise ValueError("--excitations applies only to --family dicke-noise")
     if name == "w-noise":
@@ -153,7 +157,8 @@ def load_input(args) -> DensityMatrix | NoisyFamily:
     if args.state and args.family:
         raise ValueError("give either --state or --family, not both")
     if args.state:
-        for flag, value in (("--param", args.param), ("--excitations", args.excitations)):
+        for flag, value in (("--param", args.param), ("--n", args.n),
+                            ("--excitations", args.excitations)):
             if value is not None:
                 raise ValueError(f"{flag} applies to --family, not --state")
         return load_density_matrix(args.state, clamp=args.clamp)
@@ -485,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="repair near-PSD input matrices instead of rejecting")
     for p in point + family:
         p.add_argument("--family", choices=FAMILY_NAMES, required=p in family)
-        p.add_argument("--n", type=int, default=4, help="qubit count for --family")
+        p.add_argument("--n", type=int, default=None, help="qubit count for --family")
         p.add_argument("--excitations", type=int, default=None,
                        help="excitation number for dicke-noise (default n//2)")
         if p in point:

@@ -63,7 +63,7 @@ class NegativeRadicand(ValueError):
 
 
 class NonMonotoneFamily(ValueError):
-    """Certified bound decreases along the family parameter; bisection refused."""
+    """Family's bound is not known to be nondecreasing in its parameter; bisection refused."""
 
 
 class InvalidPartition(ValueError):

@@ -35,7 +35,6 @@ EIGEN_DUST = 64 * np.finfo(float).eps  # eigenvalues below this x scale are solv
 FAMILY_MATCH_TOL = 1e-10  # max-norm gap between a state and its GHZ-noise model
 GHZ_BASE_TOL = 1e-12  # amplitude gap between a family's base state and GHZ
 PURITY_TOL = 1e-10  # |Tr rho^2 - 1| of a state read as pure
-MONOTONICITY_SLACK = 1e-9  # decrease of a bound along a family still read as flat
 BISECTION_TOL = 1e-6  # a reported crossing is within this of the true one
 BISECTION_STOP = BISECTION_TOL * 1e-3  # bracket width at which bisection stops
 REPORT_REL_TOL = 1e-12  # relative gap of bound_on_C2 from coefficient * pair_sum

@@ -142,7 +142,9 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class NoisyFamily:
-    """White-noise mixture family x -> (1-x)/2^N I + x |base><base|."""
+    """White-noise mixture family x -> (1-x)/2^N I + x |base><base|.
+
+    state_at must remain this mixture: detection_threshold's proof rests on it."""
 
     base: PureState
 

@@ -449,6 +449,12 @@ def test_oversize_family_is_input_error_without_large_allocation(capsys, argv, m
     assert_input_error_without_large_allocation(capsys, message, *argv)
 
 
+def test_oversize_grid_is_input_error_without_large_allocation(capsys):
+    assert_input_error_without_large_allocation(
+        capsys, f"exceeds the cap of {cli.MAX_GRID_STEPS}",
+        "sweep", "--family", "ex4", "--grid", "0:1:1000000000", "--k", "3")
+
+
 def test_ghz_exact_threshold_above_the_dense_cap_builds_no_state(capsys):
     code, out, err = run(capsys, "threshold", "--family", "ghz-noise", "--n", "13",
                          "--source", "ghz-exact", "--k", "3")
@@ -520,6 +526,14 @@ class TestIgnoredFlagsAreErrors:
         assert (code, out) == (2, "")
         assert err == "error: --param applies to --family, not --state\n"
 
+    @pytest.mark.parametrize("command", ["bound", "witness"])
+    def test_n_with_state(self, tmp_path, capsys, command):
+        path = tmp_path / "ghz.json"
+        write_ghz_json(path)
+        code, out, err = run(capsys, command, "--state", str(path), "--n", "9")
+        assert (code, out) == (2, "")
+        assert err == "error: --n applies to --family, not --state\n"
+
     def test_excitations_with_state(self, tmp_path, capsys):
         path = tmp_path / "ghz.json"
         write_ghz_json(path)
@@ -561,3 +575,17 @@ def test_ghz_witness_recovers_the_visibility_once_for_every_k(monkeypatch, capsy
     assert out.count("ghz-exact") == 3
     # one for the family state, one for the GHZ model its visibility is checked against
     assert sum(counts.values()) == 2
+
+
+@pytest.mark.parametrize("argv, states", [
+    # one state at the noiseless end for the no-crossing test, then 30 bisection steps
+    (["threshold", "--family", "ex4", "--n", "4", "--k", "3", "--source", "t1"], 31),
+    # 11 grid rows plus the 31 of the crossing
+    (["sweep", "--family", "ex4", "--n", "4", "--grid", "0:1:11", "--k", "3",
+      "--source", "t1"], 42),
+], ids=["threshold", "sweep"])
+def test_crossing_builds_no_sampling_states(monkeypatch, capsys, argv, states):
+    counts = count_calls(monkeypatch, white_noise_mix)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert sum(counts.values()) == states

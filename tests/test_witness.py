@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entbound.concurrence import pure_concurrence
+from entbound.concurrence import pairwise_table, pure_concurrence
 from entbound.errors import (
     FamilyMismatch,
     NonMonotoneFamily,
@@ -13,12 +13,18 @@ from entbound.errors import (
 from entbound.oracle import (
     SamplerConfig,
     conjugate_by_local_unitaries,
+    haar_random_pure,
     random_product_pure,
     random_single_qubit_unitaries,
 )
+from entbound.bounds import applicable_theorems
 from entbound.states import (
     DensityMatrix,
+    NoisyFamily,
+    dicke_state,
+    example3_state,
     example4_family,
+    example4_state,
     ghz_noise_family,
     ghz_state,
     w_state,
@@ -204,6 +210,55 @@ class TestDetectionThreshold:
     def test_ghz_exact_requires_ghz_family(self):
         with pytest.raises(FamilyMismatch):
             detection_threshold(example4_family(), 3, Source.GHZ_EXACT)
+
+    def test_duck_typed_family_is_refused_before_any_state(self):
+        family = example4_family()
+        built = []
+
+        class Delegating:
+            # a white-noise family in all but type: the proof does not cover it
+            n_qubits = family.n_qubits
+            base = family.base
+
+            def state_at(self, x):
+                built.append(x)
+                return family.state_at(x)
+
+        with pytest.raises(NonMonotoneFamily):
+            detection_threshold(Delegating(), 3, Source.THEOREM1)
+        assert built == []
+
+
+def nondecreasing_check_bases(n):
+    """Every built-in base on n qubits (Dicke k=1 is the W state), ex3 and ex4
+    at n=4, and 3 seeded Haar states."""
+    bases = [w_state(n), ghz_state(n)] + [dicke_state(n, k) for k in range(2, n)]
+    if n == 4:
+        bases += [example3_state(), example4_state()]
+    return bases + haar_random_pure(SamplerConfig(n, seed=2400 + n, count=3))
+
+
+class TestNoisyFamilyBoundsAreNondecreasing:
+    """The property detection_threshold's bisection rests on, checked on a
+    41-point grid: no step of any applicable bound goes down."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_no_bound_steps_down(self, n):
+        sources = [Source(t.lower()) for t in applicable_theorems(n)]
+        for base in nondecreasing_check_bases(n):
+            family = NoisyFamily(base)
+            is_ghz = np.allclose(base.amplitudes, ghz_state(n).amplitudes)
+            previous = None
+            for x in np.linspace(0.0, 1.0, 41):
+                # one pair table per point, shared by every theorem source
+                table = pairwise_table(family.state_at(float(x)))
+                bounds = [source_bound(s, n, table=table)[1] for s in sources]
+                if is_ghz:
+                    bounds.append(source_bound(Source.GHZ_EXACT, n, visibility=float(x))[1])
+                if previous is not None:
+                    steps = np.subtract(bounds, previous)
+                    assert steps.min() >= -1e-12, (base, float(x), steps)
+                previous = bounds
 
 
 class TestCertifiedBound:
