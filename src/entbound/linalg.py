@@ -175,18 +175,16 @@ def partial_trace(rho: np.ndarray, keep: SubsetMask) -> np.ndarray:
         )
     if keep.bits == 0:
         raise EmptySubset("must keep at least one qubit")
-    kept = keep.qubits
-    t = rho.reshape((2,) * (2 * n))
-    remaining = list(range(1, n + 1))
-    for q in range(1, n + 1):
-        if q in kept:
-            continue
-        a = remaining.index(q)
-        m = len(remaining)
-        t = np.trace(t, axis1=a, axis2=m + a)
-        remaining.remove(q)
-    d = 2 ** len(remaining)
-    return t.reshape(d, d)
+    kept = [q - 1 for q in keep.qubits]
+    traced = [a for a in range(n) if a not in kept]
+    # A traced qubit's column axis reuses its row label, so einsum returns the
+    # traced diagonal as a strided view, traced axes first, and sums nothing.
+    cols = [a if a in traced else n + a for a in range(n)]
+    t = np.einsum(rho.reshape((2,) * (2 * n)), [*range(n), *cols],
+                  traced + kept + [n + a for a in kept])
+    for _ in traced:  # sums out the lowest remaining traced label
+        t = t[0] + t[1]
+    return t.reshape(2 ** len(kept), -1)
 
 
 def purity(rho: np.ndarray) -> float:

@@ -30,15 +30,14 @@ from .linalg import (
 MAX_DENSE_QUBITS = DENSE_DIM_CAP.bit_length() - 1
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
-
-
-def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
+def _require_bounded(a: np.ndarray, what: str) -> None:
+    """Refuse NaN, inf and real or imaginary parts above 2.  No entry of a
+    state exceeds 1 in modulus, and the cap keeps later checks from overflowing."""
+    top = float(np.max([np.abs(a.real).max(), np.abs(a.imag).max()]))  # NaN propagates
+    if not math.isfinite(top):
         raise InvariantViolation(f"{what} has non-finite entries (NaN or inf)")
+    if top > 2.0:
+        raise InvariantViolation(f"{what} has an entry part {top:.3e} above 2")
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _freeze(self.amplitudes)
+        amps = np.array(self.amplitudes, dtype=complex)
         if self.n_qubits < 1:
             raise InvariantViolation("n_qubits must be positive")
         if amps.shape != (2**self.n_qubits,):
@@ -57,10 +56,11 @@ class PureState:
                 f"amplitude vector of length {amps.shape} does not match "
                 f"2^{self.n_qubits}"
             )
-        _require_finite(amps, "amplitude vector")
+        _require_bounded(amps, "amplitude vector")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise InvariantViolation(f"norm {norm!r} deviates from 1 by {abs(norm-1.0):.3e}")
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     def density_matrix(self) -> "DensityMatrix":
@@ -74,8 +74,8 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix over n_qubits labeled 1..n.
 
-    The constructor validates; it is the boundary for matrices from outside
-    the package.  States the package derives from validated ones keep the
+    The constructor validates matrices from outside the package and stores
+    the Hermitian part of each.  States derived from validated ones keep the
     invariants by construction and come from ``_derived`` unchecked.
     """
 
@@ -83,21 +83,23 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _freeze(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
         d = 2**self.n_qubits
         if m.shape != (d, d):
             raise InvariantViolation(f"matrix shape {m.shape} does not match 2^{self.n_qubits}")
-        _require_finite(m, "matrix")
+        _require_bounded(m, "matrix")
         defect = linalg.hermiticity_defect(m)
         if defect > HERM_TOL:
             raise InvariantViolation(f"Hermiticity defect {defect:.3e} exceeds {HERM_TOL:.1e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"trace {tr!r} deviates from 1 by {abs(tr-1.0):.3e}")
-        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+        herm = (m + m.conj().T) / 2
+        low = float(np.linalg.eigvalsh(herm).min())
         if low < -PSD_TOL:
             raise InvariantViolation(f"negative eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
-        object.__setattr__(self, "matrix", m)
+        herm.setflags(write=False)
+        object.__setattr__(self, "matrix", herm)
 
     @classmethod
     def _derived(cls, n_qubits: int, matrix: np.ndarray) -> "DensityMatrix":
@@ -123,13 +125,10 @@ class DensityMatrix:
         if 2**n != arr.shape[0]:
             raise InvariantViolation(f"dimension {arr.shape[0]} is not a power of two")
         if clamp:
-            _require_finite(arr, "matrix")
-            herm = (arr + arr.conj().T) / 2
-            w, v = np.linalg.eigh(herm)
+            _require_bounded(arr, "matrix")
+            w, v = np.linalg.eigh((arr + arr.conj().T) / 2)
             if float(w.min()) < CLAMP_FLOOR:
-                raise InvariantViolation(
-                    f"eigenvalue {float(w.min()):.3e} too negative to clamp"
-                )
+                raise InvariantViolation(f"eigenvalue {float(w.min()):.3e} too negative to clamp")
             w = np.clip(w, 0.0, None)
             arr = (v * w) @ v.conj().T
             arr = arr / np.trace(arr).real
@@ -294,10 +293,12 @@ def _parse_json_matrix(text: str) -> np.ndarray:
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
-        n = int(doc["n_qubits"])
+        n = doc["n_qubits"]
         entries = doc["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError("JSON matrix needs 'n_qubits' and 'entries'") from exc
+    if type(n) is not int:  # rejects bool too
+        raise ParseError(f"JSON 'n_qubits' must be an integer, got {json.dumps(n)}")
     d = _dense_dim(n)
     if not isinstance(entries, list):
         raise ParseError("JSON 'entries' must be a list of [re, im] pairs")

@@ -5,13 +5,16 @@ import re
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from entbound import cli
 from entbound.cli import build_parser, main
 from entbound.concurrence import pairwise_table
-from entbound.linalg import DENSE_DIM_CAP
+from entbound.linalg import DENSE_DIM_CAP, HERM_TOL, hermiticity_defect
 from entbound.states import ghz_state, w_state, white_noise_mix
+
+from conftest import random_density
 
 
 def run(capsys, *argv):
@@ -353,6 +356,19 @@ MALFORMED_FILES = {
         "# n_qubits = 2\n0,0,0.5,0\n0,1,nan,0\n1,0,nan,0\n1,1,0.5,0\n", "non-finite"),
     "inf-diagonal.json": (
         '{"n_qubits": 1, "entries": [[Infinity, 0], [0, 0], [0, 0], [0, 0]]}', "non-finite"),
+    "n-float.json": (
+        '{"n_qubits": 2.7, "entries": []}', "JSON 'n_qubits' must be an integer, got 2.7"),
+    "n-string.json": (
+        '{"n_qubits": "2", "entries": []}', "JSON 'n_qubits' must be an integer, got \"2\""),
+    "n-bool.json": (
+        '{"n_qubits": true, "entries": []}', "JSON 'n_qubits' must be an integer, got true"),
+    "max-float-diagonal.csv": (
+        "# n_qubits = 3\n7,7,-1.7976931348623157e+308,-1.7976931348623157e+308\n",
+        "entry part 1.798e+308 above 2"),
+    "max-float-hermitian.json": (
+        '{"n_qubits": 1, "entries": [[1, 0], [1.7976931348623157e+308, 1.7976931348623157e+308],'
+        ' [1.7976931348623157e+308, -1.7976931348623157e+308], [0, 0]]}',
+        "entry part 1.798e+308 above 2"),
 }
 
 
@@ -364,6 +380,26 @@ def test_malformed_file_is_input_error_without_large_allocation(tmp_path, capsys
     path.write_text(text)
     assert_input_error_without_large_allocation(
         capsys, message, "bound", "--state", str(path), *clamp)
+
+
+def test_hermiticity_defect_accepted_at_entry_stays_accepted_in_marginals(tmp_path, capsys):
+    # The 16 entries [00xxxx, 01xxxx] and their transposes carry 4e-11j each:
+    # the file's defect, 8e-11, is within HERM_TOL, but the (1,2) marginal sums
+    # 16 of them into 1.28e-9 unless the constructor keeps the Hermitian part.
+    m = 0.5 * np.eye(64) / 64 + 0.5 * random_density(np.random.default_rng(11), 6).matrix
+    r = np.arange(16)
+    m[r, 16 + r] += 4e-11j
+    m[16 + r, r] += 4e-11j
+    assert 5e-11 < hermiticity_defect(m) <= HERM_TOL
+    outputs = []
+    for name, matrix in [("defect.json", m), ("hermitian.json", (m + m.conj().T) / 2)]:
+        path = tmp_path / name
+        entries = [[float(z.real), float(z.imag)] for z in matrix.reshape(-1)]
+        path.write_text(json.dumps({"n_qubits": 6, "entries": entries}))
+        code, out, err = run(capsys, "bound", "--state", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def assert_input_error_without_large_allocation(capsys, message, *argv):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from entbound.linalg import (
     partial_trace,
     psd_sqrt,
     purity,
+    require_square,
 )
 
 from conftest import random_density, random_pure
@@ -155,6 +158,50 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(4, dtype=complex) / 4, SubsetMask.from_qubits([1], 3))
+
+
+def per_qubit_partial_trace(rho: np.ndarray, keep: SubsetMask) -> np.ndarray:
+    """Reference partial trace: one np.trace per traced qubit, lowest label first."""
+    rho = require_square(rho)
+    n = keep.n_qubits
+    kept = keep.qubits
+    t = rho.reshape((2,) * (2 * n))
+    remaining = list(range(1, n + 1))
+    for q in range(1, n + 1):
+        if q in kept:
+            continue
+        a = remaining.index(q)
+        m = len(remaining)
+        t = np.trace(t, axis1=a, axis2=m + a)
+        remaining.remove(q)
+    d = 2 ** len(remaining)
+    return t.reshape(d, d)
+
+
+class TestPartialTraceAgainstReference:
+    def test_bit_identical_on_every_subset(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 8):
+            rho = random_density(rng, n).matrix
+            for bits in range(1, 2**n):
+                keep = SubsetMask(bits, n)
+                got = partial_trace(rho, keep)
+                assert np.array_equal(got, per_qubit_partial_trace(rho, keep)), (n, bits)
+
+    def test_pair_marginal_allocates_far_less_than_the_matrix(self):
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((2**10, 8)) + 1j * rng.standard_normal((2**10, 8))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        keep = SubsetMask.from_qubits([1, 10], 10)
+        tracemalloc.start()
+        try:
+            pair = partial_trace(rho, keep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pair.shape == (4, 4)
+        assert peak < rho.nbytes / 16
 
 
 class TestPurity:

@@ -123,6 +123,25 @@ class TestInvariants:
         with pytest.raises(InvariantViolation, match="non-finite"):
             DensityMatrix.from_array(m, clamp=True)
 
+    def test_entry_parts_above_2_are_refused(self):
+        m = np.array([[0.5, 3.0j], [-3.0j, 0.5]])
+        for build in (lambda: DensityMatrix(1, m),
+                      lambda: DensityMatrix.from_array(m, clamp=True),
+                      lambda: PureState(1, np.array([3.0, 0.0]))):
+            with pytest.raises(InvariantViolation, match="entry part 3.000e\\+00 above 2"):
+                build()
+
+    def test_stores_the_exact_hermitian_part(self, rng):
+        from conftest import random_density
+
+        m = random_density(rng, 3).matrix + 1e-11j * rng.standard_normal((8, 8))
+        stored = DensityMatrix(3, m).matrix
+        assert np.array_equal(stored, (m + m.conj().T) / 2)
+        assert np.array_equal(stored, stored.conj().T)
+        assert np.array_equal(DensityMatrix(3, stored).matrix, stored)
+        with pytest.raises(ValueError):
+            stored[0, 0] = 0.0
+
     def test_clamp_repairs_small_negative(self):
         m = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
         rho = DensityMatrix.from_array(m, clamp=True)
