@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .concurrence import PairwiseConcurrenceTable, pairwise_table
 from .errors import ParameterOutOfRange, WrongQubitCount
 from .linalg import REPORT_REL_TOL
-from .states import DensityMatrix
+from .states import DensityMatrix, FamilyPoint
 
 THEOREMS = ("T1", "T2", "T3")
 
@@ -131,7 +131,7 @@ class BestBound:
         return self.reports[0]
 
 
-def best_bound(rho: DensityMatrix) -> BestBound:
+def best_bound(rho: DensityMatrix | FamilyPoint) -> BestBound:
     """Compute the pairwise table and rank every applicable theorem bound.
 
     For even N >= 6 the even-N coefficient dominates the general one, so

@@ -21,7 +21,7 @@ from . import bounds as bounds_mod
 from . import states
 from .concurrence import pairwise_table, pure_concurrence
 from .errors import ConvergenceFailure
-from .states import DensityMatrix, NoisyFamily, load_density_matrix
+from .states import DensityMatrix, FamilyPoint, NoisyFamily, load_density_matrix
 from .witness import (
     THEOREM_SOURCES,
     Source,
@@ -171,8 +171,8 @@ def load_input(args) -> DensityMatrix | NoisyFamily:
     raise ValueError("need --state FILE or --family NAME")
 
 
-def at_param(given: DensityMatrix | NoisyFamily, param: float) -> DensityMatrix:
-    return given.state_at(param) if isinstance(given, NoisyFamily) else given
+def at_param(given: DensityMatrix | NoisyFamily, param: float) -> DensityMatrix | FamilyPoint:
+    return given.point(param) if isinstance(given, NoisyFamily) else given
 
 
 # ---------------------------------------------------------------- commands
@@ -243,7 +243,7 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for x in grid:
-        table = pairwise_table(family.state_at(x))
+        table = pairwise_table(family.point(x))
         found = [source_bound(s, n, table=table, visibility=x) for s in sources]
         row = [x] + [v for _, v in table.pairs()]
         for bound_c2, bound_c in found:
@@ -331,7 +331,7 @@ def _grid_errors(family, closed_forms, pair_coeff: float) -> tuple[float, float]
     worst |T1 bound - pair_coeff * C12^2| over the same grid."""
     worst_pair = worst_t1 = 0.0
     for x in _grid_points(0.0, 1.0, 101):
-        table = pairwise_table(family.state_at(x))
+        table = pairwise_table(family.point(x))
         for (i, j), value in table.pairs():
             worst_pair = max(worst_pair, abs(value - closed_forms(i, j, x)))
         r = bounds_mod.theorem1_bound(table)
@@ -394,7 +394,7 @@ def _case4() -> bool:
     c.check("T1 bound equals 7/4 C12^2 on grid", t1_err, 1e-12)
     x = detection_threshold(family, None, Source.THEOREM1)
     c.check_value("entanglement crossing via T1", x, 1 / 3, 1e-4)
-    r = bounds_mod.theorem1_bound(pairwise_table(family.state_at(1.0)))
+    r = bounds_mod.theorem1_bound(pairwise_table(family.point(1.0)))
     c.check_value("T1 bound on C^2 at t=1 (saturation)", r.bound_on_C2, 7 / 4, 1e-9)
     c.check_value("pure concurrence of the noiseless state",
                   pure_concurrence(states.example4_state()), math.sqrt(7) / 2, 1e-9)

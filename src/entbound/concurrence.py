@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import ConvergenceFailure, EmptySubset, WrongDimension
 from .linalg import SIGMA_Y, SubsetMask
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, FamilyPoint, PureState
 
 
 def _canonical_cuts(n: int):
@@ -185,14 +185,18 @@ class PairwiseConcurrenceTable:
         return sum(v * v for v in self.values.values())
 
 
-def pairwise_table(rho: DensityMatrix) -> PairwiseConcurrenceTable:
-    """Reduce to every qubit pair and apply the two-qubit formula."""
+def pairwise_table(rho: DensityMatrix | FamilyPoint) -> PairwiseConcurrenceTable:
+    """Apply the two-qubit formula once per marginal of rho.pair_marginals():
+    per pair for a DensityMatrix, per class of equal pairs for a FamilyPoint.
+    values keeps combinations order, the order sum_of_squares adds in."""
     n = rho.n_qubits
     if n < 2:
         raise WrongDimension("pairwise table needs at least 2 qubits")
-    values = {}
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        values[(i, j)] = wootters_concurrence(rho.reduced([i, j]))
+    found = {}
+    for pairs, marginal in rho.pair_marginals():
+        c = wootters_concurrence(marginal)
+        found.update((pair, c) for pair in pairs)
+    values = {pair: found[pair] for pair in itertools.combinations(range(1, n + 1), 2)}
     return PairwiseConcurrenceTable(n, values)
 
 

@@ -6,7 +6,9 @@ all assembled from the constructors here.
 
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -131,19 +133,31 @@ class DensityMatrix:
                 raise InvariantViolation(f"eigenvalue {float(w.min()):.3e} too negative to clamp")
             w = np.clip(w, 0.0, None)
             arr = (v * w) @ v.conj().T
-            arr = arr / np.trace(arr).real
+            tr = float(np.trace(arr).real)
+            if not tr > 0.0:
+                raise InvariantViolation(f"clamped trace {tr!r} cannot be renormalized to 1")
+            arr = arr / tr
         return cls(n, arr)
 
     def reduced(self, qubits) -> "DensityMatrix":
         keep = linalg.SubsetMask.from_qubits(qubits, self.n_qubits)
         return DensityMatrix._derived(keep.size, linalg.partial_trace(self.matrix, keep))
 
+    def pair_marginals(self):
+        """((i, j),) and the marginal on qubits i < j, for every pair in turn."""
+        for pair in itertools.combinations(range(1, self.n_qubits + 1), 2):
+            yield (pair,), self.reduced(pair)
+
 
 @dataclass(frozen=True)
 class NoisyFamily:
     """White-noise mixture family x -> (1-x)/2^N I + x |base><base|.
 
-    state_at must remain this mixture: detection_threshold's proof rests on it."""
+    detection_threshold's proof rests on this mixture, and both ways to a
+    member implement it: state_at builds the dense matrix (the reference), and
+    point(x) takes the pair marginals from the base vector with the same float
+    operations in the same order.  tests/test_family_engine.py ties the two
+    together: every marginal is bit-identical to state_at(x).reduced([i, j])."""
 
     base: PureState
 
@@ -153,6 +167,68 @@ class NoisyFamily:
 
     def state_at(self, x: float) -> DensityMatrix:
         return white_noise_mix(self.base, x)
+
+    def point(self, x: float) -> "FamilyPoint":
+        return FamilyPoint(self, x)
+
+    @functools.cached_property
+    def pair_classes(self) -> tuple[tuple[tuple[tuple[int, int], ...], np.ndarray], ...]:
+        """The pairs (i, j) grouped by bitwise-equal base blocks
+        B_ij[t, a, b] = psi(a, t) conj psi(b, t), one (pairs, block) per class.
+
+        a, b index qubits i, j and t the others; a block has one axis per
+        traced qubit, lowest label first, then its 4 x 4 kept part, so it
+        holds 2^(N-2) x 16 entries, not 4^N.  Each product is the
+        scalar-times-contiguous multiply that np.outer performs.
+        """
+        n = self.n_qubits
+        amps = self.base.amplitudes.reshape((2,) * n)
+        classes: dict[bytes, tuple[list, np.ndarray]] = {}
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            traced = [a for a in range(n) if a not in (i - 1, j - 1)]
+            g = np.ascontiguousarray(amps.transpose(traced + [i - 1, j - 1])).reshape(-1, 4)
+            block = g[:, :, None] * g.conj()[:, None, :]
+            block.setflags(write=False)
+            pairs, _ = classes.setdefault(
+                block.tobytes(), ([], block.reshape((2,) * (n - 2) + (4, 4))))
+            pairs.append((i, j))
+        return tuple((tuple(pairs), block) for pairs, block in classes.values())
+
+
+@dataclass(frozen=True)
+class FamilyPoint:
+    """The member of a NoisyFamily at visibility x, without its dense matrix.
+
+    Checks x and the dense cap as white_noise_mix does.  pair_marginals
+    gives one marginal per class of equal pairs; matrix builds the dense
+    member on first use, for sources that read it.
+    """
+
+    family: NoisyFamily
+    x: float
+
+    def __post_init__(self):
+        _require_mixable(self.family.base, self.x)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.family.n_qubits
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self.family.state_at(self.x).matrix
+
+    def pair_marginals(self):
+        """(pairs, marginal) per class of pair_classes.  The noise term, the
+        scaled block and the folds of the traced axes, lowest label first,
+        are white_noise_mix's and partial_trace's operations on these entries."""
+        n = self.n_qubits
+        noise = np.eye(4, dtype=complex) * ((1.0 - self.x) / 2**n)
+        for pairs, block in self.family.pair_classes:
+            t = noise + self.x * block
+            for _ in range(n - 2):
+                t = t[0] + t[1]
+            yield pairs, DensityMatrix._derived(2, t)
 
 
 def w_state(n: int) -> PureState:
@@ -208,11 +284,16 @@ def example4_state() -> PureState:
     return PureState(4, amps)
 
 
-def white_noise_mix(psi: PureState, x: float) -> DensityMatrix:
-    """(1-x)/2^N I + x |psi><psi| for visibility x in [0, 1]."""
+def _require_mixable(psi: PureState, x: float) -> None:
+    """Refuse a visibility outside [0, 1], then a mixture above the dense cap."""
     if not 0.0 <= x <= 1.0:
         raise ParameterOutOfRange(f"mixing parameter {x} outside [0, 1]")
     linalg.require_within_cap(psi.n_qubits, DENSE_DIM_CAP, "dense-matrix")
+
+
+def white_noise_mix(psi: PureState, x: float) -> DensityMatrix:
+    """(1-x)/2^N I + x |psi><psi| for visibility x in [0, 1]."""
+    _require_mixable(psi, x)
     d = 2**psi.n_qubits
     m = np.eye(d, dtype=complex) * ((1.0 - x) / d)
     m += x * np.outer(psi.amplitudes, psi.amplitudes.conj())

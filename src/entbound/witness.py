@@ -31,7 +31,7 @@ from .linalg import (
     hermitian_eigensystem,
     purity,
 )
-from .states import DensityMatrix, NoisyFamily, PureState, ghz_state, white_noise_mix
+from .states import DensityMatrix, FamilyPoint, NoisyFamily, PureState, ghz_state, white_noise_mix
 
 
 class Source(str, enum.Enum):
@@ -162,7 +162,7 @@ def require_source(source: Source, n_qubits: int, family: NoisyFamily | None = N
 
 
 def certified_bound(
-    rho: DensityMatrix,
+    rho: DensityMatrix | FamilyPoint,
     source: Source,
     user_bound: float | None = None,
     table: PairwiseConcurrenceTable | None = None,
@@ -222,6 +222,11 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     zero at I/4, so C_ij(x) <= (x/y) C_ij(y) for x < y.  The T1-T3 bounds
     grow with every C_ij, and the ghz-exact formula is nondecreasing in p.
     Any other family raises NonMonotoneFamily before it is evaluated.
+
+    The proof rests on the mixture.  state_at(x) builds it densely, and
+    family.point(x), which theorem sources read here, takes its pair
+    marginals from the base vector without a dense matrix; a tier-1 test ties
+    the two together by checking every pair marginal bit for bit.
     """
     if type(family) is not NoisyFamily:
         raise NonMonotoneFamily(f"bisection needs a NoisyFamily, got {type(family).__name__}")
@@ -231,7 +236,7 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     def bound(x: float) -> float:
         if source is Source.GHZ_EXACT:
             return source_bound(source, family.n_qubits, visibility=x)[1]
-        return certified_bound(family.state_at(x), source)
+        return certified_bound(family.point(x), source)
 
     if not bound(1.0) > threshold:
         return None

@@ -311,6 +311,7 @@ class TestRejectionBeforeStateIsBuilt:
             raise AssertionError("a family state was built")
 
         monkeypatch.setattr(NoisyFamily, "state_at", refuse)
+        monkeypatch.setattr(NoisyFamily, "point", refuse)
 
     def test_witness_k_below_two(self, no_states, capsys):
         code, _, err = run(capsys, "witness", "--family", "ex4", "--n", "4",
@@ -400,6 +401,14 @@ def test_hermiticity_defect_accepted_at_entry_stays_accepted_in_marginals(tmp_pa
         assert (code, err) == (0, "")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_clamped_zero_trace_file_is_one_input_error(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    path.write_text("# n_qubits = 2\n0,0,0.0,0.0\n")
+    code, out, err = run(capsys, "bound", "--state", str(path), "--clamp")
+    assert (code, out) == (2, "")
+    assert err == "error: clamped trace 0.0 cannot be renormalized to 1\n"
 
 
 def assert_input_error_without_large_allocation(capsys, message, *argv):
@@ -613,15 +622,18 @@ def test_ghz_witness_recovers_the_visibility_once_for_every_k(monkeypatch, capsy
     assert sum(counts.values()) == 2
 
 
-@pytest.mark.parametrize("argv, states", [
-    # one state at the noiseless end for the no-crossing test, then 30 bisection steps
-    (["threshold", "--family", "ex4", "--n", "4", "--k", "3", "--source", "t1"], 31),
+@pytest.mark.parametrize("argv, tables", [
+    # one table at the noiseless end for the no-crossing test, then 30 bisection steps
+    (["threshold", "--family", "ex4", "--n", "4", "--k", "3", "--source", "t1"],
+     {"entbound.witness": 31}),
     # 11 grid rows plus the 31 of the crossing
     (["sweep", "--family", "ex4", "--n", "4", "--grid", "0:1:11", "--k", "3",
-      "--source", "t1"], 42),
+      "--source", "t1"], {"entbound.cli": 11, "entbound.witness": 31}),
 ], ids=["threshold", "sweep"])
-def test_crossing_builds_no_sampling_states(monkeypatch, capsys, argv, states):
-    counts = count_calls(monkeypatch, white_noise_mix)
+def test_crossing_builds_no_sampling_states(monkeypatch, capsys, argv, tables):
+    states = count_calls(monkeypatch, white_noise_mix)
+    counts = count_calls(monkeypatch, pairwise_table)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert sum(counts.values()) == states
+    assert states == {}
+    assert counts == tables

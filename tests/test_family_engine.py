@@ -1,0 +1,159 @@
+"""The family engine: a NoisyFamily member's pair marginals, pairwise table
+and crossings, from the base vector, against the dense reference state_at."""
+
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from entbound.bounds import applicable_theorems
+from entbound.concurrence import pairwise_table
+from entbound.errors import DimensionOverflow, ParameterOutOfRange
+from entbound.linalg import BISECTION_STOP
+from entbound.oracle import SamplerConfig, haar_random_pure
+from entbound.states import (
+    NoisyFamily,
+    dicke_state,
+    example3_state,
+    example4_state,
+    ghz_state,
+    w_noise_family,
+    w_state,
+    white_noise_mix,
+)
+from entbound.witness import Source, detection_threshold, k_nonsep_threshold, source_bound
+
+
+def symmetric_bases(n):
+    """W, GHZ and every Dicke(n, k); Dicke k=1 is the W state."""
+    return [w_state(n), ghz_state(n)] + [dicke_state(n, k) for k in range(1, n)]
+
+
+def engine_bases(n):
+    """Every built-in base on n qubits, ex3 and ex4 at n=4, and 3 seeded Haar bases."""
+    bases = symmetric_bases(n)
+    if n == 4:
+        bases += [example3_state(), example4_state()]
+    return bases + haar_random_pure(SamplerConfig(n, seed=8100 + n, count=3))
+
+
+def visibilities(n):
+    seeded = np.random.default_rng(8200 + n).uniform(0.0, 1.0, 8)
+    return [0.0, 1 / 3, 0.6, 1.0] + [float(x) for x in seeded]
+
+
+def engine_marginals(family, x):
+    """Pair -> marginal matrix, from the classes of family.point(x)."""
+    return {pair: rho.matrix for pairs, rho in family.point(x).pair_marginals()
+            for pair in pairs}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_marginals_are_bit_identical_to_the_dense_path(n):
+    for base in engine_bases(n):
+        family = NoisyFamily(base)
+        for x in visibilities(n):
+            dense = family.state_at(x)
+            got = engine_marginals(family, x)
+            for pair in itertools.combinations(range(1, n + 1), 2):
+                assert got[pair].tobytes() == dense.reduced(pair).matrix.tobytes(), (base, x, pair)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_tables_are_bit_identical_to_the_dense_path(n):
+    for base in engine_bases(n):
+        family = NoisyFamily(base)
+        for x in visibilities(n):
+            dense = pairwise_table(family.state_at(x))
+            engine = pairwise_table(family.point(x))
+            assert list(engine.values) == list(dense.values)
+            assert (np.array(list(engine.values.values())).tobytes()
+                    == np.array(list(dense.values.values())).tobytes())
+            assert engine.sum_of_squares.hex() == dense.sum_of_squares.hex()
+
+
+def dense_reference_threshold(family, k, source):
+    """detection_threshold's bisection, on pairwise tables of the dense members."""
+    n = family.n_qubits
+    threshold = 0.0 if k is None else k_nonsep_threshold(n, 2, k)
+
+    def bound(x):
+        return source_bound(source, n, table=pairwise_table(family.state_at(x)))[1]
+
+    if not bound(1.0) > threshold:
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo > BISECTION_STOP:
+        mid = (lo + hi) / 2
+        if bound(mid) > threshold:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def builtin_family_bases(n):
+    bases = symmetric_bases(n)
+    return bases + [example3_state(), example4_state()] if n == 4 else bases
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("k", [None, 3])
+def test_crossings_equal_the_dense_reference_bisection(n, k):
+    for base in builtin_family_bases(n):
+        family = NoisyFamily(base)
+        for source in (Source(t.lower()) for t in applicable_theorems(n)):
+            expected = dense_reference_threshold(family, k, source)
+            assert detection_threshold(family, k, source) == expected, (base, k, source)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_symmetric_bases_have_one_class_of_pairs(n):
+    for base in symmetric_bases(n):
+        classes = NoisyFamily(base).pair_classes
+        assert len(classes) == 1
+        assert classes[0][0] == tuple(itertools.combinations(range(1, n + 1), 2))
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_haar_base_has_one_class_per_pair(n):
+    (base,) = haar_random_pure(SamplerConfig(n, seed=8300 + n))
+    assert len(NoisyFamily(base).pair_classes) == math.comb(n, 2)
+
+
+def test_threshold_allocates_less_than_one_dense_matrix():
+    tracemalloc.start()
+    try:
+        x = detection_threshold(w_noise_family(9), None, Source.THEOREM2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x is not None
+    assert peak < 4**9 * 16  # one complex128 matrix on 9 qubits, 4 MiB
+
+
+class TestFamilyPoint:
+    def test_checks_the_parameter_first_as_white_noise_mix_does(self):
+        family = NoisyFamily(w_state(13))
+        for x in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ParameterOutOfRange) as dense:
+                white_noise_mix(family.base, x)
+            with pytest.raises(ParameterOutOfRange) as engine:
+                family.point(x)
+            assert str(engine.value) == str(dense.value)
+
+    def test_checks_the_dense_cap_as_white_noise_mix_does(self):
+        family = NoisyFamily(ghz_state(13))
+        with pytest.raises(DimensionOverflow) as dense:
+            family.state_at(0.5)
+        with pytest.raises(DimensionOverflow) as engine:
+            family.point(0.5)
+        assert str(engine.value) == str(dense.value)
+
+    def test_dense_matrix_is_the_family_member(self):
+        family = NoisyFamily(dicke_state(5, 2))
+        point = family.point(0.7)
+        assert point.n_qubits == 5
+        assert point.matrix.tobytes() == family.state_at(0.7).matrix.tobytes()

@@ -281,3 +281,8 @@ class TestDerivedStatesKeepInvariants:
         for m in (rho.matrix, rho.reduced([1, 2]).matrix, ghz_state(2).density_matrix().matrix):
             with pytest.raises(ValueError):
                 m[0, 0] = 0.0
+
+
+def test_clamp_refuses_a_zero_trace_before_renormalizing():
+    with pytest.raises(InvariantViolation, match="clamped trace 0.0"):
+        DensityMatrix.from_array(np.zeros((4, 4)), clamp=True)
