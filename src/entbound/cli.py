@@ -408,8 +408,8 @@ def _case5() -> bool:
                   math.sqrt(22) / 4, 1e-12)
     x = detection_threshold(family, 3, Source.THEOREM1)
     c.check_value("detection crossing via T1, k=3", x, 0.9243, 1e-4)
-    above = detect_k_nonseparability(family.state_at(0.93), 3, Source.THEOREM1)
-    below = detect_k_nonseparability(family.state_at(0.92), 3, Source.THEOREM1)
+    above = detect_k_nonseparability(family.point(0.93), 3, Source.THEOREM1)
+    below = detect_k_nonseparability(family.point(0.92), 3, Source.THEOREM1)
     c.check("detected at t=0.93 and not at t=0.92",
             0.0 if (above.detected and not below.detected) else 1.0, 0.5)
     return c.ok
@@ -429,8 +429,8 @@ def _case6() -> bool:
     family = states.ghz_noise_family(4)
     x = detection_threshold(family, 3, Source.GHZ_EXACT)
     c.check_value("detection crossing, exact bound, k=3", x, 0.8991, 1e-4)
-    above = detect_k_nonseparability(family.state_at(0.90), 3, Source.GHZ_EXACT)
-    below = detect_k_nonseparability(family.state_at(0.89), 3, Source.GHZ_EXACT)
+    above = detect_k_nonseparability(family.point(0.90), 3, Source.GHZ_EXACT)
+    below = detect_k_nonseparability(family.point(0.89), 3, Source.GHZ_EXACT)
     c.check("detected at p=0.90 and not at p=0.89",
             0.0 if (above.detected and not below.detected) else 1.0, 0.5)
     return c.ok
@@ -460,10 +460,12 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------- parser
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be start:stop:steps")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, steps = text.split(":")
+        return float(start), float(stop), int(steps)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"grid must be start:stop:steps with an integer steps, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -154,12 +154,14 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
         raise WrongDimension(f"two-qubit formula applied to {rho.n_qubits} qubits")
     m = rho.matrix
     rho_tilde = _YY @ m.conj() @ _YY
-    root = linalg.psd_sqrt(m)
+    w, v = linalg.psd_eigensystem(m)
+    root = (v * np.sqrt(w)) @ v.conj().T
     r = root @ rho_tilde @ root
     r = (r + r.conj().T) / 2  # scrub rounding asymmetry before eigh
     # unit trace fixes the natural scale of r, so eigenvalue dust on
     # states with vanishing concurrence gets floored to an exact zero
-    lam = linalg.psd_sqrt_spectrum(r, scale=1.0)
+    w, _ = linalg.psd_eigensystem(r, scale=1.0)
+    lam = np.sqrt(w)
     c = float(lam[0] - lam[1] - lam[2] - lam[3])
     return min(max(c, 0.0), 1.0)
 

@@ -6,10 +6,6 @@ genuine numerical breakdowns stay distinguishable.
 """
 
 
-class NotHermitian(ValueError):
-    """Matrix is not Hermitian within tolerance."""
-
-
 class NotPSD(ValueError):
     """Matrix has an eigenvalue below the PSD tolerance."""
 

@@ -1,6 +1,6 @@
 """Minimal dense complex linear algebra for qubit systems.
 
-Hermitian eigendecomposition, PSD matrix square roots, a subset-indexed
+Hermitian eigendecomposition, its dust-floored PSD variant, a subset-indexed
 partial trace, and the size caps on dense and pure-state arrays.  Qubit 1 is
 the most significant bit of the computational-basis index everywhere in this
 package, so the four-qubit ket |0001> sits at index 1.
@@ -17,14 +17,14 @@ from .errors import (
     DimensionMismatch,
     DimensionOverflow,
     EmptySubset,
-    NotHermitian,
     NotPSD,
 )
 
 # ---------------------------------------------------------------- tolerances
-# Every numerical tolerance of the package.  States are checked against the
-# first four once, where they enter (``states``); the rest are read by the
-# kernels, the bounds and the witness.
+# Every numerical tolerance of the package.  HERM_TOL, TRACE_TOL and NORM_TOL
+# are read only in ``states``, where states enter; PSD_TOL bounds both the
+# entry check and the eigenvalue dust that psd_eigensystem floors.  The rest
+# are read by the kernels, the bounds and the witness.
 HERM_TOL = 1e-10  # max-norm of m - m^dagger for a Hermitian matrix
 PSD_TOL = 1e-10  # eigenvalues in [-PSD_TOL, 0) of a PSD matrix count as zero
 TRACE_TOL = 1e-10  # |Tr rho - 1| of a density matrix
@@ -114,13 +114,10 @@ def hermitian_eigensystem(m: np.ndarray):
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
 
     Returns ``(w, v)`` with ``m = v @ diag(w) @ v.conj().T`` and v unitary.
-    Raises NotHermitian when the input fails the Hermiticity precheck and
-    ConvergenceFailure when the underlying solver gives up.
+    The input is not re-checked: every matrix that reaches here derives from a
+    state validated where it entered.  Raises ConvergenceFailure when the
+    underlying solver gives up.
     """
-    m = require_square(m)
-    defect = hermiticity_defect(m)
-    if defect > HERM_TOL:
-        raise NotHermitian(f"|m - m^dagger|_max = {defect:.3e} exceeds {HERM_TOL:.1e}")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -128,8 +125,9 @@ def hermitian_eigensystem(m: np.ndarray):
     return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
 
 
-def _floored_psd_eigenvalues(w: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Clamp descending eigenvalues of a PSD matrix for square roots.
+def psd_eigensystem(m: np.ndarray, scale: float | None = None):
+    """hermitian_eigensystem of a PSD matrix, its eigenvalues floored for
+    square roots.
 
     Values in [-PSD_TOL, 0) clamp to zero; anything lower raises NotPSD.
     Positive values below a noise floor (EIGEN_DUST of the largest eigenvalue,
@@ -138,6 +136,7 @@ def _floored_psd_eigenvalues(w: np.ndarray, scale: float | None = None) -> np.nd
     and carrying it through a square root would inflate it from ~1e-16 to
     ~1e-8.
     """
+    w, v = hermitian_eigensystem(m)
     low = float(w.min()) if w.size else 0.0
     if low < -PSD_TOL:
         raise NotPSD(f"eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
@@ -145,20 +144,7 @@ def _floored_psd_eigenvalues(w: np.ndarray, scale: float | None = None) -> np.nd
     top = float(w[0]) if w.size else 0.0
     floor = EIGEN_DUST * max(top, scale or 0.0)
     w[w < floor] = 0.0
-    return w
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix."""
-    w, v = hermitian_eigensystem(m)
-    w = _floored_psd_eigenvalues(w)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def psd_sqrt_spectrum(m: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Descending eigenvalues of psd_sqrt(m), without forming the matrix."""
-    w, _ = hermitian_eigensystem(m)
-    return np.sqrt(_floored_psd_eigenvalues(w, scale))
+    return w, v
 
 
 def partial_trace(rho: np.ndarray, keep: SubsetMask) -> np.ndarray:

@@ -42,6 +42,19 @@ def _require_bounded(a: np.ndarray, what: str) -> None:
         raise InvariantViolation(f"{what} has an entry part {top:.3e} above 2")
 
 
+def _checked_hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dagger)/2 of a square matrix from outside the package, once its
+    entries, Hermiticity defect and trace pass the constructor's checks."""
+    _require_bounded(m, "matrix")
+    defect = linalg.hermiticity_defect(m)
+    if defect > HERM_TOL:
+        raise InvariantViolation(f"Hermiticity defect {defect:.3e} exceeds {HERM_TOL:.1e}")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise InvariantViolation(f"trace {tr!r} deviates from 1 by {abs(tr-1.0):.3e}")
+    return (m + m.conj().T) / 2
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm complex amplitude vector over n_qubits (qubit 1 = MSB)."""
@@ -89,14 +102,7 @@ class DensityMatrix:
         d = 2**self.n_qubits
         if m.shape != (d, d):
             raise InvariantViolation(f"matrix shape {m.shape} does not match 2^{self.n_qubits}")
-        _require_bounded(m, "matrix")
-        defect = linalg.hermiticity_defect(m)
-        if defect > HERM_TOL:
-            raise InvariantViolation(f"Hermiticity defect {defect:.3e} exceeds {HERM_TOL:.1e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvariantViolation(f"trace {tr!r} deviates from 1 by {abs(tr-1.0):.3e}")
-        herm = (m + m.conj().T) / 2
+        herm = _checked_hermitian_part(m)
         low = float(np.linalg.eigvalsh(herm).min())
         if low < -PSD_TOL:
             raise InvariantViolation(f"negative eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
@@ -118,8 +124,10 @@ class DensityMatrix:
     def from_array(cls, arr: np.ndarray, clamp: bool = False) -> "DensityMatrix":
         """Validate an array as a density matrix.
 
-        With clamp=True, near-PSD inputs are repaired: eigenvalues in
-        [CLAMP_FLOOR, 0) are clamped to zero and the trace is renormalized.
+        With clamp=True, near-PSD inputs are repaired: once the array passes
+        the constructor's other checks, eigenvalues of its Hermitian part in
+        [CLAMP_FLOOR, 0) are clamped to zero and the trace (near 1, and only
+        raised by clipping) is renormalized.
         Rejection is the default because silent repair hides data errors.
         """
         arr = linalg.require_square(arr)
@@ -127,16 +135,12 @@ class DensityMatrix:
         if 2**n != arr.shape[0]:
             raise InvariantViolation(f"dimension {arr.shape[0]} is not a power of two")
         if clamp:
-            _require_bounded(arr, "matrix")
-            w, v = np.linalg.eigh((arr + arr.conj().T) / 2)
+            w, v = np.linalg.eigh(_checked_hermitian_part(arr))
             if float(w.min()) < CLAMP_FLOOR:
                 raise InvariantViolation(f"eigenvalue {float(w.min()):.3e} too negative to clamp")
             w = np.clip(w, 0.0, None)
             arr = (v * w) @ v.conj().T
-            tr = float(np.trace(arr).real)
-            if not tr > 0.0:
-                raise InvariantViolation(f"clamped trace {tr!r} cannot be renormalized to 1")
-            arr = arr / tr
+            arr = arr / float(np.trace(arr).real)
         return cls(n, arr)
 
     def reduced(self, qubits) -> "DensityMatrix":
@@ -385,15 +389,25 @@ def _parse_json_matrix(text: str) -> np.ndarray:
         raise ParseError("JSON 'entries' must be a list of [re, im] pairs")
     if len(entries) != d * d:
         raise ParseError(f"expected {d * d} entries for {n} qubits, got {len(entries)}")
-    flat = np.empty(d * d, dtype=complex)
+    # Type gates at C speed; the per-entry loop below only names the first bad entry.
+    chain = itertools.chain.from_iterable
+    if (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
+            and set(map(type, chain(entries))) <= {int, float}):
+        try:
+            flat = np.fromiter(chain(entries), float, count=2 * d * d).reshape(-1, 2)
+        except OverflowError:  # an int beyond the float range
+            pass
+        else:  # float(re) + 1j*float(im), op for op: signed zeros and 0*inf NaNs agree
+            with np.errstate(invalid="ignore"):
+                return (flat[:, 0] + 1j * flat[:, 1]).reshape(d, d)
     for pos, pair in enumerate(entries):
         try:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise TypeError("not a list of two numbers")
-            flat[pos] = float(pair[0]) + 1j * float(pair[1])
-        except (TypeError, ValueError, OverflowError) as exc:
+            if type(pair) is not list or len(pair) != 2 or {*map(type, pair)} - {int, float}:
+                raise TypeError("not a list of two JSON numbers")
+            float(pair[0]), float(pair[1])
+        except (TypeError, OverflowError) as exc:
             raise ParseError(f"entry {pos} is not a [re, im] pair") from exc
-    return flat.reshape(d, d)
+    raise AssertionError("a type gate failed on entries that all pass")
 
 
 def _parse_csv_matrix(text: str) -> np.ndarray:

@@ -155,9 +155,7 @@ def require_source(source: Source, n_qubits: int, family: NoisyFamily | None = N
         return
     elif source is not Source.GHZ_EXACT:
         raise ParameterOutOfRange(f"source {source.value!r} cannot sweep a noise family")
-    elif not np.allclose(
-        family.base.amplitudes, ghz_state(n_qubits).amplitudes, atol=GHZ_BASE_TOL
-    ):
+    elif np.max(np.abs(family.base.amplitudes - ghz_state(n_qubits).amplitudes)) > GHZ_BASE_TOL:
         raise FamilyMismatch("ghz-exact source requires the GHZ noise family")
 
 
@@ -199,7 +197,7 @@ def verdict(n_qubits: int, k: int, source: Source, bound: float) -> WitnessVerdi
 
 
 def detect_k_nonseparability(
-    rho: DensityMatrix, k: int, source: Source, user_bound: float | None = None
+    rho: DensityMatrix | FamilyPoint, k: int, source: Source, user_bound: float | None = None
 ) -> WitnessVerdict:
     """Certify k-nonseparability of a qubit state (local dimension 2).
 

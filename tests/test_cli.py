@@ -173,6 +173,15 @@ class TestSweepCommand:
                          "--grid", "0:2:5")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0:1:3.0", "0:1", "a:1:3"])
+    def test_malformed_grid_names_the_grid_not_its_parser(self, capsys, grid):
+        with pytest.raises(SystemExit) as exit_info:
+            run(capsys, "sweep", "--family", "ex4", "--grid", grid)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert f"argument --grid: grid must be start:stop:steps with an integer steps, got '{grid}'" in err
+        assert "_parse_grid" not in err
+
 
 class TestThresholdCommand:
     def test_bell_pair_family(self, capsys):
@@ -210,6 +219,12 @@ class TestReproduceCommand:
     def test_bad_case_is_input_error(self, capsys):
         code, _, _ = run(capsys, "reproduce", "9")
         assert code == 2
+
+    def test_case_5_builds_no_dense_member(self, monkeypatch, capsys):
+        counts = count_calls(monkeypatch, white_noise_mix)
+        code, out, _ = run(capsys, "reproduce", "5")
+        assert code == 0 and out.endswith("PASS case 5\n")
+        assert sum(counts.values()) == 0
 
 
 class TestFormatting:
@@ -408,7 +423,7 @@ def test_clamped_zero_trace_file_is_one_input_error(tmp_path, capsys):
     path.write_text("# n_qubits = 2\n0,0,0.0,0.0\n")
     code, out, err = run(capsys, "bound", "--state", str(path), "--clamp")
     assert (code, out) == (2, "")
-    assert err == "error: clamped trace 0.0 cannot be renormalized to 1\n"
+    assert err == "error: trace 0j deviates from 1 by 1.000e+00\n"
 
 
 def assert_input_error_without_large_allocation(capsys, message, *argv):

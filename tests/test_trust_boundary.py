@@ -1,0 +1,327 @@
+"""States are checked once, where they enter, and trusted behind that line.
+
+The DensityMatrix constructor, ``from_array(clamp=True)`` and the matrix-file
+parsers check everything; the eigensolver does not re-check its input.  These
+tests show that every matrix handed to the eigensolver is exactly Hermitian,
+that the Wootters chain gives the bits of the chain that re-checked, that the
+JSON parser gives the bits of the per-entry loop it replaced, and that
+``--clamp`` checks the file's own matrix before repairing it.
+"""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+from entbound import concurrence, linalg, states, witness
+from entbound.cli import main
+from entbound.concurrence import wootters_concurrence
+from entbound.errors import NotPSD, ParseError
+from entbound.linalg import (
+    EIGEN_DUST,
+    HERM_TOL,
+    PSD_TOL,
+    SIGMA_Y,
+    hermiticity_defect,
+    require_square,
+)
+from entbound.oracle import SamplerConfig, haar_random_pure
+from entbound.states import (
+    NoisyFamily,
+    dicke_state,
+    ghz_state,
+    w_state,
+)
+
+from conftest import random_density
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def write_json(path, matrix):
+    n = matrix.shape[0].bit_length() - 1
+    entries = [[float(z.real), float(z.imag)] for z in matrix.reshape(-1)]
+    path.write_text(json.dumps({"n_qubits": n, "entries": entries}))
+
+
+def defect_file_matrix():
+    """A 6-qubit state whose file carries a Hermiticity defect of 8e-11."""
+    m = 0.5 * np.eye(64) / 64 + 0.5 * random_density(np.random.default_rng(11), 6).matrix
+    r = np.arange(16)
+    m[r, 16 + r] += 4e-11j
+    m[16 + r, r] += 4e-11j
+    return m
+
+
+def near_psd_matrix():
+    """A 4-qubit rank-2 state pushed to an eigenvalue of -1e-9."""
+    rho = random_density(np.random.default_rng(5), 4, rank=2).matrix
+    _, v = np.linalg.eigh(rho)
+    out = rho - 1e-9 * np.outer(v[:, 0], v[:, 0].conj())
+    out = (out + out.conj().T) / 2
+    return out / np.trace(out).real
+
+
+# ------------------------------------------------ what reaches the eigensolver
+
+def record_eigensolves(monkeypatch) -> list:
+    """Record the Hermiticity defect of every matrix given to the eigensolver,
+    under both names it is called by."""
+    original = linalg.hermitian_eigensystem
+    defects = []
+
+    def recording(m):
+        defects.append(hermiticity_defect(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "hermitian_eigensystem", recording)
+    monkeypatch.setattr(witness, "hermitian_eigensystem", recording)
+    return defects
+
+
+FAMILY_COMMANDS = [
+    ["bound", "--family", family, "--n", str(n), "--param", "0.9"]
+    for family in ("w-noise", "dicke-noise", "ghz-noise") for n in range(4, 9)
+] + [
+    ["sweep", "--family", family, "--n", "5", "--grid", "0:1:4", "--source", "t2"]
+    for family in ("w-noise", "dicke-noise", "ghz-noise")
+] + [
+    ["threshold", "--family", family, "--n", "6", "--source", "t2"]
+    for family in ("w-noise", "dicke-noise")
+] + [
+    ["witness", "--family", "dicke-noise", "--n", "7", "--param", "0.95", "--k", "3"],
+    ["reproduce", "all"],
+]
+
+
+class TestEigensolverInputsAreHermitian:
+    def test_family_commands_and_reproduce(self, monkeypatch, capsys):
+        defects = record_eigensolves(monkeypatch)
+        for argv in FAMILY_COMMANDS:
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+        assert len(defects) > 100
+        assert max(defects) <= 1e-15
+
+    def test_state_files(self, monkeypatch, tmp_path, capsys):
+        files = {
+            "mixed.json": random_density(np.random.default_rng(3), 5).matrix,
+            "defect.json": defect_file_matrix(),
+            "pure.json": w_state(5).density_matrix().matrix,
+            "near-psd.json": near_psd_matrix(),
+        }
+        for name, matrix in files.items():
+            write_json(tmp_path / name, matrix)
+        assert 5e-11 < hermiticity_defect(files["defect.json"]) <= HERM_TOL
+        defects = record_eigensolves(monkeypatch)
+        for argv in (
+            ["bound", "--state", str(tmp_path / "mixed.json")],
+            ["bound", "--state", str(tmp_path / "defect.json")],
+            ["witness", "--state", str(tmp_path / "pure.json"), "--k", "3"],
+            ["bound", "--state", str(tmp_path / "near-psd.json"), "--clamp"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+        before = len(defects)
+        pure = states.load_density_matrix(tmp_path / "pure.json")
+        witness.certified_bound(pure, witness.Source.PURE_EXACT)  # eigensolves the whole state
+        assert len(defects) == before + 1
+        assert len(defects) > 40
+        assert max(defects) <= 1e-15
+
+    def test_two_eigensolves_per_wootters_call(self, monkeypatch, capsys):
+        defects = record_eigensolves(monkeypatch)
+        original = concurrence.wootters_concurrence
+        calls = []
+
+        def counting(rho):
+            calls.append(rho.n_qubits)
+            return original(rho)
+
+        monkeypatch.setattr(concurrence, "wootters_concurrence", counting)
+        code, _, _ = run(capsys, "bound", "--family", "ex3", "--param", "0.8")
+        assert code == 0
+        assert calls and len(defects) == 2 * len(calls)
+
+
+# ------------------------------------------------ Wootters, against the re-checking chain
+
+# The chain wootters_concurrence used while the eigensolver re-checked
+# Hermiticity, kept verbatim as the reference.
+
+def _ref_hermitian_eigensystem(m):
+    m = require_square(m)
+    defect = hermiticity_defect(m)
+    if defect > HERM_TOL:
+        raise ValueError(f"|m - m^dagger|_max = {defect:.3e} exceeds {HERM_TOL:.1e}")
+    w, v = np.linalg.eigh(m)
+    return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
+
+
+def _ref_floored_psd_eigenvalues(w, scale=None):
+    low = float(w.min()) if w.size else 0.0
+    if low < -PSD_TOL:
+        raise NotPSD(f"eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
+    w = np.clip(w, 0.0, None)
+    top = float(w[0]) if w.size else 0.0
+    floor = EIGEN_DUST * max(top, scale or 0.0)
+    w[w < floor] = 0.0
+    return w
+
+
+def _ref_psd_sqrt(m):
+    w, v = _ref_hermitian_eigensystem(m)
+    w = _ref_floored_psd_eigenvalues(w)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def _ref_psd_sqrt_spectrum(m, scale=None):
+    w, _ = _ref_hermitian_eigensystem(m)
+    return np.sqrt(_ref_floored_psd_eigenvalues(w, scale))
+
+
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+
+
+def reference_wootters(rho) -> float:
+    m = rho.matrix
+    rho_tilde = _YY @ m.conj() @ _YY
+    root = _ref_psd_sqrt(m)
+    r = root @ rho_tilde @ root
+    r = (r + r.conj().T) / 2
+    lam = _ref_psd_sqrt_spectrum(r, scale=1.0)
+    c = float(lam[0] - lam[1] - lam[2] - lam[3])
+    return min(max(c, 0.0), 1.0)
+
+
+def seeded_marginals():
+    """Dense and family-engine pair marginals of W, GHZ, Dicke and Haar
+    bases, n = 2..8, at seeded visibilities."""
+    rng = np.random.default_rng(7)
+    for n in range(2, 9):
+        bases = [w_state(n), ghz_state(n), dicke_state(n, max(1, n // 2))]
+        bases += haar_random_pure(SamplerConfig(n, seed=40 + n, count=2))
+        for base in bases:
+            family = NoisyFamily(base)
+            for x in [0.0, 1.0, *rng.uniform(0.0, 1.0, 3)]:
+                x = float(x)
+                for _, marginal in family.point(x).pair_marginals():
+                    yield marginal
+                if n <= 6 or x in (0.0, 1.0):
+                    rho = family.state_at(x)
+                    for pair in itertools.combinations(range(1, n + 1), 2):
+                        yield rho.reduced(pair)
+    for n in (2, 3, 4):
+        for rank in (1, 2, 4):
+            for _ in range(40):
+                rho = random_density(rng, n, rank)
+                for pair in itertools.combinations(range(1, n + 1), 2):
+                    yield rho.reduced(pair)
+
+
+def test_wootters_matches_the_rechecking_chain_bit_for_bit():
+    count = 0
+    for marginal in seeded_marginals():
+        assert wootters_concurrence(marginal) == reference_wootters(marginal)
+        count += 1
+    assert count >= 3000
+
+
+# ------------------------------------------------ JSON entries
+
+def reference_parse_entries(entries, d):
+    """The per-entry loop the type gates replaced."""
+    flat = np.empty(d * d, dtype=complex)
+    for pos, pair in enumerate(entries):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"entry {pos} is not a [re, im] pair")
+        flat[pos] = float(pair[0]) + 1j * float(pair[1])
+    return flat.reshape(d, d)
+
+
+SPECIAL_PARTS = [0.0, -0.0, 0, 1, -1, 3, 2**60, 2**60 + 1, -(2**64) - 5,
+                 float("inf"), float("-inf"), float("nan"), 1e308, -5e-324, 0.5]
+
+
+def test_json_entries_parse_to_the_bits_of_the_per_entry_loop():
+    rng = np.random.default_rng(2)
+    for _ in range(400):
+        n = int(rng.integers(1, 4))
+        d = 2**n
+        entries = [
+            [SPECIAL_PARTS[rng.integers(len(SPECIAL_PARTS))] if rng.random() < 0.6
+             else float(rng.standard_normal()) for _ in range(2)]
+            for _ in range(d * d)
+        ]
+        text = json.dumps({"n_qubits": n, "entries": entries})
+        got = states._parse_json_matrix(text)
+        want = reference_parse_entries(json.loads(text)["entries"], d)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+BAD_ENTRIES = {
+    "string": '["0.5", 0]',
+    "false": "[0.5, false]",
+    "true": "[true, 0]",
+    "null": "[0, null]",
+    "huge-int": "[1" + "0" * 400 + ", 0]",
+    "three-parts": "[0.5, 0, 0]",
+    "not-a-list": "0.5",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+@pytest.mark.parametrize("pos", [1, 3])
+def test_json_entry_that_is_not_two_numbers_is_named(bad, pos):
+    entries = ["[0.5, 0]", "[0, 0]", "[0, 0]", "[0.5, 0]"]
+    entries[pos] = BAD_ENTRIES[bad]
+    if pos == 1:
+        entries[3] = '["x", 0]'  # a later bad entry is not the one named
+    text = '{"n_qubits": 1, "entries": [%s]}' % ", ".join(entries)
+    with pytest.raises(ParseError, match=rf"^entry {pos} is not a \[re, im\] pair$"):
+        states._parse_json_matrix(text)
+
+
+def test_json_strings_and_booleans_are_one_input_error(tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text('{"n_qubits": 1, "entries": [["0.5", 0], [0, 0], [0, 0], [0.5, false]]}')
+    code, out, err = run(capsys, "bound", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: entry 0 is not a [re, im] pair\n"
+
+
+# ------------------------------------------------ --clamp checks the file first
+
+CLAMP_REFUSED = {
+    "trace-2.csv": ("# n_qubits = 2\n0,0,0.5,0\n1,1,0.5,0\n2,2,0.5,0\n3,3,0.5,0\n",
+                    "error: trace (2+0j) deviates from 1 by 1.000e+00\n"),
+    "defect.csv": ("# n_qubits = 2\n0,0,0.25,0\n1,1,0.25,0\n2,2,0.25,0\n3,3,0.25,0\n0,3,0.4,0\n",
+                   "error: Hermiticity defect 4.000e-01 exceeds 1.0e-10\n"),
+}
+
+
+@pytest.mark.parametrize("clamp", [[], ["--clamp"]])
+@pytest.mark.parametrize("name", sorted(CLAMP_REFUSED))
+def test_clamp_refuses_what_the_constructor_refuses(tmp_path, capsys, name, clamp):
+    text, message = CLAMP_REFUSED[name]
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "bound", "--state", str(path), *clamp)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_clamp_repairs_the_hermitian_part_of_the_file():
+    m = near_psd_matrix()
+    m[0, 1] += 3e-11j  # a defect within HERM_TOL
+    assert 0 < hermiticity_defect(m) <= HERM_TOL
+    clamped = states.DensityMatrix.from_array(m, clamp=True)
+    herm = states.DensityMatrix.from_array((m + m.conj().T) / 2, clamp=True)
+    assert np.array_equal(clamped.matrix, herm.matrix)
+    assert np.linalg.eigvalsh(clamped.matrix).min() >= -PSD_TOL
+

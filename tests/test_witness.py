@@ -21,6 +21,7 @@ from entbound.bounds import applicable_theorems
 from entbound.states import (
     DensityMatrix,
     NoisyFamily,
+    PureState,
     dicke_state,
     example3_state,
     example4_family,
@@ -37,6 +38,7 @@ from entbound.witness import (
     detect_k_nonseparability,
     detection_threshold,
     k_nonsep_threshold,
+    require_source,
     source_bound,
     verdict,
 )
@@ -210,6 +212,15 @@ class TestDetectionThreshold:
     def test_ghz_exact_requires_ghz_family(self):
         with pytest.raises(FamilyMismatch):
             detection_threshold(example4_family(), 3, Source.GHZ_EXACT)
+
+    def test_ghz_exact_refuses_a_base_off_ghz_beyond_its_tolerance(self):
+        amps = ghz_state(6).amplitudes.copy()
+        amps[0] += 1e-9
+        amps[-1] -= 1e-9
+        near = NoisyFamily(PureState(6, amps / np.linalg.norm(amps)))
+        with pytest.raises(FamilyMismatch, match="requires the GHZ noise family"):
+            require_source(Source.GHZ_EXACT, 6, near)
+        require_source(Source.GHZ_EXACT, 6, ghz_noise_family(6))
 
     def test_duck_typed_family_is_refused_before_any_state(self):
         family = example4_family()
