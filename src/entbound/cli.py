@@ -31,7 +31,6 @@ from .witness import (
     detection_threshold,
     k_nonsep_threshold,
     require_source,
-    source_bound,
     verdict,
 )
 
@@ -222,7 +221,7 @@ def cmd_witness(args) -> int:
         k_nonsep_threshold(n, 2, k)
     rho = at_param(given, args.param)
     table = pairwise_table(rho) if any(s in THEOREM_SOURCES for s in sources) else None
-    found = [(s, certified_bound(rho, s, table=table)) for s in sources]
+    found = [(s, certified_bound(rho, s, table)[1]) for s in sources]
     verdicts = [verdict(n, k, s, bound) for k in ks for s, bound in found]
     header = [f.name for f in fields(WitnessVerdict)]
     rows = [list(astuple(v)) for v in verdicts]
@@ -243,11 +242,10 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for x in grid:
-        table = pairwise_table(family.point(x))
-        found = [source_bound(s, n, table=table, visibility=x) for s in sources]
-        row = [x] + [v for _, v in table.pairs()]
-        for bound_c2, bound_c in found:
-            row += [bound_c2, bound_c]
+        point = family.point(x)
+        table = pairwise_table(point)
+        found = [certified_bound(point, s, table) for s in sources]
+        row = [x] + [v for _, v in table.pairs()] + [b for bounds in found for b in bounds]
         if threshold is not None:
             row.append(threshold)
             row += [bound_c > threshold for _, bound_c in found]
@@ -514,10 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_repeats(args) -> None:
+    """Refuse a value given twice to --source or witness's --k: it would print twice."""
+    for flag in ("source", "k"):
+        values = getattr(args, flag, None)
+        if isinstance(values, list):  # the repeatable flags; sweep's --k is one int
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"--{flag} {value} given twice")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_repeats(args)
         return args.func(args)
     except ConvergenceFailure as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from . import linalg
 from .linalg import (
-    CLAMP_FLOOR, DENSE_DIM_CAP, HERM_TOL, NORM_TOL, PSD_TOL, PURE_DIM_CAP, TRACE_TOL,
+    CLAMP_FLOOR, DENSE_DIM_CAP, GHZ_BASE_TOL, HERM_TOL, NORM_TOL, PSD_TOL, PURE_DIM_CAP, TRACE_TOL,
 )
 
 # A qubit count above this would need a dense matrix beyond DENSE_DIM_CAP.
@@ -98,6 +98,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise InvariantViolation("n_qubits must be positive")
         m = np.asarray(self.matrix, dtype=complex)
         d = 2**self.n_qubits
         if m.shape != (d, d):
@@ -176,6 +178,12 @@ class NoisyFamily:
         return FamilyPoint(self, x)
 
     @functools.cached_property
+    def has_ghz_base(self) -> bool:
+        """Whether the base is GHZ to within GHZ_BASE_TOL in max-abs amplitude."""
+        gap = np.max(np.abs(self.base.amplitudes - ghz_state(self.n_qubits).amplitudes))
+        return bool(gap <= GHZ_BASE_TOL)
+
+    @functools.cached_property
     def pair_classes(self) -> tuple[tuple[tuple[tuple[int, int], ...], np.ndarray], ...]:
         """The pairs (i, j) grouped by bitwise-equal base blocks
         B_ij[t, a, b] = psi(a, t) conj psi(b, t), one (pairs, block) per class.
@@ -203,16 +211,16 @@ class NoisyFamily:
 class FamilyPoint:
     """The member of a NoisyFamily at visibility x, without its dense matrix.
 
-    Checks x and the dense cap as white_noise_mix does.  pair_marginals
-    gives one marginal per class of equal pairs; matrix builds the dense
-    member on first use, for sources that read it.
+    Checks x as white_noise_mix does.  pair_marginals gives one marginal per
+    class of equal pairs; matrix builds the dense member on first use, for
+    sources that read it, so only matrix meets the dense cap.
     """
 
     family: NoisyFamily
     x: float
 
     def __post_init__(self):
-        _require_mixable(self.family.base, self.x)
+        _require_visibility(self.x)
 
     @property
     def n_qubits(self) -> int:
@@ -288,16 +296,15 @@ def example4_state() -> PureState:
     return PureState(4, amps)
 
 
-def _require_mixable(psi: PureState, x: float) -> None:
-    """Refuse a visibility outside [0, 1], then a mixture above the dense cap."""
+def _require_visibility(x: float) -> None:
     if not 0.0 <= x <= 1.0:
         raise ParameterOutOfRange(f"mixing parameter {x} outside [0, 1]")
-    linalg.require_within_cap(psi.n_qubits, DENSE_DIM_CAP, "dense-matrix")
 
 
 def white_noise_mix(psi: PureState, x: float) -> DensityMatrix:
     """(1-x)/2^N I + x |psi><psi| for visibility x in [0, 1]."""
-    _require_mixable(psi, x)
+    _require_visibility(x)
+    linalg.require_within_cap(psi.n_qubits, DENSE_DIM_CAP, "dense-matrix")
     d = 2**psi.n_qubits
     m = np.eye(d, dtype=complex) * ((1.0 - x) / d)
     m += x * np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -435,19 +442,25 @@ def _parse_csv_matrix(text: str) -> np.ndarray:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if i < 0 or j < 0:
             raise ParseError(f"line {lineno}: negative index")
-        triples.append((i, j, re, im))
+        triples.append((i, j, re, im, lineno))
     if not triples:
         raise ParseError("CSV matrix has no entries")
     if declared_n is not None:
         d = _dense_dim(declared_n)
     else:
-        top = max(max(i, j) for i, j, _, _ in triples)
+        top = max(max(i, j) for i, j, *_ in triples)
         if top >= DENSE_DIM_CAP:
             raise ParseError(f"index {top} needs a dimension above the dense cap {DENSE_DIM_CAP}")
         d = _dense_dim(top.bit_length())
     arr = np.zeros((d, d), dtype=complex)
-    for i, j, re, im in triples:
+    for i, j, re, im, _ in triples:
         if i >= d or j >= d:
             raise ParseError(f"index ({i},{j}) outside declared dimension {d}")
         arr[i, j] = re + 1j * im
+    keys = np.fromiter([i * d + j for i, j, *_ in triples], np.int64, count=len(triples))
+    if np.unique(keys).size < keys.size:  # a row overwrote another; name the first
+        seen = {}
+        for i, j, _, _, line in triples:
+            if seen.setdefault((i, j), line) != line:
+                raise ParseError(f"line {line}: entry ({i},{j}) repeats line {seen[i, j]}")
     return arr

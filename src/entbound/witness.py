@@ -25,7 +25,6 @@ from .errors import (
 from .linalg import (
     BISECTION_STOP,
     FAMILY_MATCH_TOL,
-    GHZ_BASE_TOL,
     PURITY_TOL,
     ZERO_DUST,
     hermitian_eigensystem,
@@ -63,6 +62,8 @@ class WitnessVerdict:
             raise ParameterOutOfRange(f"k={self.k} outside 2..{self.n_parties}")
         if self.threshold < 0:
             raise ParameterOutOfRange("threshold must be nonnegative")
+        if not self.certified_lower_bound_on_C >= 0:
+            raise ParameterOutOfRange("certified lower bound must be nonnegative")
         if self.detected != (self.certified_lower_bound_on_C > self.threshold):
             raise ParameterOutOfRange("detected flag inconsistent with bound/threshold")
 
@@ -98,14 +99,17 @@ def k_nonsep_threshold(n: int, d: int, k: int, min_block_size: int = 1) -> float
     return 2.0 ** (1 - n / 2) * math.sqrt(max(radicand, 0.0))
 
 
-def _ghz_visibility(rho: DensityMatrix) -> float:
-    """Recover p from a GHZ + white-noise matrix, rejecting other states."""
-    n = rho.n_qubits
+def _ghz_visibility(rho: DensityMatrix | FamilyPoint) -> float:
+    """The visibility p of a GHZ + white-noise state, rejecting other states:
+    a point of a family with a GHZ base is its own x, any other state must
+    match the dense GHZ model at the p read off its matrix."""
+    if isinstance(rho, FamilyPoint) and rho.family.has_ghz_base:
+        return rho.x
     p = 2.0 * float(np.real(rho.matrix[0, -1]))
     if not -FAMILY_MATCH_TOL <= p <= 1.0 + FAMILY_MATCH_TOL:
         raise FamilyMismatch(f"recovered visibility {p} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
-    model = white_noise_mix(ghz_state(n), p)
+    model = white_noise_mix(ghz_state(rho.n_qubits), p)
     gap = float(np.max(np.abs(model.matrix - rho.matrix)))
     if gap > FAMILY_MATCH_TOL:
         raise FamilyMismatch(f"state deviates from the GHZ noise family by {gap:.3e}")
@@ -120,32 +124,6 @@ def _pure_state_of(rho: DensityMatrix) -> PureState:
     return PureState(rho.n_qubits, top / np.linalg.norm(top))
 
 
-def source_bound(
-    source: Source,
-    n_qubits: int,
-    table: PairwiseConcurrenceTable | None = None,
-    visibility: float | None = None,
-    value: float | None = None,
-) -> tuple[float, float]:
-    """Certified lower bounds (on C^2, on C) of an N-qubit state from one source.
-
-    Theorem sources read the state's pairwise table, ghz-exact reads the
-    visibility of a GHZ + white-noise state, and the pure-exact and user
-    sources read the concurrence value itself.
-    """
-    if source in THEOREM_SOURCES:
-        r = bounds_mod.theorem_bound(source.value.upper(), table)
-        return r.bound_on_C2, r.bound_on_C
-    if source is Source.GHZ_EXACT:
-        c = bounds_mod.ghz_noise_exact_concurrence(n_qubits, visibility)
-        return c**2, c
-    if source in (Source.PURE_EXACT, Source.USER_SUPPLIED):
-        if value is None or value < 0:
-            raise ParameterOutOfRange(f"{source.value} source needs a nonnegative bound value")
-        return float(value) ** 2, float(value)
-    raise ParameterOutOfRange(f"unknown source {source!r}")
-
-
 def require_source(source: Source, n_qubits: int, family: NoisyFamily | None = None) -> None:
     """Raise unless source can bound an N-qubit state, or every member of
     family when one is given; needs no state, so it runs before any is built."""
@@ -155,30 +133,31 @@ def require_source(source: Source, n_qubits: int, family: NoisyFamily | None = N
         return
     elif source is not Source.GHZ_EXACT:
         raise ParameterOutOfRange(f"source {source.value!r} cannot sweep a noise family")
-    elif np.max(np.abs(family.base.amplitudes - ghz_state(n_qubits).amplitudes)) > GHZ_BASE_TOL:
+    elif not family.has_ghz_base:
         raise FamilyMismatch("ghz-exact source requires the GHZ noise family")
 
 
-def certified_bound(
-    rho: DensityMatrix | FamilyPoint,
-    source: Source,
-    user_bound: float | None = None,
-    table: PairwiseConcurrenceTable | None = None,
-) -> float:
-    """Certified lower bound on C(rho) from the requested source.
+def certified_bound(rho: DensityMatrix | FamilyPoint, source: Source,
+                    table: PairwiseConcurrenceTable | None = None) -> tuple[float, float]:
+    """Certified lower bounds (on C^2, on C) of rho from one source.
 
-    table is rho's pairwise table, for callers that already have it.
+    Theorem sources read rho's pairwise table (table, for callers that
+    already have it), ghz-exact reads the visibility of a GHZ + white-noise
+    state, and pure-exact the concurrence of a pure state.  A bound computed
+    elsewhere needs no state: pass it to verdict with Source.USER_SUPPLIED.
     """
-    visibility = value = None
-    if source in THEOREM_SOURCES and table is None:
-        table = pairwise_table(rho)
-    elif source is Source.GHZ_EXACT:
-        visibility = _ghz_visibility(rho)
+    if source in THEOREM_SOURCES:
+        table = pairwise_table(rho) if table is None else table
+        r = bounds_mod.theorem_bound(source.value.upper(), table)
+        return r.bound_on_C2, r.bound_on_C
+    if source is Source.GHZ_EXACT:
+        c = bounds_mod.ghz_noise_exact_concurrence(rho.n_qubits, _ghz_visibility(rho))
     elif source is Source.PURE_EXACT:
-        value = pure_concurrence(_pure_state_of(rho))
-    elif source is Source.USER_SUPPLIED:
-        value = user_bound
-    return source_bound(source, rho.n_qubits, table, visibility, value)[1]
+        c = pure_concurrence(_pure_state_of(rho))
+    else:
+        raise ParameterOutOfRange(
+            f"source {source.value!r} reads no state; pass its bound to verdict")
+    return c**2, c
 
 
 def verdict(n_qubits: int, k: int, source: Source, bound: float) -> WitnessVerdict:
@@ -196,14 +175,13 @@ def verdict(n_qubits: int, k: int, source: Source, bound: float) -> WitnessVerdi
     )
 
 
-def detect_k_nonseparability(
-    rho: DensityMatrix | FamilyPoint, k: int, source: Source, user_bound: float | None = None
-) -> WitnessVerdict:
+def detect_k_nonseparability(rho: DensityMatrix | FamilyPoint, k: int,
+                             source: Source) -> WitnessVerdict:
     """Certify k-nonseparability of a qubit state (local dimension 2).
 
     detected=False means "not detected by this bound", never "k-separable".
     """
-    return verdict(rho.n_qubits, k, source, certified_bound(rho, source, user_bound))
+    return verdict(rho.n_qubits, k, source, certified_bound(rho, source)[1])
 
 
 def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> float | None:
@@ -221,10 +199,10 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     grow with every C_ij, and the ghz-exact formula is nondecreasing in p.
     Any other family raises NonMonotoneFamily before it is evaluated.
 
-    The proof rests on the mixture.  state_at(x) builds it densely, and
-    family.point(x), which theorem sources read here, takes its pair
-    marginals from the base vector without a dense matrix; a tier-1 test ties
-    the two together by checking every pair marginal bit for bit.
+    The proof rests on the mixture.  Every source reads family.point(x) here:
+    theorem sources take its pair marginals from the base vector without a
+    dense matrix, and a tier-1 test ties them to the dense mixture state_at(x)
+    by checking every pair marginal bit for bit; ghz-exact reads x itself.
     """
     if type(family) is not NoisyFamily:
         raise NonMonotoneFamily(f"bisection needs a NoisyFamily, got {type(family).__name__}")
@@ -232,9 +210,7 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     threshold = 0.0 if k is None else k_nonsep_threshold(family.n_qubits, 2, k)
 
     def bound(x: float) -> float:
-        if source is Source.GHZ_EXACT:
-            return source_bound(source, family.n_qubits, visibility=x)[1]
-        return certified_bound(family.point(x), source)
+        return certified_bound(family.point(x), source)[1]
 
     if not bound(1.0) > threshold:
         return None

@@ -352,6 +352,25 @@ class TestRejectionBeforeStateIsBuilt:
         assert code == 2
         assert err == "error: four-qubit bound applied to N=5\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--family", "ex4", "--param", "0.95"],
+        ["sweep", "--family", "ex4", "--grid", "0:1:2"],
+        ["threshold", "--family", "ex4", "--k", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_repeated_source(self, no_states, capsys, argv):
+        code, out, err = run(capsys, *argv, "--source", "t1", "--source", "t1")
+        assert (code, out, err) == (2, "", "error: --source t1 given twice\n")
+
+    def test_repeated_k(self, no_states, capsys):
+        code, out, err = run(capsys, "witness", "--family", "ex4", "--param", "0.95",
+                             "--k", "3", "--k", "2", "--k", "3", "--source", "t1")
+        assert (code, out, err) == (2, "", "error: --k 3 given twice\n")
+
+    def test_repeated_file_source_is_refused_before_the_file_is_read(self, tmp_path, capsys):
+        code, out, err = run(capsys, "witness", "--state", str(tmp_path / "missing.json"),
+                             "--source", "t1", "--source", "t1")
+        assert (code, out, err) == (2, "", "error: --source t1 given twice\n")
+
 
 def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -493,10 +512,10 @@ class TestValidationAtEntryOnly:
 
 
 OVERSIZE = [
-    (["bound", "--family", "w-noise", "--n", "13", "--param", "0.5"],
-     "13 qubits exceeds the dense-matrix cap"),
-    (["sweep", "--family", "w-noise", "--n", "13", "--grid", "0:1:3"],
-     "13 qubits exceeds the dense-matrix cap"),
+    (["bound", "--family", "w-noise", "--n", "15", "--param", "0.5"],
+     "15 qubits exceeds the pure-state cap"),
+    (["sweep", "--family", "w-noise", "--n", "15", "--grid", "0:1:3"],
+     "15 qubits exceeds the pure-state cap"),
     (["witness", "--family", "ghz-noise", "--n", "40", "--param", "0.9"],
      "40 qubits exceeds the pure-state cap"),
     (["threshold", "--family", "dicke-noise", "--n", "30"],
@@ -513,6 +532,37 @@ def test_oversize_grid_is_input_error_without_large_allocation(capsys):
     assert_input_error_without_large_allocation(
         capsys, f"exceeds the cap of {cli.MAX_GRID_STEPS}",
         "sweep", "--family", "ex4", "--grid", "0:1:1000000000", "--k", "3")
+
+
+@pytest.mark.parametrize("n", [13, 14])
+@pytest.mark.parametrize("argv", [
+    ["bound", "--family", "w-noise", "--param", "0.9"],
+    ["sweep", "--family", "w-noise", "--grid", "0:1:3", "--k", "3"],
+    ["witness", "--family", "ghz-noise", "--param", "0.9", "--k", "3"],
+    ["threshold", "--family", "dicke-noise", "--source", "t2"],
+], ids=lambda argv: argv[0])
+def test_family_commands_run_up_to_the_pure_state_cap(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--n", str(n))
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_ghz_exact_on_a_non_ghz_family_point_meets_the_dense_cap(capsys):
+    assert_input_error_without_large_allocation(
+        capsys, "13 qubits exceeds the dense-matrix cap",
+        "witness", "--family", "w-noise", "--n", "13", "--param", "0.9",
+        "--source", "ghz-exact")
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--family", "ghz-noise", "--n", "12", "--param", "0.9", "--k", "3"],
+    ["reproduce", "6"],
+], ids=["witness", "reproduce"])
+def test_ghz_family_points_build_no_dense_state(monkeypatch, capsys, argv):
+    counts = count_calls(monkeypatch, white_noise_mix)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert counts == {}
 
 
 def test_ghz_exact_threshold_above_the_dense_cap_builds_no_state(capsys):
@@ -633,8 +683,8 @@ def test_ghz_witness_recovers_the_visibility_once_for_every_k(monkeypatch, capsy
                        "--k", "2", "--k", "3", "--k", "4")
     assert code == 0
     assert out.count("ghz-exact") == 3
-    # one for the family state, one for the GHZ model its visibility is checked against
-    assert sum(counts.values()) == 2
+    # the family point answers with its own visibility: no dense state, no GHZ model
+    assert sum(counts.values()) == 0
 
 
 @pytest.mark.parametrize("argv, tables", [

@@ -23,7 +23,7 @@ from entbound.states import (
     w_state,
     white_noise_mix,
 )
-from entbound.witness import Source, detection_threshold, k_nonsep_threshold, source_bound
+from entbound.witness import Source, certified_bound, detection_threshold, k_nonsep_threshold
 
 
 def symmetric_bases(n):
@@ -80,7 +80,7 @@ def dense_reference_threshold(family, k, source):
     threshold = 0.0 if k is None else k_nonsep_threshold(n, 2, k)
 
     def bound(x):
-        return source_bound(source, n, table=pairwise_table(family.state_at(x)))[1]
+        return certified_bound(family.state_at(x), source)[1]
 
     if not bound(1.0) > threshold:
         return None
@@ -145,12 +145,16 @@ class TestFamilyPoint:
             assert str(engine.value) == str(dense.value)
 
     def test_checks_the_dense_cap_as_white_noise_mix_does(self):
+        # a point holds no dense matrix, so only its matrix meets the dense cap
         family = NoisyFamily(ghz_state(13))
+        point = family.point(0.5)
+        assert point.x == 0.5
         with pytest.raises(DimensionOverflow) as dense:
             family.state_at(0.5)
         with pytest.raises(DimensionOverflow) as engine:
-            family.point(0.5)
+            point.matrix
         assert str(engine.value) == str(dense.value)
+        assert "13 qubits exceeds the dense-matrix cap" in str(engine.value)
 
     def test_dense_matrix_is_the_family_member(self):
         family = NoisyFamily(dicke_state(5, 2))

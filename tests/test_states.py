@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,15 @@ class TestInvariants:
         with pytest.raises(InvariantViolation, match="non-finite"):
             DensityMatrix.from_array(m, clamp=True)
 
+    @pytest.mark.parametrize("build", [
+        lambda: DensityMatrix(0, np.eye(1, dtype=complex)),
+        lambda: DensityMatrix.from_array(np.eye(1)),
+        lambda: DensityMatrix.from_array(np.eye(1), clamp=True),
+    ], ids=["constructor", "from_array", "clamp"])
+    def test_density_needs_a_qubit(self, build):
+        with pytest.raises(InvariantViolation, match="^n_qubits must be positive$"):
+            build()
+
     def test_entry_parts_above_2_are_refused(self):
         m = np.array([[0.5, 3.0j], [-3.0j, 0.5]])
         for build in (lambda: DensityMatrix(1, m),
@@ -238,6 +248,17 @@ class TestMatrixFiles:
         text = "0,0,0.5,0\n3,3,0.5,0\n0,3,0.5,0\n3,0,0.5,0\n"
         loaded = load_density_matrix(io.StringIO(text))
         assert loaded.n_qubits == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("# n_qubits = 1\n0,0,0.5,0\n1,1,0.5,0\n0,0,0.7,0\n1,1,0.3,0\n",
+         "line 4: entry (0,0) repeats line 2"),
+        ("0,1,0,0\n\n# note\n1,1,1,0\n1,1,0,0\n1,1,0,0\n0,0,0,0\n0,1,0,0\n",
+         "line 5: entry (1,1) repeats line 4"),
+        ("1,0,0.5,0\n0,0,0.5,0\n1,1,0.5,0\n0,0,nan,0\n", "line 4: entry (0,0) repeats line 2"),
+    ])
+    def test_csv_repeated_entry_is_refused(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_density_matrix(io.StringIO(text))
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

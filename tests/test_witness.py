@@ -39,7 +39,6 @@ from entbound.witness import (
     detection_threshold,
     k_nonsep_threshold,
     require_source,
-    source_bound,
     verdict,
 )
 
@@ -155,7 +154,7 @@ class TestDetect:
 
     def test_user_supplied_bound(self):
         rho = DensityMatrix(4, np.eye(16, dtype=complex) / 16)
-        v = detect_k_nonseparability(rho, 3, Source.USER_SUPPLIED, user_bound=1.2)
+        v = verdict(4, 3, Source.USER_SUPPLIED, 1.2)
         assert v.detected
         with pytest.raises(ParameterOutOfRange):
             detect_k_nonseparability(rho, 3, Source.USER_SUPPLIED)
@@ -262,10 +261,12 @@ class TestNoisyFamilyBoundsAreNondecreasing:
             previous = None
             for x in np.linspace(0.0, 1.0, 41):
                 # one pair table per point, shared by every theorem source
-                table = pairwise_table(family.state_at(float(x)))
-                bounds = [source_bound(s, n, table=table)[1] for s in sources]
+                rho = family.state_at(float(x))
+                table = pairwise_table(rho)
+                bounds = [certified_bound(rho, s, table)[1] for s in sources]
                 if is_ghz:
-                    bounds.append(source_bound(Source.GHZ_EXACT, n, visibility=float(x))[1])
+                    point = family.point(float(x))
+                    bounds.append(certified_bound(point, Source.GHZ_EXACT)[1])
                 if previous is not None:
                     steps = np.subtract(bounds, previous)
                     assert steps.min() >= -1e-12, (base, float(x), steps)
@@ -279,41 +280,110 @@ class TestCertifiedBound:
         from entbound.concurrence import pairwise_table
 
         expected = theorem1_bound(pairwise_table(rho)).bound_on_C
-        assert certified_bound(rho, Source.THEOREM1) == pytest.approx(expected, abs=1e-14)
+        assert certified_bound(rho, Source.THEOREM1)[1] == pytest.approx(expected, abs=1e-14)
 
     def test_ghz_exact_recovers_visibility(self):
         rho = white_noise_mix(ghz_state(5), 0.77)
         from entbound.bounds import ghz_noise_exact_concurrence
 
-        assert certified_bound(rho, Source.GHZ_EXACT) == pytest.approx(
+        assert certified_bound(rho, Source.GHZ_EXACT)[1] == pytest.approx(
             ghz_noise_exact_concurrence(5, 0.77), abs=1e-10
         )
 
 
+def dense_grid(n):
+    """The 201-point grid for n <= 8; every tenth point of it above, where
+    one dense recovery costs ~45 ms at n=10 (the recovered entry does not
+    depend on n: it is x * (1/sqrt2 * 1/sqrt2) at every n)."""
+    return np.linspace(0.0, 1.0, 201)[:: 1 if n <= 8 else 10]
+
+
+class TestGhzFamilyPointVisibility:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_family_point_matches_the_dense_recovery(self, n):
+        from entbound.bounds import ghz_noise_exact_concurrence
+        from entbound.witness import _ghz_visibility
+
+        family = ghz_noise_family(n)
+        for x in map(float, dense_grid(n)):
+            p = _ghz_visibility(family.state_at(x))
+            assert abs(x - p) <= 2 * math.ulp(x), (n, x, p)
+            c2, c = certified_bound(family.point(x), Source.GHZ_EXACT)
+            assert (c2, c) == (ghz_noise_exact_concurrence(n, x) ** 2,
+                               ghz_noise_exact_concurrence(n, x))
+            assert f"{c:.9g}" == f"{ghz_noise_exact_concurrence(n, p):.9g}", (n, x)
+
+    def test_non_ghz_family_point_goes_through_the_dense_check(self):
+        point = NoisyFamily(w_state(4)).point(0.9)
+        with pytest.raises(FamilyMismatch, match="deviates from the GHZ noise family"):
+            certified_bound(point, Source.GHZ_EXACT)
+        # at x = 0 every family is I/2^N, which is GHZ noise at p = 0
+        assert certified_bound(NoisyFamily(w_state(4)).point(0.0), Source.GHZ_EXACT) == (0, 0)
+
+    def test_ghz_base_is_decided_once_per_family(self, monkeypatch):
+        import entbound.states as states_mod
+
+        family = ghz_noise_family(6)
+        built = []
+        monkeypatch.setattr(states_mod, "ghz_state",
+                            lambda n: built.append(n) or ghz_state(n))
+        for x in (0.2, 0.5, 0.9):
+            certified_bound(family.point(x), Source.GHZ_EXACT)
+        require_source(Source.GHZ_EXACT, 6, family)
+        assert built == [6]
+
+
+class TestCertifiedBoundIsTheOnePath:
+    @pytest.mark.parametrize("n, theorem", [(4, "T1"), (5, "T2"), (6, "T2"), (6, "T3")])
+    def test_theorem_sources_return_the_report_bounds(self, n, theorem):
+        from entbound.bounds import theorem_bound
+
+        for rho in (white_noise_mix(w_state(n), 0.9), NoisyFamily(dicke_state(n, 2)).point(0.8)):
+            r = theorem_bound(theorem, pairwise_table(rho))
+            want = (r.bound_on_C2, r.bound_on_C)
+            assert certified_bound(rho, Source(theorem.lower())) == want
+            assert certified_bound(rho, Source(theorem.lower()), pairwise_table(rho)) == want
+
+    def test_the_removed_keyword_paths_are_gone(self):
+        import inspect
+
+        from entbound import witness
+
+        assert not hasattr(witness, "source_bound")
+        assert list(inspect.signature(certified_bound).parameters) == ["rho", "source", "table"]
+
+
 class TestSourceBound:
+    """One source's bounds (on C^2, on C), all through certified_bound."""
+
     def test_theorem_source_reads_the_table(self):
         from entbound.bounds import theorem1_bound
         from entbound.concurrence import pairwise_table
 
-        table = pairwise_table(white_noise_mix(w_state(4), 0.9))
+        rho = white_noise_mix(w_state(4), 0.9)
+        table = pairwise_table(rho)
         r = theorem1_bound(table)
-        assert source_bound(Source.THEOREM1, 4, table=table) == (r.bound_on_C2, r.bound_on_C)
+        assert certified_bound(rho, Source.THEOREM1, table) == (r.bound_on_C2, r.bound_on_C)
+        assert certified_bound(rho, Source.THEOREM1) == (r.bound_on_C2, r.bound_on_C)
 
     def test_ghz_exact_reads_the_visibility(self):
         from entbound.bounds import ghz_noise_exact_concurrence
 
         c = ghz_noise_exact_concurrence(5, 0.8)
-        assert source_bound(Source.GHZ_EXACT, 5, visibility=0.8) == (c**2, c)
+        assert certified_bound(ghz_noise_family(5).point(0.8), Source.GHZ_EXACT) == (c**2, c)
 
     def test_user_value(self):
-        assert source_bound(Source.USER_SUPPLIED, 4, value=0.5) == (0.25, 0.5)
+        v = verdict(4, 3, Source.USER_SUPPLIED, 0.5)
+        assert (v.certified_lower_bound_on_C, v.source) == (0.5, Source.USER_SUPPLIED)
         with pytest.raises(ParameterOutOfRange):
-            source_bound(Source.USER_SUPPLIED, 4, value=-0.1)
+            verdict(4, 3, Source.USER_SUPPLIED, -0.1)
+        with pytest.raises(ParameterOutOfRange, match="verdict"):
+            certified_bound(white_noise_mix(w_state(4), 0.9), Source.USER_SUPPLIED)
 
     @pytest.mark.parametrize("source", [Source.THEOREM1, Source.GHZ_EXACT])
     def test_verdict_of_the_certified_bound(self, source):
         rho = white_noise_mix(ghz_state(4), 0.95)
-        bound = certified_bound(rho, source)
+        bound = certified_bound(rho, source)[1]
         for k in (2, 3, 4):
             assert verdict(4, k, source, bound) == detect_k_nonseparability(rho, k, source)
 
@@ -321,7 +391,7 @@ class TestSourceBound:
         import inspect
 
         assert list(inspect.signature(detect_k_nonseparability).parameters) == [
-            "rho", "k", "source", "user_bound",
+            "rho", "k", "source",
         ]
 
     def test_detection_threshold_takes_no_tolerance_arguments(self):
