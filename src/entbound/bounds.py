@@ -17,16 +17,6 @@ from .states import DensityMatrix, FamilyPoint
 
 THEOREMS = ("T1", "T2", "T3")
 
-# Coefficients of the comparison bound from earlier work, kept as
-# documentation constants for the four benchmark noise families
-# (that bound itself is not implemented here).
-PRIOR_BOUND_COEFFICIENTS = {
-    "w-noise": 3.0,
-    "dicke-noise": 3.0,
-    "ex3": 2.0,
-    "ex4": 1.0,
-}
-
 # Previously published entanglement-detection thresholds for the Dicke
 # benchmark family; this package's Theorem-1 route detects at t > 0.6,
 # strictly below both.

@@ -466,6 +466,18 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
             f"grid must be start:stop:steps with an integer steps, got {text!r}") from None
 
 
+class _Once(argparse.Action):
+    """Store a single-value flag, refusing a second occurrence: argparse
+    would silently keep the last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        seen = vars(namespace).setdefault("given_once", set())
+        if self.dest in seen:
+            raise ValueError(f"{self.option_strings[0]} given twice")
+        seen.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entbound",
@@ -485,22 +497,26 @@ def build_parser() -> argparse.ArgumentParser:
     threshold = command("threshold", cmd_threshold, "solve the detection crossing parameter")
     point, family = (bound, witness), (sweep, threshold)
     for p in point:
-        p.add_argument("--state", help="density-matrix file (JSON or CSV)")
+        p.add_argument("--state", action=_Once, help="density-matrix file (JSON or CSV)")
         p.add_argument("--clamp", action="store_true",
                        help="repair near-PSD input matrices instead of rejecting")
     for p in point + family:
-        p.add_argument("--family", choices=FAMILY_NAMES, required=p in family)
-        p.add_argument("--n", type=int, default=None, help="qubit count for --family")
-        p.add_argument("--excitations", type=int, default=None,
+        p.add_argument("--family", action=_Once, choices=FAMILY_NAMES, required=p in family)
+        p.add_argument("--n", action=_Once, type=int, help="qubit count for --family")
+        p.add_argument("--excitations", action=_Once, type=int,
                        help="excitation number for dicke-noise (default n//2)")
         if p in point:
-            p.add_argument("--param", type=float, help="family parameter in [0, 1]")
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--out", help="write the report to this file instead of stdout")
+            p.add_argument("--param", action=_Once, type=float,
+                           help="family parameter in [0, 1]")
+        p.add_argument("--format", action=_Once, choices=("table", "csv", "json"),
+                       default="table")
+        p.add_argument("--out", action=_Once,
+                       help="write the report to this file instead of stdout")
     witness.add_argument("--k", type=int, action="append", help="repeatable; default 2")
-    sweep.add_argument("--grid", type=_parse_grid, required=True, help="start:stop:steps")
+    sweep.add_argument("--grid", action=_Once, type=_parse_grid, required=True,
+                       help="start:stop:steps")
     for p in family:
-        p.add_argument("--k", type=int, default=None,
+        p.add_argument("--k", action=_Once, type=int,
                        help="witness k; omit for plain entanglement detection")
     for p in (witness, sweep, threshold):
         p.add_argument("--source", action="append", choices=sorted(CLI_SOURCES))
@@ -524,8 +540,8 @@ def _refuse_repeats(args) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # raises ValueError on a repeated _Once flag
         _refuse_repeats(args)
         return args.func(args)
     except ConvergenceFailure as exc:

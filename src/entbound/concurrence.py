@@ -29,8 +29,12 @@ def _canonical_cuts(n: int):
 def _schmidt_squares(psi: PureState, subset: SubsetMask) -> np.ndarray:
     """Squared Schmidt coefficients of a pure state across subset|rest.
 
-    Reshapes the state vector along the cut and takes singular values, so
-    no 2^N x 2^N density matrix is ever materialized.
+    Reshapes the state vector along the cut into M, with the smaller side of
+    the cut as rows, and takes the eigenvalues of the reduced state M M^dagger
+    (at most 2^(N/2) square), so no 2^N x 2^N density matrix is ever
+    materialized.  The eigenvalues go through linalg.floor_eigen_dust: the
+    eigensolver leaves ~1e-16 of absolute dust where a weight is zero, and
+    the floor turns it into an exact zero.
     """
     n = psi.n_qubits
     if subset.n_qubits != n:
@@ -39,13 +43,15 @@ def _schmidt_squares(psi: PureState, subset: SubsetMask) -> np.ndarray:
         raise EmptySubset("subset and complement must both be nonempty")
     axes = [q - 1 for q in subset.qubits]
     rest = [a for a in range(n) if a not in axes]
+    if len(axes) > len(rest):
+        axes, rest = rest, axes
     m = psi.amplitudes.reshape((2,) * n).transpose(axes + rest)
     m = m.reshape(2 ** len(axes), 2 ** len(rest))
     try:
-        s = np.linalg.svd(m, compute_uv=False)
+        w = np.linalg.eigvalsh(m @ m.conj().T)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
-    return s * s
+    return linalg.floor_eigen_dust(w)
 
 
 def subset_purity(psi: PureState, subset: SubsetMask) -> float:
@@ -57,10 +63,9 @@ def subset_purity(psi: PureState, subset: SubsetMask) -> float:
 def subset_purity_deficit(psi: PureState, subset: SubsetMask) -> float:
     """1 - Tr(rho_S^2), evaluated as sum_{i != j} lambda_i lambda_j.
 
-    The cross-term form avoids the cancellation of 1 - purity, so states
-    that are exactly product across the cut come out at ~1e-32 instead of
-    ~1e-16, which keeps sqrt-amplified concurrences of product states well
-    below every zero tolerance.
+    The cross-term form avoids the cancellation of 1 - purity.  A cut that
+    is exactly product has one nonzero Schmidt weight after the dust floor,
+    so its deficit is an exact 0 and concurrences of product states read 0.
     """
     s2 = _schmidt_squares(psi, subset)
     total = float(s2.sum())
@@ -82,9 +87,10 @@ def purity_sum(psi: PureState) -> float:
 def pure_concurrence(psi: PureState) -> float:
     """Multipartite concurrence of a pure N-qubit state (N >= 2).
 
-    2^(1-N/2) sqrt(2^N - 2 - sum_S Tr rho_S^2); zero exactly on fully
+    2^(1-N/2) sqrt(2^N - 2 - sum_S Tr rho_S^2); exactly 0.0 on fully
     product states.  The radicand is accumulated as a sum of per-subset
-    purity deficits, which is the same quantity without the cancellation.
+    purity deficits, which is the same quantity without the cancellation,
+    and each product cut adds an exact 0 (see subset_purity_deficit).
     """
     n = psi.n_qubits
     if n < 2:

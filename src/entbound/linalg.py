@@ -1,9 +1,10 @@
 """Minimal dense complex linear algebra for qubit systems.
 
-Hermitian eigendecomposition, its dust-floored PSD variant, a subset-indexed
-partial trace, and the size caps on dense and pure-state arrays.  Qubit 1 is
-the most significant bit of the computational-basis index everywhere in this
-package, so the four-qubit ket |0001> sits at index 1.
+Hermitian eigendecomposition, its dust-floored PSD variant and the floor
+itself, a subset-indexed partial trace, and the size caps on dense and
+pure-state arrays.  Qubit 1 is the most significant bit of the
+computational-basis index everywhere in this package, so the four-qubit ket
+|0001> sits at index 1.
 """
 
 from __future__ import annotations
@@ -140,11 +141,19 @@ def psd_eigensystem(m: np.ndarray, scale: float | None = None):
     low = float(w.min()) if w.size else 0.0
     if low < -PSD_TOL:
         raise NotPSD(f"eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
+    return floor_eigen_dust(w, scale), v
+
+
+def floor_eigen_dust(w: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Eigenvalues of a PSD matrix with solver dust set to exact zeros.
+
+    Clips at 0, then zeroes every value below EIGEN_DUST times the largest
+    eigenvalue (or ``scale``, when that is larger).  Works on any order.
+    """
     w = np.clip(w, 0.0, None)
-    top = float(w[0]) if w.size else 0.0
-    floor = EIGEN_DUST * max(top, scale or 0.0)
-    w[w < floor] = 0.0
-    return w, v
+    top = float(w.max()) if w.size else 0.0
+    w[w < EIGEN_DUST * max(top, scale or 0.0)] = 0.0
+    return w
 
 
 def partial_trace(rho: np.ndarray, keep: SubsetMask) -> np.ndarray:

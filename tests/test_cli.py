@@ -366,6 +366,26 @@ class TestRejectionBeforeStateIsBuilt:
                              "--k", "3", "--k", "2", "--k", "3", "--source", "t1")
         assert (code, out, err) == (2, "", "error: --k 3 given twice\n")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--family", "ex4", "--grid", "0:1:2", "--k", "3", "--k", "4",
+          "--source", "t1"], "--k"),
+        (["threshold", "--family", "ex4", "--k", "3", "--k", "3"], "--k"),
+        (["witness", "--family", "w-noise", "--n", "5", "--n", "6", "--param", "0.9"], "--n"),
+        (["bound", "--family", "w-noise", "--param", "0.9", "--param", "0.8"], "--param"),
+        (["sweep", "--family", "ex4", "--family", "ex3", "--grid", "0:1:2"], "--family"),
+        (["threshold", "--family", "dicke-noise", "--excitations", "1",
+          "--excitations", "2"], "--excitations"),
+        (["sweep", "--family", "ex4", "--grid", "0:1:2", "--grid", "0:1:3"], "--grid"),
+        (["bound", "--state", "a.json", "--state", "b.json"], "--state"),
+        (["witness", "--family", "ex4", "--param", "0.9", "--format", "csv",
+          "--format=json"], "--format"),
+        (["threshold", "--family", "ex4", "--out", "a.txt", "--out", "b.txt"], "--out"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_repeated_single_value_flag(self, no_states, capsys, argv, flag):
+        # argparse would keep the last value; no state or file is touched
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {flag} given twice\n")
+
     def test_repeated_file_source_is_refused_before_the_file_is_read(self, tmp_path, capsys):
         code, out, err = run(capsys, "witness", "--state", str(tmp_path / "missing.json"),
                              "--source", "t1", "--source", "t1")

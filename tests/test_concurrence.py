@@ -18,12 +18,14 @@ from entbound.linalg import SIGMA_Y, SubsetMask
 from entbound.oracle import (
     SamplerConfig,
     apply_local_unitaries,
+    brute_force_purity_sum,
     haar_random_pure,
     random_product_pure,
     random_single_qubit_unitaries,
 )
 from entbound.states import (
     DensityMatrix,
+    PureState,
     dicke_state,
     example3_state,
     example4_state,
@@ -295,3 +297,87 @@ class TestPuritySum:
     def test_product_purity_sum(self):
         psi = random_product_pure(SamplerConfig(3, seed=9, count=1), [[1], [2], [3]])[0]
         assert purity_sum(psi) == pytest.approx(6.0, abs=1e-10)
+
+
+def svd_schmidt_squares(psi, subset):
+    """Reference kernel: squared singular values of the state vector reshaped
+    along subset|rest, the formulation the Gram eigensolve replaced."""
+    n = psi.n_qubits
+    axes = [q - 1 for q in subset.qubits]
+    rest = [a for a in range(n) if a not in axes]
+    m = psi.amplitudes.reshape((2,) * n).transpose(axes + rest)
+    s = np.linalg.svd(m.reshape(2 ** len(axes), -1), compute_uv=False)
+    return s * s
+
+
+def lu_rotated(psi, seed):
+    us = random_single_qubit_unitaries(np.random.default_rng(seed), psi.n_qubits)
+    return apply_local_unitaries(psi, us)
+
+
+def near_product(n, weight, seed):
+    """sqrt(1-w) |a_1..a_n> + sqrt(w) |b_1..b_n> with b_q orthogonal to a_q:
+    across every cut the Schmidt weights are exactly 1-w and w."""
+    a, b = np.ones(1, dtype=complex), np.ones(1, dtype=complex)
+    for u in random_single_qubit_unitaries(np.random.default_rng(seed), n):
+        a, b = np.kron(a, u[:, 0]), np.kron(b, u[:, 1])
+    return PureState(n, math.sqrt(1 - weight) * a + math.sqrt(weight) * b)
+
+
+class TestGramKernelAgainstSvd:
+    """The Gram/eigvalsh kernel against the SVD one, kept here as reference."""
+
+    @staticmethod
+    def both(monkeypatch, psi):
+        from entbound import concurrence
+
+        new = cut_profile(psi), pure_concurrence(psi)
+        with monkeypatch.context() as m:
+            m.setattr(concurrence, "_schmidt_squares", svd_schmidt_squares)
+            return new, (cut_profile(psi), pure_concurrence(psi))
+
+    def assert_close(self, monkeypatch, psi, tol=1e-12):
+        (prof, c), (ref_prof, ref_c) = self.both(monkeypatch, psi)
+        assert prof.per_subset.keys() == ref_prof.per_subset.keys()
+        for bits, v in prof.per_subset.items():
+            assert abs(v - ref_prof.per_subset[bits]) <= tol
+        assert abs(c - ref_c) <= tol
+        return prof, c
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_haar(self, monkeypatch, n):
+        for psi in haar_random_pure(SamplerConfig(n, seed=700 + n, count=2)):
+            self.assert_close(monkeypatch, psi)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_product_states_are_exactly_zero(self, monkeypatch, n):
+        singles = [[q] for q in range(1, n + 1)]
+        for psi in random_product_pure(SamplerConfig(n, seed=800 + n, count=2), singles):
+            prof, c = self.assert_close(monkeypatch, psi)
+            assert c == 0.0
+            assert set(prof.per_subset.values()) == {0.0}
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_lu_rotated_ghz_and_w(self, monkeypatch, n):
+        self.assert_close(monkeypatch, lu_rotated(ghz_state(n), 900 + n))
+        self.assert_close(monkeypatch, lu_rotated(w_state(n), 950 + n))
+
+    @pytest.mark.parametrize("weight", [1e-16, 1e-15, 1e-14, 1e-13, 1e-12])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_near_product_against_brute_force(self, monkeypatch, n, weight):
+        # The Gram eigenvalues carry ~1e-16 absolute error and the dust floor
+        # zeroes weights below ~1.4e-14, so compare squares, not C itself
+        # (sqrt turns a 1e-16 weight into a 1e-8 concurrence).
+        # The purity sum adds 2^n - 2 values near 1, each with its own
+        # rounding, so it is held to a relative 1e-13.
+        psi = near_product(n, weight, seed=n)
+        total = purity_sum(psi)
+        expected = (2**n - 2) * ((1 - weight) ** 2 + weight**2)
+        assert total == pytest.approx(brute_force_purity_sum(psi), rel=1e-13, abs=0)
+        assert total == pytest.approx(expected, rel=1e-13, abs=0)
+        c2 = 2.0 ** (2 - n) * (2**n - 2) * 2 * weight * (1 - weight)
+        (prof, c), (ref_prof, ref_c) = self.both(monkeypatch, psi)
+        assert abs(c**2 - c2) <= 1e-12
+        assert abs(c**2 - ref_c**2) <= 1e-12
+        for bits, v in prof.per_subset.items():
+            assert abs(v - ref_prof.per_subset[bits]) <= 1e-12
