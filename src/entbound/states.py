@@ -145,6 +145,9 @@ class DensityMatrix:
             arr = arr / float(np.trace(arr).real)
         return cls(n, arr)
 
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        return self.matrix[start:stop]
+
     def reduced(self, qubits) -> "DensityMatrix":
         keep = linalg.SubsetMask.from_qubits(qubits, self.n_qubits)
         return DensityMatrix._derived(keep.size, linalg.partial_trace(self.matrix, keep))
@@ -159,11 +162,10 @@ class DensityMatrix:
 class NoisyFamily:
     """White-noise mixture family x -> (1-x)/2^N I + x |base><base|.
 
-    detection_threshold's proof rests on this mixture, and both ways to a
-    member implement it: state_at builds the dense matrix (the reference), and
-    point(x) takes the pair marginals from the base vector with the same float
-    operations in the same order.  tests/test_family_engine.py ties the two
-    together: every marginal is bit-identical to state_at(x).reduced([i, j])."""
+    detection_threshold's proof rests on this mixture.  point(x) is the
+    member: its pair marginals and rows come from the base vector with the
+    float operations of the dense reference state_at, in the same order, and
+    tests/test_family_engine.py checks both bit for bit against state_at(x)."""
 
     base: PureState
 
@@ -209,11 +211,11 @@ class NoisyFamily:
 
 @dataclass(frozen=True)
 class FamilyPoint:
-    """The member of a NoisyFamily at visibility x, without its dense matrix.
+    """The member of a NoisyFamily at visibility x: the base vector and x,
+    never a dense matrix, so a point obeys the pure-state cap only.
 
-    Checks x as white_noise_mix does.  pair_marginals gives one marginal per
-    class of equal pairs; matrix builds the dense member on first use, for
-    sources that read it, so only matrix meets the dense cap.
+    Checks x as white_noise_mix does.  pair_marginals (one marginal per class
+    of equal pairs) and rows(start, stop) repeat white_noise_mix's float ops.
     """
 
     family: NoisyFamily
@@ -226,9 +228,12 @@ class FamilyPoint:
     def n_qubits(self) -> int:
         return self.family.n_qubits
 
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        return self.family.state_at(self.x).matrix
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        amps = self.family.base.amplitudes
+        head = amps[start:stop]
+        m = np.eye(head.size, amps.size, start, dtype=complex) * ((1.0 - self.x) / amps.size)
+        m += self.x * np.outer(head, amps.conj())
+        return m
 
     def pair_marginals(self):
         """(pairs, marginal) per class of pair_classes.  The noise term, the
@@ -257,6 +262,8 @@ def w_state(n: int) -> PureState:
 def dicke_state(n: int, k: int) -> PureState:
     """Equal superposition of all basis states with exactly k excitations."""
     linalg.require_within_cap(n, PURE_DIM_CAP, "pure-state")
+    if n < 2:
+        raise TooFewQubits("Dicke state needs at least 2 qubits")
     if not 1 <= k <= n - 1:
         raise ExcitationOutOfRange(f"excitation number {k} outside 1..{n - 1}")
     idx = [i for i in range(2**n) if bin(i).count("1") == k]

@@ -30,7 +30,9 @@ from .linalg import (
     hermitian_eigensystem,
     purity,
 )
-from .states import DensityMatrix, FamilyPoint, NoisyFamily, PureState, ghz_state, white_noise_mix
+from .states import DensityMatrix, FamilyPoint, NoisyFamily, PureState, ghz_noise_family
+
+GHZ_CHECK_ENTRIES = 2**18  # entries per row block of the GHZ-noise check, 4 MiB
 
 
 class Source(str, enum.Enum):
@@ -101,27 +103,33 @@ def k_nonsep_threshold(n: int, d: int, k: int, min_block_size: int = 1) -> float
 
 def _ghz_visibility(rho: DensityMatrix | FamilyPoint) -> float:
     """The visibility p of a GHZ + white-noise state, rejecting other states:
-    a point of a family with a GHZ base is its own x, any other state must
-    match the dense GHZ model at the p read off its matrix."""
+    a point of a family with a GHZ base is its own x, any other state must match
+    the GHZ model at the p read off its corner, GHZ_CHECK_ENTRIES entries at a time."""
     if isinstance(rho, FamilyPoint) and rho.family.has_ghz_base:
         return rho.x
-    p = 2.0 * float(np.real(rho.matrix[0, -1]))
+    p = 2.0 * float(np.real(rho.rows(0, 1)[0, -1]))
     if not -FAMILY_MATCH_TOL <= p <= 1.0 + FAMILY_MATCH_TOL:
         raise FamilyMismatch(f"recovered visibility {p} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
-    model = white_noise_mix(ghz_state(rho.n_qubits), p)
-    gap = float(np.max(np.abs(model.matrix - rho.matrix)))
+    model = ghz_noise_family(rho.n_qubits).point(p)
+    step = max(1, GHZ_CHECK_ENTRIES >> rho.n_qubits)
+    gap = max(float(np.max(np.abs(model.rows(i, i + step) - rho.rows(i, i + step))))
+              for i in range(0, 2**rho.n_qubits, step))
     if gap > FAMILY_MATCH_TOL:
         raise FamilyMismatch(f"state deviates from the GHZ noise family by {gap:.3e}")
     return p
 
 
-def _pure_state_of(rho: DensityMatrix) -> PureState:
-    if abs(purity(rho.matrix) - 1.0) > PURITY_TOL:
+def _pure_state_of(rho: DensityMatrix | FamilyPoint) -> PureState:
+    """A family point has purity x^2 + (1-x^2)/2^N and, once pure, is its base."""
+    point = rho if isinstance(rho, FamilyPoint) else None
+    p2 = point.x**2 + (1.0 - point.x**2) / 2**rho.n_qubits if point else purity(rho.matrix)
+    if abs(p2 - 1.0) > PURITY_TOL:
         raise FamilyMismatch("pure-exact source requires a pure state")
+    if point:
+        return point.family.base
     _, vecs = hermitian_eigensystem(rho.matrix)
-    top = vecs[:, 0]
-    return PureState(rho.n_qubits, top / np.linalg.norm(top))
+    return PureState(rho.n_qubits, vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
 
 
 def require_source(source: Source, n_qubits: int, family: NoisyFamily | None = None) -> None:

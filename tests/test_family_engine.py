@@ -144,20 +144,30 @@ class TestFamilyPoint:
                 family.point(x)
             assert str(engine.value) == str(dense.value)
 
-    def test_checks_the_dense_cap_as_white_noise_mix_does(self):
-        # a point holds no dense matrix, so only its matrix meets the dense cap
+    def test_holds_no_dense_matrix_above_the_dense_cap(self):
+        # a point is its base vector and x; only the dense reference meets the dense cap
         family = NoisyFamily(ghz_state(13))
         point = family.point(0.5)
         assert point.x == 0.5
-        with pytest.raises(DimensionOverflow) as dense:
+        assert not hasattr(point, "matrix")
+        with pytest.raises(DimensionOverflow, match="13 qubits exceeds the dense-matrix cap"):
             family.state_at(0.5)
-        with pytest.raises(DimensionOverflow) as engine:
-            point.matrix
-        assert str(engine.value) == str(dense.value)
-        assert "13 qubits exceeds the dense-matrix cap" in str(engine.value)
 
-    def test_dense_matrix_is_the_family_member(self):
+    def test_rows_are_the_family_member(self):
         family = NoisyFamily(dicke_state(5, 2))
         point = family.point(0.7)
         assert point.n_qubits == 5
-        assert point.matrix.tobytes() == family.state_at(0.7).matrix.tobytes()
+        slabs = np.vstack([point.rows(i, i + 7) for i in range(0, 32, 7)])
+        assert slabs.tobytes() == family.state_at(0.7).matrix.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rows_are_bit_identical_to_the_dense_path(n):
+    for base in engine_bases(n):
+        family = NoisyFamily(base)
+        for x in visibilities(n):
+            dense = family.state_at(x).matrix
+            point = family.point(x)
+            for step in (1, 7, 2**n):
+                slabs = np.vstack([point.rows(i, i + step) for i in range(0, 2**n, step)])
+                assert slabs.tobytes() == dense.tobytes(), (base, x, step)

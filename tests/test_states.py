@@ -79,6 +79,8 @@ class TestConstructors:
             w_state(1)
         with pytest.raises(TooFewQubits):
             ghz_state(1)
+        with pytest.raises(TooFewQubits, match="Dicke state needs at least 2 qubits"):
+            dicke_state(1, 1)
         with pytest.raises(ExcitationOutOfRange):
             dicke_state(4, 0)
         with pytest.raises(ExcitationOutOfRange):

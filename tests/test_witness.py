@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entbound.bounds import ghz_noise_exact_concurrence
 from entbound.concurrence import pairwise_table, pure_concurrence
 from entbound.errors import (
     FamilyMismatch,
@@ -18,6 +20,7 @@ from entbound.oracle import (
     random_single_qubit_unitaries,
 )
 from entbound.bounds import applicable_theorems
+from entbound.linalg import FAMILY_MATCH_TOL
 from entbound.states import (
     DensityMatrix,
     NoisyFamily,
@@ -33,6 +36,7 @@ from entbound.states import (
 )
 from entbound.witness import (
     Source,
+    _ghz_visibility,
     WitnessVerdict,
     certified_bound,
     detect_k_nonseparability,
@@ -400,3 +404,118 @@ class TestSourceBound:
         assert list(inspect.signature(detection_threshold).parameters) == [
             "family", "k", "source",
         ]
+
+
+def dense_ghz_visibility(rho: DensityMatrix) -> float:
+    """The GHZ-noise check on the whole dense matrix, with a dense GHZ model
+    and a difference matrix: the reference for the streamed check."""
+    p = 2.0 * float(np.real(rho.matrix[0, -1]))
+    if not -FAMILY_MATCH_TOL <= p <= 1.0 + FAMILY_MATCH_TOL:
+        raise FamilyMismatch(f"recovered visibility {p} outside [0, 1]")
+    p = min(max(p, 0.0), 1.0)
+    model = white_noise_mix(ghz_state(rho.n_qubits), p)
+    gap = float(np.max(np.abs(model.matrix - rho.matrix)))
+    if gap > FAMILY_MATCH_TOL:
+        raise FamilyMismatch(f"state deviates from the GHZ noise family by {gap:.3e}")
+    return p
+
+
+def ghz_check_outcome(check, rho):
+    """The p a check returns, as hex, or the bytes of the mismatch it raises."""
+    try:
+        return check(rho).hex()
+    except FamilyMismatch as exc:
+        return str(exc).encode()
+
+
+def ghz_check_families(n):
+    """Every built-in base, GHZ with a minus sign and a Haar base on n qubits."""
+    minus = ghz_state(n).amplitudes.copy()
+    minus[-1] *= -1
+    bases = ([w_state(n), ghz_state(n), PureState(n, minus)]
+             + [dicke_state(n, k) for k in range(1, n)]
+             + haar_random_pure(SamplerConfig(n, seed=8400 + n)))
+    if n == 4:
+        bases += [example3_state(), example4_state()]
+    return [NoisyFamily(base) for base in bases]
+
+
+def perturbed_ghz_inputs(n):
+    """Dense GHZ-noise states moved off the family by a Hermitian entry pair
+    whose size is just below, at and just above FAMILY_MATCH_TOL, in the
+    first, a middle and the last row block of the streamed check."""
+    d = 2**n
+    base = ghz_noise_family(n).state_at(0.8).matrix
+    tol = FAMILY_MATCH_TOL
+    sizes = (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0), tol * (1 - 1e-6), tol * (1 + 1e-6))
+    places = (((1, 2), 1.0), ((d // 2, d // 2 + 1), 1.0), ((d - 2, d - 3), 1j),
+              ((0, d - 1), 1.0), ((0, 0), 1.0))
+    for eps in sizes:
+        for (i, j), unit in places:
+            m = base.copy()
+            m[i, j] += eps * unit
+            m[j, i] = np.conj(m[i, j]) if i != j else m[i, j]
+            if i == j:  # keep the trace: move the weight from the last diagonal entry
+                m[-1, -1] -= eps
+            # the constructor validates small inputs; above 6 qubits its
+            # eigensolve dominates, and the move keeps the state valid anyway
+            yield DensityMatrix(n, m) if n <= 6 else DensityMatrix._derived(n, m)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_streamed_ghz_check_equals_the_dense_check(n):
+    # a family point's reference is its dense member's, unless its base is GHZ
+    for family in ghz_check_families(n):
+        for x in (0.0, 0.37, 1.0):
+            dense = family.state_at(x)
+            expected = ghz_check_outcome(dense_ghz_visibility, dense)
+            assert ghz_check_outcome(_ghz_visibility, dense) == expected, (family, x)
+            if family.has_ghz_base:
+                expected = x.hex()
+            assert ghz_check_outcome(_ghz_visibility, family.point(x)) == expected, (family, x)
+    # n=10 is the first size with more than one row block
+    for rho in perturbed_ghz_inputs(n) if n <= 6 or n == 10 else ():
+        expected = ghz_check_outcome(dense_ghz_visibility, rho)
+        assert ghz_check_outcome(_ghz_visibility, rho) == expected
+
+
+def test_perturbed_inputs_fall_on_both_sides_of_the_tolerance():
+    outcomes = [ghz_check_outcome(_ghz_visibility, rho) for rho in perturbed_ghz_inputs(4)]
+    assert any(isinstance(o, str) for o in outcomes)
+    assert any(isinstance(o, bytes) and o.startswith(b"state deviates") for o in outcomes)
+
+
+def test_streamed_ghz_check_allocates_a_small_share_of_a_dense_input():
+    n, d = 12, 2**12
+    m = np.zeros((d, d), dtype=complex)
+    np.fill_diagonal(m, 0.1 / d)
+    m[0, 0] += 0.45
+    m[-1, -1] += 0.45
+    m[0, -1] = m[-1, 0] = 0.45
+    rho = DensityMatrix._derived(n, m)  # a GHZ-noise state at p=0.9; validation would eigensolve it
+    tracemalloc.start()
+    try:
+        c2, c = certified_bound(rho, Source.GHZ_EXACT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c == pytest.approx(ghz_noise_exact_concurrence(n, 0.9), abs=1e-12)
+    assert peak < 0.1 * m.nbytes
+
+
+class TestPureExactOnAFamilyPoint:
+    def test_a_point_is_pure_only_at_one_and_is_then_its_base(self):
+        for base in (w_state(5), dicke_state(6, 3), ghz_state(4)):
+            family = NoisyFamily(base)
+            c2, c = certified_bound(family.point(1.0), Source.PURE_EXACT)
+            assert c == pure_concurrence(base)
+            dense = certified_bound(family.state_at(1.0), Source.PURE_EXACT)[1]
+            assert c == pytest.approx(dense, abs=1e-12)
+            with pytest.raises(FamilyMismatch, match="requires a pure state"):
+                certified_bound(family.point(1.0 - 1e-9), Source.PURE_EXACT)
+
+    def test_reads_no_dense_member_above_the_dense_cap(self):
+        from entbound.witness import _pure_state_of
+
+        family = NoisyFamily(w_state(13))
+        assert _pure_state_of(family.point(1.0)) is family.base
