@@ -7,6 +7,7 @@ all assembled from the constructors here.
 from __future__ import annotations
 
 import functools
+import gc
 import io
 import itertools
 import json
@@ -53,6 +54,32 @@ def _checked_hermitian_part(m: np.ndarray) -> np.ndarray:
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvariantViolation(f"trace {tr!r} deviates from 1 by {abs(tr-1.0):.3e}")
     return (m + m.conj().T) / 2
+
+
+def _cholesky_certifies_psd(herm: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of herm + (PSD_TOL/2) I succeeds,
+    which proves that eigvalsh would find no eigenvalue below -PSD_TOL.
+
+    herm is exactly Hermitian, with trace within TRACE_TOL of 1.  A computed
+    factor L of A = herm + (PSD_TOL/2) I satisfies L L^H = A + E with
+    |E_ij| <= gamma_{d+1} sqrt(A_ii A_jj) (Higham, Thm 10.3, with
+    Cauchy-Schwarz on the rows of L), so ||E||_2 <= gamma_{d+1} tr A, about
+    (d + 1) eps ~ 5e-13 at DENSE_DIM_CAP: far below PSD_TOL/2.  Success makes
+    A + E positive definite, so lambda_min(herm) > -PSD_TOL/2 - ||E||_2, and
+    eigvalsh, whose error is of the same order as ||E||_2, reports no
+    eigenvalue below -PSD_TOL.  Failure proves nothing; the caller then runs
+    the eigvalsh check, so the decision and its message are eigvalsh's.
+    The diagonal is shifted in place and restored bit for bit.
+    """
+    diag = herm.diagonal().copy()
+    herm[np.diag_indices_from(herm)] += PSD_TOL / 2
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        herm[np.diag_indices_from(herm)] = diag
+    return True
 
 
 @dataclass(frozen=True)
@@ -105,9 +132,10 @@ class DensityMatrix:
         if m.shape != (d, d):
             raise InvariantViolation(f"matrix shape {m.shape} does not match 2^{self.n_qubits}")
         herm = _checked_hermitian_part(m)
-        low = float(np.linalg.eigvalsh(herm).min())
-        if low < -PSD_TOL:
-            raise InvariantViolation(f"negative eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
+        if not _cholesky_certifies_psd(herm):
+            low = float(np.linalg.eigvalsh(herm).min())
+            if low < -PSD_TOL:
+                raise InvariantViolation(f"negative eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
         herm.setflags(write=False)
         object.__setattr__(self, "matrix", herm)
 
@@ -387,10 +415,18 @@ def _dense_dim(n: int) -> int:
 
 
 def _parse_json_matrix(text: str) -> np.ndarray:
+    # The document is acyclic lists and numbers, which reference counting
+    # frees, so the cyclic collector is paused only to spare its scans of
+    # the millions of objects json.loads allocates.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    finally:
+        if was_enabled:
+            gc.enable()
     try:
         n = doc["n_qubits"]
         entries = doc["entries"]
@@ -412,6 +448,7 @@ def _parse_json_matrix(text: str) -> np.ndarray:
         except OverflowError:  # an int beyond the float range
             pass
         else:  # float(re) + 1j*float(im), op for op: signed zeros and 0*inf NaNs agree
+            del doc, entries  # free the document before the complex temporaries
             with np.errstate(invalid="ignore"):
                 return (flat[:, 0] + 1j * flat[:, 1]).reshape(d, d)
     for pos, pair in enumerate(entries):
@@ -424,7 +461,78 @@ def _parse_json_matrix(text: str) -> np.ndarray:
     raise AssertionError("a type gate failed on entries that all pass")
 
 
+# Data lines per chunk of the vectorised CSV reader: its token lists stay
+# small next to the matrix.
+_CSV_CHUNK_LINES = 2**15
+
+
 def _parse_csv_matrix(text: str) -> np.ndarray:
+    """The CSV matrix, read by _parse_csv_vectorised, or by the line loop
+    _parse_csv_loop wherever the fast reader might read the text differently."""
+    arr = _parse_csv_vectorised(text)
+    return _parse_csv_loop(text) if arr is None else arr
+
+
+def _parse_csv_vectorised(text: str) -> np.ndarray | None:
+    """_parse_csv_loop's matrix at C speed, or None to hand the text to it.
+
+    Leading blank and comment lines are read as the loop reads them.  Every
+    later line must be "i,j,re,im" with ASCII-digit indices (no sign, space
+    or underscore), and the values pass through float() as in the loop, so
+    they agree bit for bit.  Chunks of _CSV_CHUNK_LINES lines are joined,
+    split once and converted into preallocated columns.  Anything else,
+    an out-of-range index, a repeated entry or a dimension outside
+    1..MAX_DENSE_QUBITS returns None, and the loop then names the line.
+    """
+    lines = text.splitlines()
+    declared_n = None
+    for first, raw in enumerate(lines):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+        body = line.lstrip("#").replace("=", " ").replace(":", " ").split()
+        if len(body) == 2 and body[0] == "n_qubits":
+            try:
+                declared_n = int(body[1])
+            except ValueError:
+                return None
+    else:
+        return None
+    count = len(lines) - first
+    index, value = np.empty((2, count), np.int64), np.empty((2, count), float)
+    for start in range(0, count, _CSV_CHUNK_LINES):
+        chunk = lines[first + start:first + start + _CSV_CHUNK_LINES]
+        if set(map(str.count, chunk, itertools.repeat(","))) != {3}:
+            return None
+        tokens = ",".join(chunk).split(",")
+        part = slice(start, start + len(chunk))
+        try:
+            for k in range(2):
+                digits = tokens[k::4]
+                joined = "".join(digits)
+                if not (joined.isascii() and joined.isdigit()):
+                    return None
+                index[k, part] = np.fromiter(map(int, digits), np.int64, len(chunk))
+                value[k, part] = np.fromiter(map(float, tokens[k + 2::4]), float, len(chunk))
+        except (ValueError, OverflowError):
+            return None
+    top = int(index.max())
+    n = declared_n if declared_n is not None else top.bit_length()
+    if not 1 <= n <= MAX_DENSE_QUBITS or top >= 2**n:
+        return None
+    d = 2**n
+    keys = index[0] * d + index[1]
+    seen = np.zeros(d * d, bool)
+    seen[keys] = True
+    if np.count_nonzero(seen) != count:
+        return None
+    arr = np.zeros((d, d), dtype=complex)
+    with np.errstate(invalid="ignore"):  # re + 1j*im, op for op as in the loop
+        arr.reshape(-1)[keys] = value[0] + 1j * value[1]
+    return arr
+
+
+def _parse_csv_loop(text: str) -> np.ndarray:
     triples = []
     declared_n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -182,6 +182,15 @@ class TestSweepCommand:
         assert f"argument --grid: grid must be start:stop:steps with an integer steps, got '{grid}'" in err
         assert "_parse_grid" not in err
 
+    @pytest.mark.parametrize("grid, want_code", [("-0.0:1:3", 0), ("-0.1:1:3", 2)])
+    def test_negative_grid_start_reads_as_with_equals(self, capsys, grid, want_code):
+        spaced = run(capsys, "sweep", "--family", "ex4", "--grid", grid)
+        joined = run(capsys, "sweep", "--family", "ex4", f"--grid={grid}")
+        assert spaced == joined
+        assert spaced[0] == want_code
+        if want_code:
+            assert spaced[2] == "error: grid must satisfy 0 <= start <= stop <= 1 and steps >= 2\n"
+
 
 class TestThresholdCommand:
     def test_bell_pair_family(self, capsys):

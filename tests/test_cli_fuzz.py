@@ -33,8 +33,14 @@ INTEGERS = st.sampled_from(  # family --n stops at 10, see the module docstring
     ["4", "3", "2", "5", "6", "1", "0", "-1", "-3", "7", "8", "9", "10"])
 FLOATS = st.sampled_from(["0.9", "0", "1", "0.5", "0.37", "0.97", "1e-300", "-0.0", "-0.1",
                           "1.0000001"])
-GRIDS = st.tuples(FLOATS, FLOATS, st.sampled_from([5, 2, 101, 1, 0, -2, 33])).map(
-    lambda g: f"{min(g[:2], key=float)}:{max(g[:2], key=float)}:{g[2]}")
+STEPS = st.sampled_from([5, 2, 101, 1, 0, -2, 33])
+GRIDS = st.one_of(
+    st.tuples(FLOATS, FLOATS, STEPS).map(
+        lambda g: f"{min(g[:2], key=float)}:{max(g[:2], key=float)}:{g[2]}"),
+    # starts with a '-' that argparse does not read as a negative number
+    st.tuples(st.sampled_from(["-0.0", "-0.1", "-1e-300", "-0"]), FLOATS, STEPS).map(
+        lambda g: f"{g[0]}:{g[1]}:{g[2]}"),
+)
 # Flags a run needs to get past the input checks are drawn more often than the rest.
 LIKELY = {"--family", "--param", "--grid"}
 ONE_IN_FOUR = st.sampled_from([False, False, False, True])
@@ -108,6 +114,9 @@ def test_argv_gives_a_report_or_a_named_error(fuzz_dir, data):
     stderr = err.getvalue()
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in stderr, argv
+    grid_values = [v for flag, v in zip(argv, argv[1:]) if flag == "--grid"]
+    if all(v != "--" for v in grid_values):  # "--" ends the options
+        assert "argument --grid: expected one argument" not in stderr, argv
     if code == 1:  # --require-detection without detection is a report, not an error
         assert "--require-detection" in argv and stderr == "", argv
     elif code != 0:
