@@ -538,15 +538,20 @@ def _refuse_repeats(args) -> None:
                     raise ValueError(f"--{flag} {value} given twice")
 
 
-def _attach_grid_values(argv: list[str]) -> list[str]:
-    """argv with each "--grid -X" written "--grid=-X".  argparse reads a
-    token that starts with one '-' and is not a plain negative number, such
-    as the grid -0.0:1:3, as an option, so only the "=" form would reach
-    the grid rule."""
+# Value flags whose value can be a negative number that argparse takes for an option.
+NUMERIC_FLAGS = ("--grid", "--param", "--k", "--n", "--excitations")
+
+
+def _attach_numeric_values(argv: list[str]) -> list[str]:
+    """argv with each "--flag -X" of a NUMERIC_FLAGS flag written "--flag=-X".
+    argparse reads a token that starts with one '-' and is not a plain
+    negative number, such as the grid -0.0:1:3 or the float -1e-3, as an
+    option, so only the "=" form would reach the flag's own type and range
+    checks."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--grid" and arg[:1] == "-" and arg[:2] != "--":
-            out[-1] = f"--grid={arg}"
+        if out and out[-1] in NUMERIC_FLAGS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -554,7 +559,7 @@ def _attach_grid_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _attach_grid_values(sys.argv[1:] if argv is None else argv)
+    argv = _attach_numeric_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)  # raises ValueError on a repeated _Once flag
         _refuse_repeats(args)

@@ -657,6 +657,34 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, flag, value, want", [
+        (["bound", "--family", "ghz-noise", "--n", "3"], "--param", "-1e-3",
+         "error: mixing parameter -0.001 outside [0, 1]\n"),
+        (["bound", "--family", "ghz-noise", "--n", "3"], "--param", "-0e0", ""),
+        (["bound", "--family", "ghz-noise", "--param", "0.5"], "--n", "-1e0",
+         "argument --n: invalid int value: '-1e0'"),
+        (["witness", "--family", "ghz-noise", "--n", "3", "--param", "0.5"], "--k", "-1e0",
+         "argument --k: invalid int value: '-1e0'"),
+        (["threshold", "--family", "ex4"], "--k", "-1e0",
+         "argument --k: invalid int value: '-1e0'"),
+        (["bound", "--family", "dicke-noise", "--n", "4", "--param", "0.5"], "--excitations",
+         "-1e0", "argument --excitations: invalid int value: '-1e0'"),
+    ])
+    def test_negative_exponent_values_read_as_with_equals(self, capsys, argv, flag, value, want):
+        results = []
+        for tail in ([flag, value], [f"{flag}={value}"]):
+            try:
+                code = main(argv + tail)
+            except SystemExit as exc:  # argparse refuses the value
+                code = exc.code
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1]
+        code, captured = results[0]
+        assert code == (2 if want else 0)
+        assert want in captured.err
+        assert "expected one argument" not in captured.err
+
+
 class TestIgnoredFlagsAreErrors:
     @pytest.mark.parametrize("command", ["bound", "witness"])
     def test_param_with_state(self, tmp_path, capsys, command):

@@ -19,7 +19,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entbound.cli import build_parser, main
+from entbound.cli import NUMERIC_FLAGS, build_parser, main
 from entbound.states import ghz_state, white_noise_mix
 
 PARSER = build_parser()
@@ -29,10 +29,12 @@ COMMANDS = next(a for a in PARSER._actions
 # Hypothesis leans to the first entry of a sampled list, so each list opens
 # with a value that lets a run go on to the next check.
 MALFORMED = ["", "x", "1.5.2", "--", "0x10", "1e999", "nan", "inf", "-inf", "bogus", "0:1"]
+# "-1e0", "-1e-3" and "-0e0" start with a '-' that argparse does not read as a
+# negative number, like the negative grid starts below.
 INTEGERS = st.sampled_from(  # family --n stops at 10, see the module docstring
-    ["4", "3", "2", "5", "6", "1", "0", "-1", "-3", "7", "8", "9", "10"])
+    ["4", "3", "2", "5", "6", "1", "0", "-1", "-3", "7", "8", "9", "10", "-1e0"])
 FLOATS = st.sampled_from(["0.9", "0", "1", "0.5", "0.37", "0.97", "1e-300", "-0.0", "-0.1",
-                          "1.0000001"])
+                          "1.0000001", "-1e-3", "-0e0"])
 STEPS = st.sampled_from([5, 2, 101, 1, 0, -2, 33])
 GRIDS = st.one_of(
     st.tuples(FLOATS, FLOATS, STEPS).map(
@@ -114,9 +116,10 @@ def test_argv_gives_a_report_or_a_named_error(fuzz_dir, data):
     stderr = err.getvalue()
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in stderr, argv
-    grid_values = [v for flag, v in zip(argv, argv[1:]) if flag == "--grid"]
-    if all(v != "--" for v in grid_values):  # "--" ends the options
-        assert "argument --grid: expected one argument" not in stderr, argv
+    for flag in NUMERIC_FLAGS:
+        flag_values = [v for f, v in zip(argv, argv[1:]) if f == flag]
+        if "--" not in flag_values:  # "--" ends the options
+            assert f"argument {flag}: expected one argument" not in stderr, argv
     if code == 1:  # --require-detection without detection is a report, not an error
         assert "--require-detection" in argv and stderr == "", argv
     elif code != 0:

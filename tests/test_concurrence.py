@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entbound import concurrence
 from entbound.concurrence import (
     cut_concurrence_squared,
     cut_profile,
@@ -100,16 +101,14 @@ class TestCutConcurrence:
             assert v == pytest.approx(prof.per_subset[full ^ bits], abs=1e-12)
 
     def test_profile_decomposes_each_bipartition_once(self, monkeypatch, rng):
-        from entbound import concurrence
-
-        original = concurrence._schmidt_squares
+        original = concurrence._cut_gram
         calls = []
 
         def counting(psi, subset):
             calls.append(subset.bits)
             return original(psi, subset)
 
-        monkeypatch.setattr(concurrence, "_schmidt_squares", counting)
+        monkeypatch.setattr(concurrence, "_cut_gram", counting)
         cut_profile(random_pure(rng, 5))
         assert calls == list(range(1, 2**4))
 
@@ -325,16 +324,25 @@ def near_product(n, weight, seed):
 
 
 class TestGramKernelAgainstSvd:
-    """The Gram/eigvalsh kernel against the SVD one, kept here as reference."""
+    """The package kernel against the SVD one, kept here as reference."""
 
     @staticmethod
     def both(monkeypatch, psi):
-        from entbound import concurrence
+        """(cut_profile, pure_concurrence) as the package computes them, then
+        again with every cut's deficit taken from svd_schmidt_squares."""
+        calls = []
+
+        def svd_deficit(psi, subset):
+            calls.append(subset.bits)
+            s2 = svd_schmidt_squares(psi, subset)
+            return float(np.dot(s2, s2.sum() - s2))
 
         new = cut_profile(psi), pure_concurrence(psi)
         with monkeypatch.context() as m:
-            m.setattr(concurrence, "_schmidt_squares", svd_schmidt_squares)
-            return new, (cut_profile(psi), pure_concurrence(psi))
+            m.setattr(concurrence, "subset_purity_deficit", svd_deficit)
+            ref = cut_profile(psi), pure_concurrence(psi)
+        assert calls == 2 * list(range(1, 2 ** (psi.n_qubits - 1)))
+        return new, ref
 
     def assert_close(self, monkeypatch, psi, tol=1e-12):
         (prof, c), (ref_prof, ref_c) = self.both(monkeypatch, psi)
@@ -381,3 +389,71 @@ class TestGramKernelAgainstSvd:
         assert abs(c**2 - ref_c**2) <= 1e-12
         for bits, v in prof.per_subset.items():
             assert abs(v - ref_prof.per_subset[bits]) <= 1e-12
+
+
+class TestFrobeniusDeficitAgainstEigenPath:
+    """subset_purity_deficit reads a cut's deficit off its Gram matrix as
+    (Tr G)^2 - ||G||_F^2 and solves for eigenvalues only on cuts that read
+    as pure.  The eigenvalue path, _schmidt_squares, is the reference on
+    every cut."""
+
+    @staticmethod
+    def assert_close(psi):
+        """Each canonical cut's C^2 and the state's C^2 against the same
+        values summed from _schmidt_squares; returns the package's values."""
+        n = psi.n_qubits
+        cuts, radicand = [], 0.0
+        for bits in range(1, 2 ** (n - 1)):
+            cut = SubsetMask(bits, n)
+            s2 = concurrence._schmidt_squares(psi, cut)
+            ref = 2.0 * float(np.dot(s2, s2.sum() - s2))
+            cuts.append(cut_concurrence_squared(psi, cut))
+            assert abs(cuts[-1] - max(ref, 0.0)) <= 1e-13
+            radicand += ref
+        c = pure_concurrence(psi)
+        assert abs(c**2 - 2.0 ** (2 - n) * max(radicand, 0.0)) <= 1e-13
+        return cuts, c
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_haar(self, n):
+        for psi in haar_random_pure(SamplerConfig(n, seed=1100 + n, count=1)):
+            self.assert_close(psi)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_lu_rotated_ghz_and_w(self, n):
+        self.assert_close(lu_rotated(ghz_state(n), 1200 + n))
+        self.assert_close(lu_rotated(w_state(n), 1250 + n))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_near_product_straddling_the_threshold(self, n):
+        # Every cut has Schmidt weights 1-w and w, so its deficit is
+        # 2 w (1-w), which crosses PURITY_TOL = 1e-10 at w = 5e-11.
+        for weight in (1e-13, 1e-11, 1e-10, 3e-10, 1e-9, 1e-6, 1e-3, 0.5):
+            self.assert_close(near_product(n, weight, seed=1300 + n))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_product_states_are_exactly_zero(self, n):
+        singles = [[q] for q in range(1, n + 1)]
+        psi = random_product_pure(SamplerConfig(n, seed=1400 + n, count=1), singles)[0]
+        cuts, c = self.assert_close(psi)
+        assert c == 0.0
+        assert set(cuts) == {0.0}
+
+    @pytest.mark.parametrize("psi, eigensolves", [
+        (haar_random_pure(SamplerConfig(8, seed=1500, count=1))[0], 0),
+        (random_product_pure(SamplerConfig(8, seed=1501, count=1),
+                             [[q] for q in range(1, 9)])[0], 2**7 - 1),
+        (near_product(8, 1e-11, seed=1502), 2**7 - 1),
+        (near_product(8, 1e-9, seed=1503), 0),
+    ])
+    def test_eigensolves_only_on_cuts_that_read_as_pure(self, monkeypatch, psi, eigensolves):
+        original = np.linalg.eigvalsh
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        pure_concurrence(psi)
+        assert len(calls) == eigensolves
