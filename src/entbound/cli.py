@@ -483,11 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entbound",
         description="Concurrence lower bounds and k-nonseparability witnesses "
                     "for N-qubit states.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary):
-        p = sub.add_parser(name, help=summary)
+        # no prefixes: _attach_numeric_values knows only the full flag names
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(func=func)
         return p
 

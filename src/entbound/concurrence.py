@@ -70,14 +70,31 @@ def subset_purity(psi: PureState, subset: SubsetMask) -> float:
     return float(np.dot(s2, s2))
 
 
-def subset_purity_deficit(psi: PureState, subset: SubsetMask) -> float:
-    """1 - Tr(rho_S^2), evaluated as the cross terms sum_{i != j} lambda_i lambda_j.
+def _gram_deficit(gram: np.ndarray) -> float:
+    """1 - Tr(rho^2) of the reduced state with Gram matrix G, as the cross
+    terms sum_{i != j} lambda_i lambda_j of its eigenvalues.
 
-    On the cut's Gram matrix G, with trace t = sum lambda_i, the cross terms
-    are D = t^2 - ||G||_F^2.  That needs no eigensolve, but it cancels down
-    to an absolute error of a few eps t^2.  Summed from the floored
-    eigenvalues, the cross terms do not cancel, so the eigensolve is kept
-    for the cuts where that error matters: those that read as pure.
+    With trace t = sum lambda_i, the cross terms are D = t^2 - ||G||_F^2.
+    That needs no eigensolve, but it cancels down to an absolute error of a
+    few eps t^2.  Summed from the floored eigenvalues, the cross terms do
+    not cancel, so the eigensolve is kept for the Grams where that error
+    matters: those that read as pure, D < PURITY_TOL t^2.  There the floored
+    eigenvalues decide as the reference path _schmidt_squares does: an
+    exactly product cut has one nonzero Schmidt weight after the dust
+    floor, so its deficit is an exact 0 and product states read 0.
+    """
+    t = float(gram.trace().real)
+    d = t * t - float(np.vdot(gram, gram).real)
+    if d >= PURITY_TOL * t * t:
+        return d
+    s2 = _floored_spectrum(gram)
+    total = float(s2.sum())
+    return float(np.dot(s2, total - s2))
+
+
+def subset_purity_deficit(psi: PureState, subset: SubsetMask) -> float:
+    """1 - Tr(rho_S^2) of one cut, by _gram_deficit on the Gram matrix that
+    _cut_gram forms from the vector.
 
     Error argument.  G is at most 2^7 square at PURE_DIM_CAP, so ||G||_F^2
     sums at most 4^7 terms and t^2 - ||G||_F^2 rounds with an absolute error
@@ -87,20 +104,60 @@ def subset_purity_deficit(psi: PureState, subset: SubsetMask) -> float:
     4 t ||E||_F ~ 8e-12 t^2; the eigenvalue path works on the same G, so it
     shares that error.  Hence D >= PURITY_TOL t^2 (1e-10) proves the cut is
     not product, and there the two evaluations agree to about 1e-15.
-
-    Below that threshold the cut reads as pure, and the floored eigenvalues
-    decide as the reference path _schmidt_squares does: an exactly product
-    cut has one nonzero Schmidt weight after the dust floor, so its deficit
-    is an exact 0 and concurrences of product states read 0.
     """
-    gram = _cut_gram(psi, subset)
-    t = float(np.trace(gram).real)
-    d = t * t - float(np.vdot(gram, gram).real)
-    if d >= PURITY_TOL * t * t:
-        return d
-    s2 = _floored_spectrum(gram)
-    total = float(s2.sum())
-    return float(np.dot(s2, total - s2))
+    return _gram_deficit(_cut_gram(psi, subset))
+
+
+def _trace_out_bit(gram: np.ndarray, size: int, bit: int) -> np.ndarray:
+    """Partial trace of a Gram over `size` qubits (rows in ascending label
+    order) of the qubit at mask bit `bit`, when every lower bit of the mask
+    is also set: that qubit is then the (bit+1)-th from the end of the rows."""
+    lo, hi = 2**bit, 2 ** (size - 1 - bit)
+    r = gram.reshape(hi, 2, lo, hi, 2, lo)
+    return (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]).reshape(hi * lo, hi * lo)
+
+
+def _lattice_deficits(psi: PureState) -> list[float]:
+    """Purity deficit of every canonical cut, indexed by its mask bits (entry
+    0 is unused), from one depth-first walk over the subset lattice.
+
+    Each cut is evaluated on its smaller side T (for |T| = N/2, the side
+    without qubit 1).  The cuts of floor(N/2) or floor(N/2) + 1 qubits take
+    G_T from the vector, through _cut_gram.  Every smaller side T is then
+    reached from its parent P = T | (T + 1), T with its lowest clear bit
+    set, whose Gram is one qubit larger: G_T = Tr_q G_P.  Every Gram goes
+    through the per-cut rule, _gram_deficit.
+
+    Error argument.  An entry of G_T is a sum of 2^(N - |T|) amplitude
+    products whether _cut_gram forms it from the vector or the walk traces
+    it out of an ancestor; tracing only changes the order of the sum, into
+    a matrix product over at most 2^(N/2 + 1) columns followed by at most
+    N/2 pairwise additions.  That order is no deeper than the 2^13-term sum
+    bounded in subset_purity_deficit, so ||E||_F <= 2^13 eps t ~ 2e-12 t
+    still holds and D moves by at most ~8e-12 t^2 at the 2^14 cap, far below
+    PURITY_TOL t^2 (1e-10).  The rule then decides each cut as before.
+
+    The walk keeps a stack, not a level: the Grams alive at once are the
+    pending siblings along one path, at most ~N of them per level.
+    """
+    n = psi.n_qubits
+    full = 2**n - 1
+    top = 1 << (n - 1)  # mask bit of qubit 1
+    half = n // 2
+    deficits = [0.0] * top
+    for canonical in range(1, top):
+        if canonical.bit_count() not in (half, half + 1):
+            continue
+        root = canonical if canonical.bit_count() == half else canonical ^ full
+        stack = [(root, _cut_gram(psi, SubsetMask(canonical, n)))]
+        while stack:
+            bits, gram = stack.pop()
+            deficits[bits ^ full if bits & top else bits] = _gram_deficit(gram)
+            size = bits.bit_count()
+            if size > 1:
+                ones = (bits ^ (bits + 1)).bit_length() - 1
+                stack += [(bits ^ (1 << i), _trace_out_bit(gram, size, i)) for i in range(ones)]
+    return deficits
 
 
 def purity_sum(psi: PureState) -> float:
@@ -121,14 +178,15 @@ def pure_concurrence(psi: PureState) -> float:
     2^(1-N/2) sqrt(2^N - 2 - sum_S Tr rho_S^2); exactly 0.0 on fully
     product states.  The radicand is accumulated as a sum of per-subset
     purity deficits, which is the same quantity without the cancellation,
-    and each product cut adds an exact 0 (see subset_purity_deficit).
+    in canonical mask order, and each product cut adds an exact 0 (see
+    _gram_deficit and _lattice_deficits).
     """
     n = psi.n_qubits
     if n < 2:
         raise WrongDimension("concurrence needs at least 2 qubits")
     radicand = 0.0
-    for cut in _canonical_cuts(n):
-        radicand += 2.0 * subset_purity_deficit(psi, cut)
+    for d in _lattice_deficits(psi)[1:]:
+        radicand += 2.0 * d
     return 2.0 ** (1 - n / 2) * math.sqrt(max(radicand, 0.0))
 
 
@@ -164,11 +222,12 @@ class CutConcurrenceProfile:
 
 def cut_profile(psi: PureState) -> CutConcurrenceProfile:
     """Squared concurrence of every cut; a mask and its complement share one
-    value, so each bipartition is decomposed once."""
+    value, so each bipartition is decomposed once, by _lattice_deficits."""
     n = psi.n_qubits
+    full = 2**n - 1
     values: dict[int, float] = {}
-    for cut in _canonical_cuts(n):
-        values[cut.bits] = values[cut.complement().bits] = cut_concurrence_squared(psi, cut)
+    for bits, d in enumerate(_lattice_deficits(psi)[1:], start=1):
+        values[bits] = values[full ^ bits] = max(2.0 * d, 0.0)
     per_subset = dict(sorted(values.items()))
     size_sums = {j: 0.0 for j in range(1, n)}
     for bits, v in per_subset.items():

@@ -684,6 +684,17 @@ class TestParser:
         assert want in captured.err
         assert "expected one argument" not in captured.err
 
+    @pytest.mark.parametrize("value", ["0.5", "-1e-3"])
+    def test_flag_prefixes_are_refused(self, capsys, value):
+        # argparse would read --par as --param, but the "--flag=-X" rewrite
+        # only knows full names, so a negative exponent value would not reach
+        # the range check; refusing prefixes makes both values one error.
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--family", "ghz-noise", "--n", "3", "--par", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: --par {value}" in err
+
 
 class TestIgnoredFlagsAreErrors:
     @pytest.mark.parametrize("command", ["bound", "witness"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,16 +102,29 @@ class TestCutConcurrence:
             assert v == pytest.approx(prof.per_subset[full ^ bits], abs=1e-12)
 
     def test_profile_decomposes_each_bipartition_once(self, monkeypatch, rng):
-        original = concurrence._cut_gram
-        calls = []
+        # One per-cut rule per bipartition; only the cuts of floor(n/2) or
+        # floor(n/2) + 1 qubits form their Gram from the vector, the others
+        # trace a qubit out of a larger Gram.
+        rules, grams = [], []
+        gram_deficit, cut_gram = concurrence._gram_deficit, concurrence._cut_gram
 
-        def counting(psi, subset):
-            calls.append(subset.bits)
-            return original(psi, subset)
+        def counting_rule(gram):
+            rules.append(gram.shape)
+            return gram_deficit(gram)
 
-        monkeypatch.setattr(concurrence, "_cut_gram", counting)
-        cut_profile(random_pure(rng, 5))
-        assert calls == list(range(1, 2**4))
+        def counting_gram(psi, subset):
+            grams.append(subset.bits)
+            return cut_gram(psi, subset)
+
+        monkeypatch.setattr(concurrence, "_gram_deficit", counting_rule)
+        monkeypatch.setattr(concurrence, "_cut_gram", counting_gram)
+        for n in (5, 6):
+            rules.clear()
+            grams.clear()
+            cut_profile(random_pure(rng, n))
+            assert len(rules) == 2 ** (n - 1) - 1
+            assert sorted(grams) == [bits for bits in range(1, 2 ** (n - 1))
+                                     if bits.bit_count() in (n // 2, n // 2 + 1)]
 
     @pytest.mark.parametrize("n", [2, 5, 6])
     def test_profile_complements_share_the_canonical_value(self, rng, n):
@@ -121,7 +135,7 @@ class TestCutConcurrence:
         for bits, v in prof.per_subset.items():
             assert v == prof.per_subset[full ^ bits]
             if bits < full ^ bits:
-                assert v == cut_concurrence_squared(psi, SubsetMask(bits, n))
+                assert abs(v - cut_concurrence_squared(psi, SubsetMask(bits, n))) <= 1e-13
 
 
 class TestWootters:
@@ -327,52 +341,49 @@ class TestGramKernelAgainstSvd:
     """The package kernel against the SVD one, kept here as reference."""
 
     @staticmethod
-    def both(monkeypatch, psi):
+    def both(psi):
         """(cut_profile, pure_concurrence) as the package computes them, then
-        again with every cut's deficit taken from svd_schmidt_squares."""
-        calls = []
+        (per-mask C^2, C) with every cut's deficit from svd_schmidt_squares."""
+        n = psi.n_qubits
+        full = 2**n - 1
+        ref_cuts, radicand = {}, 0.0
+        for bits in range(1, 2 ** (n - 1)):
+            s2 = svd_schmidt_squares(psi, SubsetMask(bits, n))
+            d = 2.0 * float(np.dot(s2, s2.sum() - s2))
+            ref_cuts[bits] = ref_cuts[full ^ bits] = max(d, 0.0)
+            radicand += d
+        ref_c = 2.0 ** (1 - n / 2) * math.sqrt(max(radicand, 0.0))
+        return (cut_profile(psi), pure_concurrence(psi)), (ref_cuts, ref_c)
 
-        def svd_deficit(psi, subset):
-            calls.append(subset.bits)
-            s2 = svd_schmidt_squares(psi, subset)
-            return float(np.dot(s2, s2.sum() - s2))
-
-        new = cut_profile(psi), pure_concurrence(psi)
-        with monkeypatch.context() as m:
-            m.setattr(concurrence, "subset_purity_deficit", svd_deficit)
-            ref = cut_profile(psi), pure_concurrence(psi)
-        assert calls == 2 * list(range(1, 2 ** (psi.n_qubits - 1)))
-        return new, ref
-
-    def assert_close(self, monkeypatch, psi, tol=1e-12):
-        (prof, c), (ref_prof, ref_c) = self.both(monkeypatch, psi)
-        assert prof.per_subset.keys() == ref_prof.per_subset.keys()
+    def assert_close(self, psi, tol=1e-12):
+        (prof, c), (ref_cuts, ref_c) = self.both(psi)
+        assert prof.per_subset.keys() == ref_cuts.keys()
         for bits, v in prof.per_subset.items():
-            assert abs(v - ref_prof.per_subset[bits]) <= tol
+            assert abs(v - ref_cuts[bits]) <= tol
         assert abs(c - ref_c) <= tol
         return prof, c
 
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_haar(self, monkeypatch, n):
+    def test_haar(self, n):
         for psi in haar_random_pure(SamplerConfig(n, seed=700 + n, count=2)):
-            self.assert_close(monkeypatch, psi)
+            self.assert_close(psi)
 
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_product_states_are_exactly_zero(self, monkeypatch, n):
+    def test_product_states_are_exactly_zero(self, n):
         singles = [[q] for q in range(1, n + 1)]
         for psi in random_product_pure(SamplerConfig(n, seed=800 + n, count=2), singles):
-            prof, c = self.assert_close(monkeypatch, psi)
+            prof, c = self.assert_close(psi)
             assert c == 0.0
             assert set(prof.per_subset.values()) == {0.0}
 
     @pytest.mark.parametrize("n", range(3, 11))
-    def test_lu_rotated_ghz_and_w(self, monkeypatch, n):
-        self.assert_close(monkeypatch, lu_rotated(ghz_state(n), 900 + n))
-        self.assert_close(monkeypatch, lu_rotated(w_state(n), 950 + n))
+    def test_lu_rotated_ghz_and_w(self, n):
+        self.assert_close(lu_rotated(ghz_state(n), 900 + n))
+        self.assert_close(lu_rotated(w_state(n), 950 + n))
 
     @pytest.mark.parametrize("weight", [1e-16, 1e-15, 1e-14, 1e-13, 1e-12])
     @pytest.mark.parametrize("n", [2, 5, 8])
-    def test_near_product_against_brute_force(self, monkeypatch, n, weight):
+    def test_near_product_against_brute_force(self, n, weight):
         # The Gram eigenvalues carry ~1e-16 absolute error and the dust floor
         # zeroes weights below ~1.4e-14, so compare squares, not C itself
         # (sqrt turns a 1e-16 weight into a 1e-8 concurrence).
@@ -384,24 +395,30 @@ class TestGramKernelAgainstSvd:
         assert total == pytest.approx(brute_force_purity_sum(psi), rel=1e-13, abs=0)
         assert total == pytest.approx(expected, rel=1e-13, abs=0)
         c2 = 2.0 ** (2 - n) * (2**n - 2) * 2 * weight * (1 - weight)
-        (prof, c), (ref_prof, ref_c) = self.both(monkeypatch, psi)
+        (prof, c), (ref_cuts, ref_c) = self.both(psi)
         assert abs(c**2 - c2) <= 1e-12
         assert abs(c**2 - ref_c**2) <= 1e-12
         for bits, v in prof.per_subset.items():
-            assert abs(v - ref_prof.per_subset[bits]) <= 1e-12
+            assert abs(v - ref_cuts[bits]) <= 1e-12
 
 
 class TestFrobeniusDeficitAgainstEigenPath:
     """subset_purity_deficit reads a cut's deficit off its Gram matrix as
     (Tr G)^2 - ||G||_F^2 and solves for eigenvalues only on cuts that read
-    as pure.  The eigenvalue path, _schmidt_squares, is the reference on
-    every cut."""
+    as pure.  cut_profile and pure_concurrence apply the same rule to Grams
+    from one walk over the subset lattice, most of them partial traces of a
+    larger cut's Gram.  The eigenvalue path, _schmidt_squares, is the
+    reference for both on every cut."""
 
     @staticmethod
     def assert_close(psi):
-        """Each canonical cut's C^2 and the state's C^2 against the same
-        values summed from _schmidt_squares; returns the package's values."""
+        """Each canonical cut's C^2, per cut and in cut_profile, and the
+        state's C^2 against the same values summed from _schmidt_squares;
+        returns the package's per-cut values and C."""
         n = psi.n_qubits
+        full = 2**n - 1
+        prof = cut_profile(psi)
+        assert list(prof.per_subset) == list(range(1, full))
         cuts, radicand = [], 0.0
         for bits in range(1, 2 ** (n - 1)):
             cut = SubsetMask(bits, n)
@@ -409,35 +426,41 @@ class TestFrobeniusDeficitAgainstEigenPath:
             ref = 2.0 * float(np.dot(s2, s2.sum() - s2))
             cuts.append(cut_concurrence_squared(psi, cut))
             assert abs(cuts[-1] - max(ref, 0.0)) <= 1e-13
+            assert abs(prof.per_subset[bits] - max(ref, 0.0)) <= 1e-13
+            assert prof.per_subset[full ^ bits] == prof.per_subset[bits]
             radicand += ref
         c = pure_concurrence(psi)
         assert abs(c**2 - 2.0 ** (2 - n) * max(radicand, 0.0)) <= 1e-13
-        return cuts, c
+        return cuts, c, prof
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 14))
     def test_haar(self, n):
         for psi in haar_random_pure(SamplerConfig(n, seed=1100 + n, count=1)):
             self.assert_close(psi)
 
-    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("n", range(3, 14))
     def test_lu_rotated_ghz_and_w(self, n):
         self.assert_close(lu_rotated(ghz_state(n), 1200 + n))
         self.assert_close(lu_rotated(w_state(n), 1250 + n))
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 14))
     def test_near_product_straddling_the_threshold(self, n):
         # Every cut has Schmidt weights 1-w and w, so its deficit is
-        # 2 w (1-w), which crosses PURITY_TOL = 1e-10 at w = 5e-11.
-        for weight in (1e-13, 1e-11, 1e-10, 3e-10, 1e-9, 1e-6, 1e-3, 0.5):
+        # 2 w (1-w), which crosses PURITY_TOL = 1e-10 at w = 5e-11.  At 13
+        # qubits, where the reference takes seconds a state, the ends of the
+        # range and one weight above the threshold.
+        weights = (1e-13, 1e-11, 1e-10, 3e-10, 1e-9, 1e-6, 1e-3, 0.5)
+        for weight in weights if n < 13 else (1e-13, 1e-9, 0.5):
             self.assert_close(near_product(n, weight, seed=1300 + n))
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_product_states_are_exactly_zero(self, n):
         singles = [[q] for q in range(1, n + 1)]
         psi = random_product_pure(SamplerConfig(n, seed=1400 + n, count=1), singles)[0]
-        cuts, c = self.assert_close(psi)
+        cuts, c, prof = self.assert_close(psi)
         assert c == 0.0
         assert set(cuts) == {0.0}
+        assert set(prof.per_subset.values()) == {0.0}
 
     @pytest.mark.parametrize("psi, eigensolves", [
         (haar_random_pure(SamplerConfig(8, seed=1500, count=1))[0], 0),
@@ -457,3 +480,17 @@ class TestFrobeniusDeficitAgainstEigenPath:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         pure_concurrence(psi)
         assert len(calls) == eigensolves
+
+
+class TestLatticeWalkMemory:
+    def test_walk_keeps_no_whole_level(self):
+        # A whole level of 7-qubit Grams at 14 qubits is 1716 Grams, each the
+        # size of the state vector; the walk's stack holds a few per level.
+        psi = haar_random_pure(SamplerConfig(14, seed=1600, count=1))[0]
+        tracemalloc.start()
+        try:
+            pure_concurrence(psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * psi.amplitudes.nbytes
