@@ -1,15 +1,7 @@
 """Multipartite concurrence, analytic lower bounds, and k-nonseparability
 certification for N-qubit states."""
 
-from .bounds import (
-    BestBound,
-    BoundReport,
-    best_bound,
-    ghz_noise_exact_concurrence,
-    theorem1_bound,
-    theorem2_bound,
-    theorem3_bound,
-)
+from .bounds import BoundReport, best_bound, ghz_noise_exact_concurrence, theorem_bound
 from .concurrence import (
     CutConcurrenceProfile,
     PairwiseConcurrenceTable,
@@ -21,7 +13,6 @@ from .concurrence import (
     wootters_concurrence,
 )
 from .linalg import SubsetMask
-from .oracle import SamplerConfig, brute_force_purity_sum, haar_random_pure, random_product_pure
 from .states import (
     DensityMatrix,
     NoisyFamily,
@@ -45,19 +36,16 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BestBound",
     "BoundReport",
     "CutConcurrenceProfile",
     "DensityMatrix",
     "NoisyFamily",
     "PairwiseConcurrenceTable",
     "PureState",
-    "SamplerConfig",
     "Source",
     "SubsetMask",
     "WitnessVerdict",
     "best_bound",
-    "brute_force_purity_sum",
     "cut_concurrence_squared",
     "cut_profile",
     "detect_k_nonseparability",
@@ -68,15 +56,11 @@ __all__ = [
     "ghz_noise_exact_concurrence",
     "ghz_state",
     "h_invariant",
-    "haar_random_pure",
     "k_nonsep_threshold",
     "load_density_matrix",
     "pairwise_table",
     "pure_concurrence",
-    "random_product_pure",
-    "theorem1_bound",
-    "theorem2_bound",
-    "theorem3_bound",
+    "theorem_bound",
     "w_state",
     "white_noise_mix",
     "wootters_concurrence",

@@ -178,12 +178,8 @@ def at_param(given: DensityMatrix | NoisyFamily, param: float) -> DensityMatrix 
 
 def cmd_bound(args) -> int:
     rho = at_param(load_input(args), args.param)
-    if bounds_mod.applicable_theorems(rho.n_qubits):
-        best = bounds_mod.best_bound(rho)
-        table, reports = best.table, best.reports
-    else:
-        # below four qubits no theorem applies; still report the pair table
-        table, reports = pairwise_table(rho), ()
+    table = pairwise_table(rho)
+    reports = bounds_mod.best_bound(table)
     pair_rows = [[f"C_{i}_{j}", v] for (i, j), v in table.pairs()]
     bound_header = [f.name for f in fields(bounds_mod.BoundReport)]
     bound_rows = [list(astuple(r)) for r in reports]
@@ -332,7 +328,7 @@ def _grid_errors(family, closed_forms, pair_coeff: float) -> tuple[float, float]
         table = pairwise_table(family.point(x))
         for (i, j), value in table.pairs():
             worst_pair = max(worst_pair, abs(value - closed_forms(i, j, x)))
-        r = bounds_mod.theorem1_bound(table)
+        r = bounds_mod.theorem_bound("T1", table)
         worst_t1 = max(worst_t1, abs(r.bound_on_C2 - pair_coeff * table.value(1, 2) ** 2))
     return worst_pair, worst_t1
 
@@ -392,7 +388,7 @@ def _case4() -> bool:
     c.check("T1 bound equals 7/4 C12^2 on grid", t1_err, 1e-12)
     x = detection_threshold(family, None, Source.THEOREM1)
     c.check_value("entanglement crossing via T1", x, 1 / 3, 1e-4)
-    r = bounds_mod.theorem1_bound(pairwise_table(family.point(1.0)))
+    r = bounds_mod.theorem_bound("T1", pairwise_table(family.point(1.0)))
     c.check_value("T1 bound on C^2 at t=1 (saturation)", r.bound_on_C2, 7 / 4, 1e-9)
     c.check_value("pure concurrence of the noiseless state",
                   pure_concurrence(states.example4_state()), math.sqrt(7) / 2, 1e-9)

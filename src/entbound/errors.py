@@ -62,9 +62,5 @@ class NonMonotoneFamily(ValueError):
     """Family's bound is not known to be nondecreasing in its parameter; bisection refused."""
 
 
-class InvalidPartition(ValueError):
-    """Qubit partition blocks are not disjoint or do not cover 1..N."""
-
-
 class FamilyMismatch(ValueError):
     """Input state is not a member of the family an exact formula requires."""

@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOverflow, InvalidPartition
-from .linalg import PURE_DIM_CAP, SubsetMask, partial_trace, purity, require_within_cap
-from .states import DensityMatrix, PureState
+from entbound.errors import DimensionOverflow
+from entbound.linalg import PURE_DIM_CAP, SubsetMask, partial_trace, purity, require_within_cap
+from entbound.states import DensityMatrix, PureState
+
+
+class InvalidPartition(ValueError):
+    """Qubit partition blocks are not disjoint or do not cover 1..N."""
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from entbound.bounds import (
     PRIOR_DICKE_DETECTION_THRESHOLDS,
     ghz_noise_exact_concurrence,
     ghz_noise_separability_edge,
-    theorem1_bound,
+    theorem_bound,
 )
 from entbound.concurrence import (
     cut_profile,
@@ -21,7 +21,7 @@ from entbound.concurrence import (
     pure_concurrence,
     purity_sum,
 )
-from entbound.oracle import SamplerConfig, brute_force_purity_sum, haar_random_pure, random_product_pure
+from oracle import SamplerConfig, brute_force_purity_sum, haar_random_pure, random_product_pure
 from entbound.states import (
     dicke_noise_family,
     example3_family,
@@ -51,7 +51,7 @@ def test_criterion_1_w_noise_reproduction():
         closed = max(0.0, (t - math.sqrt(1 - t * t)) / 2)
         for _, value in table.pairs():
             worst_pair = max(worst_pair, abs(value - closed))
-        bound = theorem1_bound(table).bound_on_C2
+        bound = theorem_bound("T1", table).bound_on_C2
         worst_coeff = max(worst_coeff, abs(bound - 21 / 4 * table.value(1, 2) ** 2))
     elapsed = time.perf_counter() - t0
     ok = worst_pair <= 1e-9 and worst_coeff <= 1e-12 and elapsed < 5.0
@@ -99,7 +99,7 @@ def test_criterion_3_cycle_and_bell_pair_reproduction():
             worst4 = max(worst4, abs(value - expected))
 
     crossing = detection_threshold(fam4, None, Source.THEOREM1)
-    saturation = theorem1_bound(pairwise_table(fam4.state_at(1.0))).bound_on_C2
+    saturation = theorem_bound("T1", pairwise_table(fam4.state_at(1.0))).bound_on_C2
     exact_sq = pure_concurrence(example4_state()) ** 2
     ok = (
         worst3 <= 1e-9

@@ -7,20 +7,17 @@ import pytest
 from entbound.bounds import (
     PRIOR_DICKE_DETECTION_THRESHOLDS,
     BoundReport,
-    applicable_bounds,
     applicable_theorems,
     best_bound,
     ghz_noise_exact_concurrence,
     ghz_noise_separability_edge,
-    theorem1_bound,
-    theorem2_bound,
-    theorem3_bound,
+    require_domain,
     theorem_bound,
     theorem_coefficient,
 )
 from entbound.concurrence import PairwiseConcurrenceTable, pairwise_table, pure_concurrence
 from entbound.errors import ParameterOutOfRange, WrongQubitCount
-from entbound.oracle import SamplerConfig, haar_random_pure
+from oracle import SamplerConfig, haar_random_pure
 from entbound.states import (
     dicke_state,
     example3_state,
@@ -66,85 +63,86 @@ class TestTheorem1:
     def test_w_noise_family(self):
         for t in (0.75, 0.85, 0.95):
             table = pairwise_table(white_noise_mix(w_state(4), t))
-            r = theorem1_bound(table)
+            r = theorem_bound("T1", table)
             c12 = table.value(1, 2)
             assert r.bound_on_C2 == pytest.approx(21 / 4 * c12**2, abs=1e-12)
             assert r.bound_on_C == pytest.approx(math.sqrt(r.bound_on_C2), abs=1e-12)
 
     def test_cycle_family(self):
         table = pairwise_table(white_noise_mix(example3_state(), 0.9))
-        r = theorem1_bound(table)
+        r = theorem_bound("T1", table)
         assert r.bound_on_C2 == pytest.approx(7 / 2 * table.value(1, 2) ** 2, abs=1e-12)
 
     def test_bell_pair_saturation(self):
         psi = example4_state()
         table = pairwise_table(psi.density_matrix())
-        r = theorem1_bound(table)
+        r = theorem_bound("T1", table)
         assert r.bound_on_C2 == pytest.approx(7 / 4, abs=1e-12)
         assert r.bound_on_C2 == pytest.approx(pure_concurrence(psi) ** 2, abs=1e-10)
 
     def test_wrong_qubit_count(self):
         with pytest.raises(WrongQubitCount):
-            theorem1_bound(table_of(5, {}))
+            theorem_bound("T1", table_of(5, {}))
 
 
 class TestTheorem2:
     def test_zero_table(self):
-        assert theorem2_bound(table_of(5, {})).bound_on_C2 == 0.0
+        assert theorem_bound("T2", table_of(5, {})).bound_on_C2 == 0.0
 
     def test_single_pair(self):
-        r = theorem2_bound(table_of(5, {(1, 2): 0.3}))
+        r = theorem_bound("T2", table_of(5, {(1, 2): 0.3}))
         assert r.bound_on_C2 == pytest.approx(5 / 8 * 0.09, abs=1e-15)
 
     def test_blind_to_pure_ghz(self):
         table = pairwise_table(white_noise_mix(ghz_state(6), 1.0))
         assert all(v == 0.0 for _, v in table.pairs())
-        assert theorem2_bound(table).bound_on_C2 == 0.0
+        assert theorem_bound("T2", table).bound_on_C2 == 0.0
 
     def test_wrong_qubit_count(self):
         with pytest.raises(WrongQubitCount):
-            theorem2_bound(table_of(4, {}))
+            theorem_bound("T2", table_of(4, {}))
 
 
 class TestTheorem3:
     def test_single_pair(self):
-        r = theorem3_bound(table_of(6, {(2, 5): 0.4}))
+        r = theorem_bound("T3", table_of(6, {(2, 5): 0.4}))
         assert r.bound_on_C2 == pytest.approx(0.5 * 0.16, abs=1e-15)
 
     def test_uniform_eight_qubits(self):
         c = 0.2
         values = {pair: c for pair in itertools.combinations(range(1, 9), 2)}
-        r = theorem3_bound(table_of(8, values))
+        r = theorem_bound("T3", table_of(8, values))
         assert r.bound_on_C2 == pytest.approx(6 / 32 * 28 * c**2, abs=1e-12)
 
     def test_wrong_qubit_count(self):
         for n in (4, 5, 7):
             with pytest.raises(WrongQubitCount):
-                theorem3_bound(table_of(n, {}))
+                theorem_bound("T3", table_of(n, {}))
 
 
 class TestBestBound:
     def test_even_n_reports_both_with_stronger_first(self):
-        rho = white_noise_mix(dicke_state(6, 3), 0.95)
-        result = best_bound(rho)
-        assert [r.theorem for r in result.reports] == ["T3", "T2"]
-        assert result.best.theorem == "T3"
-        assert result.best.bound_on_C2 >= result.reports[1].bound_on_C2
+        reports = best_bound(pairwise_table(white_noise_mix(dicke_state(6, 3), 0.95)))
+        assert [r.theorem for r in reports] == ["T3", "T2"]
+        assert reports[0].bound_on_C2 >= reports[1].bound_on_C2
 
     def test_four_qubits_only_t1(self):
-        result = best_bound(white_noise_mix(w_state(4), 0.9))
-        assert [r.theorem for r in result.reports] == ["T1"]
+        reports = best_bound(pairwise_table(white_noise_mix(w_state(4), 0.9)))
+        assert [r.theorem for r in reports] == ["T1"]
 
     def test_five_qubits_only_t2(self):
-        result = best_bound(white_noise_mix(w_state(5), 0.9))
-        assert [r.theorem for r in result.reports] == ["T2"]
+        reports = best_bound(pairwise_table(white_noise_mix(w_state(5), 0.9)))
+        assert [r.theorem for r in reports] == ["T2"]
 
-    def test_rejects_small_systems(self):
-        with pytest.raises(WrongQubitCount):
-            best_bound(white_noise_mix(ghz_state(3), 0.9))
+    def test_odd_seven_only_t2(self):
+        assert [r.theorem for r in best_bound(table_of(7, {}))] == ["T2"]
 
-    def test_applicable_bounds_odd_seven(self):
-        assert [r.theorem for r in applicable_bounds(table_of(7, {}))] == ["T2"]
+    def test_no_theorem_below_four_qubits(self):
+        assert best_bound(pairwise_table(white_noise_mix(ghz_state(3), 0.9))) == ()
+
+    def test_zero_bounds_rank_by_coefficient(self):
+        # an all-zero table ties every bound at 0; the larger coefficient leads
+        assert [r.theorem for r in best_bound(table_of(6, {}))] == ["T3", "T2"]
 
 
 class TestQubitCountDomain:
@@ -164,15 +162,22 @@ class TestQubitCountDomain:
                 with pytest.raises(WrongQubitCount):
                     theorem_bound(theorem, table)
 
+    def test_unknown_label_is_named(self):
+        table = table_of(4, {})
+        for call in (lambda: theorem_coefficient("T4", 4), lambda: require_domain("T4", 4),
+                     lambda: theorem_bound("T4", table)):
+            with pytest.raises(ParameterOutOfRange, match="unknown theorem 'T4'"):
+                call()
+
 
 class TestMonotonicity:
     def test_bound_nondecreasing_in_entries(self):
         base = {pair: 0.1 for pair in itertools.combinations(range(1, 5), 2)}
-        r0 = theorem1_bound(table_of(4, base))
+        r0 = theorem_bound("T1", table_of(4, base))
         for pair in base:
             bumped = dict(base)
             bumped[pair] = 0.2
-            r1 = theorem1_bound(table_of(4, bumped))
+            r1 = theorem_bound("T1", table_of(4, bumped))
             assert r1.bound_on_C2 > r0.bound_on_C2
 
 
@@ -213,19 +218,19 @@ class TestSoundnessOnPureStates:
     def test_t1_below_exact_on_random_four_qubit(self):
         for psi in haar_random_pure(SamplerConfig(4, seed=71, count=30)):
             exact_sq = pure_concurrence(psi) ** 2
-            r = theorem1_bound(pairwise_table(psi.density_matrix()))
+            r = theorem_bound("T1", pairwise_table(psi.density_matrix()))
             assert exact_sq - r.bound_on_C2 >= -1e-10
 
     def test_t2_below_exact_on_random_five_qubit(self):
         for psi in haar_random_pure(SamplerConfig(5, seed=72, count=15)):
             exact_sq = pure_concurrence(psi) ** 2
-            r = theorem2_bound(pairwise_table(psi.density_matrix()))
+            r = theorem_bound("T2", pairwise_table(psi.density_matrix()))
             assert exact_sq - r.bound_on_C2 >= -1e-10
 
     def test_t3_below_exact_on_random_six_qubit(self):
         for psi in haar_random_pure(SamplerConfig(6, seed=73, count=8)):
             exact_sq = pure_concurrence(psi) ** 2
-            r = theorem3_bound(pairwise_table(psi.density_matrix()))
+            r = theorem_bound("T3", pairwise_table(psi.density_matrix()))
             assert exact_sq - r.bound_on_C2 >= -1e-10
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -233,7 +238,7 @@ class TestSoundnessOnPureStates:
         for p in np.linspace(0.0, 1.0, 11):
             rho = white_noise_mix(ghz_state(n), float(p))
             exact_sq = ghz_noise_exact_concurrence(n, float(p)) ** 2
-            for r in applicable_bounds(pairwise_table(rho)):
+            for r in best_bound(pairwise_table(rho)):
                 assert exact_sq - r.bound_on_C2 >= -1e-10
 
 

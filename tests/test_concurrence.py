@@ -17,7 +17,7 @@ from entbound.concurrence import (
 )
 from entbound.errors import EmptySubset, WrongDimension
 from entbound.linalg import SIGMA_Y, SubsetMask
-from entbound.oracle import (
+from oracle import (
     SamplerConfig,
     apply_local_unitaries,
     brute_force_purity_sum,

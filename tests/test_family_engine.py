@@ -12,7 +12,7 @@ from entbound.bounds import applicable_theorems
 from entbound.concurrence import pairwise_table
 from entbound.errors import DimensionOverflow, ParameterOutOfRange
 from entbound.linalg import BISECTION_STOP
-from entbound.oracle import SamplerConfig, haar_random_pure
+from oracle import SamplerConfig, haar_random_pure
 from entbound.states import (
     NoisyFamily,
     dicke_state,

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from entbound.concurrence import cut_concurrence_squared, pure_concurrence, purity_sum, subset_purity
-from entbound.errors import DimensionOverflow, InvalidPartition
+from entbound.errors import DimensionOverflow
 from entbound.linalg import SubsetMask
-from entbound.oracle import (
+from oracle import (
+    InvalidPartition,
     SamplerConfig,
     brute_force_purity_sum,
     haar_random_pure,

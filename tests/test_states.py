@@ -281,7 +281,7 @@ class TestDerivedStatesKeepInvariants:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_white_noise_mixtures_of_haar_states(self, n):
-        from entbound.oracle import SamplerConfig, haar_random_pure
+        from oracle import SamplerConfig, haar_random_pure
 
         for psi in haar_random_pure(SamplerConfig(n, seed=100 + n, count=3)):
             for x in np.linspace(0.0, 1.0, 11):

@@ -26,7 +26,7 @@ from entbound.linalg import (
     hermiticity_defect,
     require_square,
 )
-from entbound.oracle import SamplerConfig, haar_random_pure
+from oracle import SamplerConfig, haar_random_pure
 from entbound.states import (
     NoisyFamily,
     dicke_state,

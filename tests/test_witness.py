@@ -12,7 +12,7 @@ from entbound.errors import (
     NonMonotoneFamily,
     ParameterOutOfRange,
 )
-from entbound.oracle import (
+from oracle import (
     SamplerConfig,
     conjugate_by_local_unitaries,
     haar_random_pure,
@@ -280,10 +280,10 @@ class TestNoisyFamilyBoundsAreNondecreasing:
 class TestCertifiedBound:
     def test_theorem_sources_match_reports(self):
         rho = white_noise_mix(w_state(4), 0.9)
-        from entbound.bounds import theorem1_bound
+        from entbound.bounds import theorem_bound
         from entbound.concurrence import pairwise_table
 
-        expected = theorem1_bound(pairwise_table(rho)).bound_on_C
+        expected = theorem_bound("T1", pairwise_table(rho)).bound_on_C
         assert certified_bound(rho, Source.THEOREM1)[1] == pytest.approx(expected, abs=1e-14)
 
     def test_ghz_exact_recovers_visibility(self):
@@ -361,12 +361,12 @@ class TestSourceBound:
     """One source's bounds (on C^2, on C), all through certified_bound."""
 
     def test_theorem_source_reads_the_table(self):
-        from entbound.bounds import theorem1_bound
+        from entbound.bounds import theorem_bound
         from entbound.concurrence import pairwise_table
 
         rho = white_noise_mix(w_state(4), 0.9)
         table = pairwise_table(rho)
-        r = theorem1_bound(table)
+        r = theorem_bound("T1", table)
         assert certified_bound(rho, Source.THEOREM1, table) == (r.bound_on_C2, r.bound_on_C)
         assert certified_bound(rho, Source.THEOREM1) == (r.bound_on_C2, r.bound_on_C)
 
