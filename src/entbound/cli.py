@@ -19,7 +19,7 @@ from dataclasses import asdict, astuple, fields
 
 from . import bounds as bounds_mod
 from . import states
-from .concurrence import pairwise_table, pure_concurrence
+from .concurrence import pairwise_table, pairwise_tables, pure_concurrence
 from .errors import ConvergenceFailure
 from .states import DensityMatrix, FamilyPoint, NoisyFamily, load_density_matrix
 from .witness import (
@@ -62,7 +62,10 @@ def _grid_points(start: float, stop: float, steps: int) -> list[float]:
         raise ValueError("grid must satisfy 0 <= start <= stop <= 1 and steps >= 2")
     if steps > MAX_GRID_STEPS:
         raise ValueError(f"grid steps {steps} exceeds the cap of {MAX_GRID_STEPS}")
-    return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    # start + (stop - start) can round above stop: end on stop itself, and
+    # cap the rest at it, so no point leaves [start, stop]
+    inner = [min(start + (stop - start) * i / (steps - 1), stop) for i in range(steps - 1)]
+    return inner + [stop]
 
 
 def make_family(name: str, n: int | None, excitations: int | None = None) -> NoisyFamily:
@@ -237,9 +240,9 @@ def cmd_sweep(args) -> int:
         require_source(source, n, family)
 
     rows = []
-    for x in grid:
+    # each point is built twice rather than held: a grid can have 10001 of them
+    for x, table in zip(grid, pairwise_tables(family.point(x) for x in grid)):
         point = family.point(x)
-        table = pairwise_table(point)
         found = [certified_bound(point, s, table) for s in sources]
         row = [x] + [v for _, v in table.pairs()] + [b for bounds in found for b in bounds]
         if threshold is not None:
@@ -324,8 +327,8 @@ def _grid_errors(family, closed_forms, pair_coeff: float) -> tuple[float, float]
     """Worst |computed - closed form| over a 101-point grid and all pairs, and
     worst |T1 bound - pair_coeff * C12^2| over the same grid."""
     worst_pair = worst_t1 = 0.0
-    for x in _grid_points(0.0, 1.0, 101):
-        table = pairwise_table(family.point(x))
+    grid = _grid_points(0.0, 1.0, 101)
+    for x, table in zip(grid, pairwise_tables(family.point(x) for x in grid)):
         for (i, j), value in table.pairs():
             worst_pair = max(worst_pair, abs(value - closed_forms(i, j, x)))
         r = bounds_mod.theorem_bound("T1", table)

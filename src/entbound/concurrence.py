@@ -236,30 +236,37 @@ def cut_profile(psi: PureState) -> CutConcurrenceProfile:
 
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
+WOOTTERS_STACK = 2**12  # marginals per _wootters_stack call, 1 MiB per stacked operand
 
 
-def wootters_concurrence(rho: DensityMatrix) -> float:
-    """Concurrence of a two-qubit mixed state.
+def _wootters_stack(m: np.ndarray) -> list[float]:
+    """Wootters concurrences of a (k, 4, 4) stack of two-qubit states.
 
     max{lambda_1 - lambda_2 - lambda_3 - lambda_4, 0} where lambda_i are the
     decreasing square roots of the spectrum of rho (sy x sy) rho* (sy x sy).
     Computed through the Hermitian matrix sqrt(rho) rho~ sqrt(rho), which has
-    the same spectrum and avoids a non-Hermitian eigensolver.
+    the same spectrum and avoids a non-Hermitian eigensolver.  Each matrix
+    goes through the float operations of a one-matrix call, on the last two
+    axes, so a stack gives the bits of separate calls.
     """
-    if rho.n_qubits != 2:
-        raise WrongDimension(f"two-qubit formula applied to {rho.n_qubits} qubits")
-    m = rho.matrix
     rho_tilde = _YY @ m.conj() @ _YY
     w, v = linalg.psd_eigensystem(m)
-    root = (v * np.sqrt(w)) @ v.conj().T
+    root = (v * np.sqrt(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
     r = root @ rho_tilde @ root
-    r = (r + r.conj().T) / 2  # scrub rounding asymmetry before eigh
+    r = (r + r.conj().transpose(0, 2, 1)) / 2  # scrub rounding asymmetry before eigh
     # unit trace fixes the natural scale of r, so eigenvalue dust on
     # states with vanishing concurrence gets floored to an exact zero
     w, _ = linalg.psd_eigensystem(r, scale=1.0)
     lam = np.sqrt(w)
-    c = float(lam[0] - lam[1] - lam[2] - lam[3])
-    return min(max(c, 0.0), 1.0)
+    c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return [min(max(x, 0.0), 1.0) for x in c.tolist()]
+
+
+def wootters_concurrence(rho: DensityMatrix) -> float:
+    """Concurrence of a two-qubit mixed state: _wootters_stack on one matrix."""
+    if rho.n_qubits != 2:
+        raise WrongDimension(f"two-qubit formula applied to {rho.n_qubits} qubits")
+    return _wootters_stack(rho.matrix[None])[0]
 
 
 @dataclass(frozen=True)
@@ -283,19 +290,44 @@ class PairwiseConcurrenceTable:
         return sum(v * v for v in self.values.values())
 
 
+def pairwise_tables(points) -> list[PairwiseConcurrenceTable]:
+    """The pairwise table of each state in points, in order.
+
+    The marginals of every state's pair_marginals() (per pair for a
+    DensityMatrix, per class of equal pairs for a FamilyPoint) go through
+    _wootters_stack in point-then-pair order, WOOTTERS_STACK at a time, so a
+    NotPSD names the first failing marginal in that order.  Each table's
+    values keep combinations order, the order sum_of_squares adds in.
+    """
+    layout = []
+
+    def matrices():
+        for rho in points:
+            n = rho.n_qubits
+            if n < 2:
+                raise WrongDimension("pairwise table needs at least 2 qubits")
+            classes = []
+            layout.append((n, classes))
+            for pairs, marginal in rho.pair_marginals():
+                classes.append(pairs)
+                yield marginal.matrix
+
+    stream, found = matrices(), []
+    while chunk := list(itertools.islice(stream, WOOTTERS_STACK)):
+        found += _wootters_stack(np.array(chunk))
+    tables, start = [], 0
+    for n, classes in layout:
+        cs = found[start:start + len(classes)]
+        start += len(classes)
+        by_pair = {pair: c for pairs, c in zip(classes, cs) for pair in pairs}
+        ordered = {pair: by_pair[pair] for pair in itertools.combinations(range(1, n + 1), 2)}
+        tables.append(PairwiseConcurrenceTable(n, ordered))
+    return tables
+
+
 def pairwise_table(rho: DensityMatrix | FamilyPoint) -> PairwiseConcurrenceTable:
-    """Apply the two-qubit formula once per marginal of rho.pair_marginals():
-    per pair for a DensityMatrix, per class of equal pairs for a FamilyPoint.
-    values keeps combinations order, the order sum_of_squares adds in."""
-    n = rho.n_qubits
-    if n < 2:
-        raise WrongDimension("pairwise table needs at least 2 qubits")
-    found = {}
-    for pairs, marginal in rho.pair_marginals():
-        c = wootters_concurrence(marginal)
-        found.update((pair, c) for pair in pairs)
-    values = {pair: found[pair] for pair in itertools.combinations(range(1, n + 1), 2)}
-    return PairwiseConcurrenceTable(n, values)
+    """The pairwise table of one state: pairwise_tables([rho])[0]."""
+    return pairwise_tables([rho])[0]
 
 
 def h_invariant(psi: PureState) -> complex:

@@ -112,47 +112,54 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def hermitian_eigensystem(m: np.ndarray):
-    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
+    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix, or of
+    each matrix of a stack (..., d, d).
 
-    Returns ``(w, v)`` with ``m = v @ diag(w) @ v.conj().T`` and v unitary.
-    The input is not re-checked: every matrix that reaches here derives from a
-    state validated where it entered.  Raises ConvergenceFailure when the
-    underlying solver gives up.
+    Returns ``(w, v)`` with ``m = v @ diag(w) @ v.conj().T`` and v unitary,
+    per matrix; a stack is solved matrix by matrix, to the bits of separate
+    calls.  The input is not re-checked: every matrix that reaches here
+    derives from a state validated where it entered.  Raises
+    ConvergenceFailure when the underlying solver gives up.
     """
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
+    return w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1])
 
 
 def psd_eigensystem(m: np.ndarray, scale: float | None = None):
-    """hermitian_eigensystem of a PSD matrix, its eigenvalues floored for
-    square roots.
+    """hermitian_eigensystem of a PSD matrix, or of each matrix of a stack,
+    its eigenvalues floored for square roots.
 
-    Values in [-PSD_TOL, 0) clamp to zero; anything lower raises NotPSD.
-    Positive values below a noise floor (EIGEN_DUST of the largest eigenvalue,
-    or of ``scale`` when the caller knows the matrix's natural scale) also
-    clamp to zero: such dust is below the eigensolver's own backward error,
-    and carrying it through a square root would inflate it from ~1e-16 to
-    ~1e-8.
+    Values in [-PSD_TOL, 0) clamp to zero; anything lower raises NotPSD,
+    which names the lowest eigenvalue of the first failing matrix in stack
+    order.  Positive values below a noise floor (EIGEN_DUST of the matrix's
+    largest eigenvalue, or of ``scale`` when the caller knows the natural
+    scale) also clamp to zero: such dust is below the eigensolver's own
+    backward error, and carrying it through a square root would inflate it
+    from ~1e-16 to ~1e-8.
     """
     w, v = hermitian_eigensystem(m)
-    low = float(w.min()) if w.size else 0.0
-    if low < -PSD_TOL:
-        raise NotPSD(f"eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
+    if w.size and w.min() < -PSD_TOL:
+        low = w.min(axis=-1)
+        raise NotPSD(f"eigenvalue {float(low[low < -PSD_TOL][0]):.3e} below -{PSD_TOL:.1e}")
     return floor_eigen_dust(w, scale), v
 
 
 def floor_eigen_dust(w: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Eigenvalues of a PSD matrix with solver dust set to exact zeros.
+    """Eigenvalues of a PSD matrix, or of each matrix of a stack (..., d),
+    with solver dust set to exact zeros.
 
-    Clips at 0, then zeroes every value below EIGEN_DUST times the largest
-    eigenvalue (or ``scale``, when that is larger).  Works on any order.
+    Clips at 0, then zeroes every value below EIGEN_DUST times its matrix's
+    largest eigenvalue (or ``scale``, when that is larger).  Works on any
+    order.
     """
-    w = np.clip(w, 0.0, None)
-    top = float(w.max()) if w.size else 0.0
-    w[w < EIGEN_DUST * max(top, scale or 0.0)] = 0.0
+    w = np.maximum(w, 0.0)
+    top = w.max(axis=-1, keepdims=True, initial=0.0)
+    if scale:
+        top = np.maximum(top, scale)
+    w[w < EIGEN_DUST * top] = 0.0
     return w
 
 

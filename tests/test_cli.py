@@ -10,7 +10,7 @@ import pytest
 
 from entbound import cli
 from entbound.cli import build_parser, main
-from entbound.concurrence import pairwise_table
+from entbound.concurrence import pairwise_table, pairwise_tables
 from entbound.linalg import DENSE_DIM_CAP, HERM_TOL, hermiticity_defect
 from entbound.states import ghz_state, w_state, white_noise_mix
 
@@ -191,6 +191,16 @@ class TestSweepCommand:
         if want_code:
             assert spaced[2] == "error: grid must satisfy 0 <= start <= stop <= 1 and steps >= 2\n"
 
+    @pytest.mark.parametrize("grid", ["0.091:1:7", "0.077:1:101", "0.112:1:21"])
+    def test_grid_ends_on_its_stop(self, capsys, grid):
+        # start + (stop - start) rounds to 1.0000000000000002 on these grids
+        code, out, err = run(capsys, "sweep", "--family", "w-noise", "--n", "4",
+                             "--grid", grid, "--source", "t1", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].split(",")[0] == "1"
+        points = cli._grid_points(*cli._parse_grid(grid))
+        assert points[-1] == max(points) == 1.0
+
 
 class TestThresholdCommand:
     def test_bell_pair_family(self, capsys):
@@ -271,6 +281,29 @@ def count_calls(monkeypatch, original) -> dict:
     return counts
 
 
+def count_tables(monkeypatch) -> dict:
+    """Wrap pairwise_tables at every entbound module that binds it; the
+    returned dict counts the tables it builds per calling module, booking
+    pairwise_table's own call to pairwise_table's caller."""
+    import sys
+
+    counts = {}
+
+    def counting(points):
+        tables = pairwise_tables(points)
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "entbound.concurrence":
+            frame = frame.f_back
+        name = frame.f_globals["__name__"]
+        counts[name] = counts.get(name, 0) + len(tables)
+        return tables
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entbound") and getattr(module, "pairwise_tables", None) is pairwise_tables:
+            monkeypatch.setattr(module, "pairwise_tables", counting)
+    return counts
+
+
 class TestOneTablePerState:
     @pytest.mark.parametrize("n, family", [(4, "w-noise"), (5, "dicke-noise"), (6, "ghz-noise")])
     def test_bound_builds_one_table(self, monkeypatch, capsys, n, family):
@@ -311,7 +344,7 @@ class TestOneTablePerState:
 
     def test_sweep_builds_one_table_per_grid_point(self, monkeypatch, capsys):
         # ghz-exact crossings need no table, so every table is a grid point's
-        counts = count_calls(monkeypatch, pairwise_table)
+        counts = count_tables(monkeypatch)
         code, _, _ = run(capsys, "sweep", "--family", "ghz-noise", "--n", "5",
                          "--grid", "0:1:7", "--k", "3", "--source", "ghz-exact")
         assert code == 0
@@ -319,7 +352,7 @@ class TestOneTablePerState:
 
     def test_sweep_rows_build_one_table_per_grid_point(self, monkeypatch, capsys):
         # theorem crossings bisect on their own states; the rows take one each
-        counts = count_calls(monkeypatch, pairwise_table)
+        counts = count_tables(monkeypatch)
         code, _, _ = run(capsys, "sweep", "--family", "ex4", "--n", "4",
                          "--grid", "0:1:9", "--k", "3", "--source", "t1")
         assert code == 0
@@ -563,6 +596,20 @@ def test_oversize_grid_is_input_error_without_large_allocation(capsys):
         "sweep", "--family", "ex4", "--grid", "0:1:1000000000", "--k", "3")
 
 
+def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(capsys):
+    # 6 classes at each of 10001 points: 60006 marginals, in 15 kernel calls
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--family", "ex3", "--grid", f"0:1:{cli.MAX_GRID_STEPS}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("\n") == cli.MAX_GRID_STEPS + 2  # the header, the rows, the T1 crossing
+    assert peak <= 16 * 2**20
+
+
 @pytest.mark.parametrize("n", [13, 14])
 @pytest.mark.parametrize("argv", [
     ["bound", "--family", "w-noise", "--param", "0.9"],
@@ -766,7 +813,7 @@ def test_ghz_witness_recovers_the_visibility_once_for_every_k(monkeypatch, capsy
 ], ids=["threshold", "sweep"])
 def test_crossing_builds_no_sampling_states(monkeypatch, capsys, argv, tables):
     states = count_calls(monkeypatch, white_noise_mix)
-    counts = count_calls(monkeypatch, pairwise_table)
+    counts = count_tables(monkeypatch)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert states == {}

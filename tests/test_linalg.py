@@ -57,9 +57,27 @@ class TestEigensystem:
         assert np.array_equal(w1, w2)
         assert np.array_equal(v1, v2)
 
+    def test_stack_is_solved_and_floored_matrix_by_matrix(self, rng):
+        # scales 1 and 1e-15: each matrix is floored against its own top eigenvalue,
+        # so the small ones are not zeroed as dust of the stack's largest
+        mats = np.stack([scale * random_density(rng, 2, rank).matrix
+                         for scale in (1.0, 1e-15) for rank in (1, 2, 4)])
+        w, v = psd_eigensystem(mats)
+        for m, w_m, v_m in zip(mats, w, v):
+            want_w, want_v = psd_eigensystem(m)
+            assert w_m.tobytes() == want_w.tobytes()
+            assert v_m.tobytes() == want_v.tobytes()
+        assert np.count_nonzero(w[3:]) == 7  # ranks 1, 2 and 4 at scale 1e-15
+
+    def test_stack_names_its_first_failing_matrix(self):
+        mats = np.stack([np.diag(d).astype(complex) for d in
+                         ([1.0, 0.0], [1.0, -2e-10], [1.0, -5e-10], [1.0, -5e-11])])
+        with pytest.raises(NotPSD, match=r"^eigenvalue -2\.000e-10 below -1\.0e-10$"):
+            psd_eigensystem(mats)
+
 
 def psd_sqrt(m):
-    """Hermitian square root through psd_eigensystem, as wootters_concurrence takes it."""
+    """Hermitian square root through psd_eigensystem, as the Wootters kernel takes it."""
     w, v = psd_eigensystem(m)
     return (v * np.sqrt(w)) @ v.conj().T
 

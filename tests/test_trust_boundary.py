@@ -16,7 +16,7 @@ import pytest
 
 from entbound import concurrence, linalg, states, witness
 from entbound.cli import main
-from entbound.concurrence import wootters_concurrence
+from entbound.concurrence import pairwise_tables, wootters_concurrence
 from entbound.errors import NotPSD, ParseError
 from entbound.linalg import (
     EIGEN_DUST,
@@ -71,12 +71,12 @@ def near_psd_matrix():
 
 def record_eigensolves(monkeypatch) -> list:
     """Record the Hermiticity defect of every matrix given to the eigensolver,
-    under both names it is called by."""
+    each matrix of a stack on its own, under both names it is called by."""
     original = linalg.hermitian_eigensystem
     defects = []
 
     def recording(m):
-        defects.append(hermiticity_defect(m))
+        defects.extend(hermiticity_defect(a) for a in m.reshape(-1, *m.shape[-2:]))
         return original(m)
 
     monkeypatch.setattr(linalg, "hermitian_eigensystem", recording)
@@ -135,18 +135,59 @@ class TestEigensolverInputsAreHermitian:
         assert max(defects) <= 1e-15
 
     def test_two_eigensolves_per_wootters_call(self, monkeypatch, capsys):
-        defects = record_eigensolves(monkeypatch)
-        original = concurrence.wootters_concurrence
+        solves = []
+        original_solve = linalg.hermitian_eigensystem
+
+        def solving(m):
+            solves.append(m.shape)
+            return original_solve(m)
+
+        monkeypatch.setattr(linalg, "hermitian_eigensystem", solving)
+        original = concurrence._wootters_stack
         calls = []
 
-        def counting(rho):
-            calls.append(rho.n_qubits)
-            return original(rho)
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
 
-        monkeypatch.setattr(concurrence, "wootters_concurrence", counting)
+        monkeypatch.setattr(concurrence, "_wootters_stack", counting)
         code, _, _ = run(capsys, "bound", "--family", "ex3", "--param", "0.8")
         assert code == 0
-        assert calls and len(defects) == 2 * len(calls)
+        # ex3's six classes of equal pairs, each marginal once in both solves
+        assert calls == [(6, 4, 4)]
+        assert solves == [(6, 4, 4)] * 2
+
+
+# ------------------------------------------------ a marginal below the PSD floor
+
+def diagonal_csv(negatives: dict[int, float]) -> str:
+    """A 6-qubit diagonal state file: the given entries, the rest equal and
+    positive, at unit trace."""
+    rest = (1.0 - sum(negatives.values())) / (64 - len(negatives))
+    lines = ["# n_qubits = 6"]
+    lines += [f"{i},{i},{negatives.get(i, rest)!r},0" for i in range(64)]
+    return "\n".join(lines) + "\n"
+
+
+def qubits_of(i: int, *qubits: int) -> tuple[int, ...]:
+    return tuple(i >> (6 - q) & 1 for q in qubits)
+
+
+@pytest.mark.parametrize("negatives, message", [
+    # 16 entries of -0.9e-10 add up in the 00 entry of the (1,2) marginal
+    ({i: -0.9e-10 for i in range(64) if qubits_of(i, 1, 2) == (0, 0)},
+     "error: eigenvalue -1.440e-09 below -1.0e-10\n"),
+    # (3,4) reads -8e-10 and (5,6) -1.28e-9: the first pair in order is named
+    ({i: -0.5e-10 if qubits_of(i, 3, 4) == (0, 0) else -0.9e-10
+      for i in range(64) if qubits_of(i, 3, 4) == (0, 0) or qubits_of(i, 5, 6) == (1, 1)},
+     "error: eigenvalue -8.000e-10 below -1.0e-10\n"),
+], ids=["one-pair", "two-pairs"])
+def test_marginal_below_the_psd_floor_is_named(tmp_path, capsys, negatives, message):
+    path = tmp_path / "dust.csv"
+    path.write_text(diagonal_csv(negatives))
+    states.load_density_matrix(path)  # within -PSD_TOL, so the file is a state
+    code, out, err = run(capsys, "bound", "--state", str(path))
+    assert (code, out, err) == (2, "", message)
 
 
 # ------------------------------------------------ Wootters, against the re-checking chain
@@ -225,11 +266,24 @@ def seeded_marginals():
 
 
 def test_wootters_matches_the_rechecking_chain_bit_for_bit():
-    count = 0
-    for marginal in seeded_marginals():
-        assert wootters_concurrence(marginal) == reference_wootters(marginal)
-        count += 1
-    assert count >= 3000
+    marginals = list(seeded_marginals())
+    assert len(marginals) >= 3000
+    want = [reference_wootters(marginal) for marginal in marginals]
+    assert [wootters_concurrence(marginal) for marginal in marginals] == want
+    for size in (1, 6, len(marginals)):
+        got = [table.value(1, 2)
+               for start in range(0, len(marginals), size)
+               for table in pairwise_tables(marginals[start:start + size])]
+        assert got == want, size
+
+
+def test_tables_split_across_kernel_calls_match_one_call_per_table(monkeypatch):
+    rng = np.random.default_rng(3)
+    points = [random_density(rng, n, rank) for n in (2, 3, 5, 6) for rank in (1, 3)]
+    points += [NoisyFamily(base).point(0.8) for base in (w_state(5), dicke_state(6, 3))]
+    want = [list(pairwise_tables([rho])[0].values.items()) for rho in points]
+    monkeypatch.setattr(concurrence, "WOOTTERS_STACK", 7)  # tables straddle kernel calls
+    assert [list(t.values.items()) for t in pairwise_tables(points)] == want
 
 
 # ------------------------------------------------ JSON entries
