@@ -39,7 +39,6 @@ EXIT_NO_DETECTION = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-FAMILY_NAMES = ("w-noise", "dicke-noise", "ex3", "ex4", "ghz-noise")
 CLI_SOURCES = {s.value: s for s in (*THEOREM_SOURCES, Source.GHZ_EXACT)}
 MAX_GRID_STEPS = 10_001  # rows are held for csv/json; crossings resolve to BISECTION_TOL
 
@@ -68,30 +67,38 @@ def _grid_points(start: float, stop: float, steps: int) -> list[float]:
     return inner + [stop]
 
 
+# Each --family name and the builder of its base state from (n, excitations);
+# the family is the white-noise mixture NoisyFamily(base).
+FAMILIES = {
+    "w-noise": lambda n, e: states.w_state(n),
+    "dicke-noise": lambda n, e: states.dicke_state(n, n // 2 if e is None else e),
+    "ex3": lambda n, e: states.example3_state(),
+    "ex4": lambda n, e: states.example4_state(),
+    "ghz-noise": lambda n, e: states.ghz_state(n),
+}
+
+
 def make_family(name: str, n: int | None, excitations: int | None = None) -> NoisyFamily:
+    """The family FAMILIES names name, on n qubits (default 4)."""
     n = 4 if n is None else n
     if excitations is not None and name != "dicke-noise":
         raise ValueError("--excitations applies only to --family dicke-noise")
-    if name == "w-noise":
-        return states.w_noise_family(n)
-    if name == "dicke-noise":
-        return states.dicke_noise_family(n, excitations)
-    if name == "ghz-noise":
-        return states.ghz_noise_family(n)
-    if name in ("ex3", "ex4"):
-        if n != 4:
-            raise ValueError(f"family {name!r} is four-qubit only")
-        return states.example3_family() if name == "ex3" else states.example4_family()
-    raise ValueError(f"unknown family {name!r}")
+    if name in ("ex3", "ex4") and n != 4:
+        raise ValueError(f"family {name!r} is four-qubit only")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return NoisyFamily(FAMILIES[name](n, excitations))
 
 
-def _sources(args, n: int) -> list[Source]:
-    """The --source values, else every source that applies to N qubits:
-    each theorem on its qubit-count domain, plus ghz-exact on ghz-noise."""
+def _sources(args, given: DensityMatrix | NoisyFamily) -> list[Source]:
+    """The --source values, else every source that applies to the input:
+    each theorem on its qubit-count domain, plus ghz-exact on a family with
+    a GHZ base, the family that require_source accepts it for."""
     if args.source:
         return [CLI_SOURCES[s] for s in args.source]
+    n = given.n_qubits
     sources = [Source(t.lower()) for t in bounds_mod.applicable_theorems(n)]
-    if args.family == "ghz-noise":
+    if isinstance(given, NoisyFamily) and given.has_ghz_base:
         sources.append(Source.GHZ_EXACT)
     if not sources:
         raise ValueError(f"no bound source applies to {n} qubits")
@@ -212,7 +219,7 @@ def cmd_witness(args) -> int:
     given = load_input(args)
     n = given.n_qubits
     ks = args.k or [2]
-    sources = _sources(args, n)
+    sources = _sources(args, given)
     # reject inapplicable theorems and impossible k before building the state
     for source in sources:
         require_source(source, n)
@@ -233,7 +240,7 @@ def cmd_witness(args) -> int:
 def cmd_sweep(args) -> int:
     family = make_family(args.family, args.n, args.excitations)
     n = family.n_qubits
-    sources = _sources(args, n)
+    sources = _sources(args, family)
     grid = _grid_points(*args.grid)
     threshold = None if args.k is None else k_nonsep_threshold(n, 2, args.k)
     for source in sources:
@@ -280,7 +287,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_threshold(args) -> int:
     family = make_family(args.family, args.n, args.excitations)
-    sources = _sources(args, family.n_qubits)
+    sources = _sources(args, family)
     crossings = [(source, detection_threshold(family, args.k, source))
                  for source in sources]
     rows = [
@@ -337,7 +344,7 @@ def _grid_errors(family, closed_forms, pair_coeff: float) -> tuple[float, float]
 
 
 def _case1() -> bool:
-    family = states.w_noise_family(4)
+    family = make_family("w-noise", 4)
     c = _CaseChecker(1, "four-qubit W state + white noise")
     closed = lambda i, j, t: max(0.0, (t - math.sqrt(1 - t * t)) / 2)
     pair_err, t1_err = _grid_errors(family, closed, 21 / 4)
@@ -347,7 +354,7 @@ def _case1() -> bool:
 
 
 def _case2() -> bool:
-    family = states.dicke_noise_family(4, 2)
+    family = make_family("dicke-noise", 4, 2)
     c = _CaseChecker(2, "four-qubit two-excitation Dicke state + white noise")
     closed = lambda i, j, t: max(0.0, (5 * t - 3) / 6)
     pair_err, t1_err = _grid_errors(family, closed, 21 / 4)
@@ -363,7 +370,7 @@ def _case2() -> bool:
 
 
 def _case3() -> bool:
-    family = states.example3_family()
+    family = make_family("ex3", 4)
     c = _CaseChecker(3, "four-qubit pair-cycle state + white noise")
 
     def closed(i, j, a):
@@ -378,7 +385,7 @@ def _case3() -> bool:
 
 
 def _case4() -> bool:
-    family = states.example4_family()
+    family = make_family("ex4", 4)
     c = _CaseChecker(4, "Bell-pair product state + white noise")
 
     def closed(i, j, t):
@@ -394,12 +401,12 @@ def _case4() -> bool:
     r = bounds_mod.theorem_bound("T1", pairwise_table(family.point(1.0)))
     c.check_value("T1 bound on C^2 at t=1 (saturation)", r.bound_on_C2, 7 / 4, 1e-9)
     c.check_value("pure concurrence of the noiseless state",
-                  pure_concurrence(states.example4_state()), math.sqrt(7) / 2, 1e-9)
+                  pure_concurrence(family.base), math.sqrt(7) / 2, 1e-9)
     return c.ok
 
 
 def _case5() -> bool:
-    family = states.example4_family()
+    family = make_family("ex4", 4)
     c = _CaseChecker(5, "3-nonseparability witness on the Bell-pair family")
     c.check_value("threshold(n=4, d=2, k=3)", k_nonsep_threshold(4, 2, 3),
                   math.sqrt(22) / 4, 1e-12)
@@ -423,7 +430,7 @@ def _case6() -> bool:
         worst_edge = max(worst_edge, abs(bounds_mod.ghz_noise_exact_concurrence(n, edge)))
     c.check("exact formula at p=1 equals pure GHZ concurrence, n=2..8", worst_pure, 1e-10)
     c.check("exact formula vanishes at the separability edge, n=2..8", worst_edge, 1e-12)
-    family = states.ghz_noise_family(4)
+    family = make_family("ghz-noise", 4)
     x = detection_threshold(family, 3, Source.GHZ_EXACT)
     c.check_value("detection crossing, exact bound, k=3", x, 0.8991, 1e-4)
     above = detect_k_nonseparability(family.point(0.90), 3, Source.GHZ_EXACT)
@@ -502,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--clamp", action="store_true",
                        help="repair near-PSD input matrices instead of rejecting")
     for p in point + family:
-        p.add_argument("--family", action=_Once, choices=FAMILY_NAMES, required=p in family)
+        p.add_argument("--family", action=_Once, choices=tuple(FAMILIES), required=p in family)
         p.add_argument("--n", action=_Once, type=int, help="qubit count for --family")
         p.add_argument("--excitations", action=_Once, type=int,
                        help="excitation number for dicke-noise (default n//2)")

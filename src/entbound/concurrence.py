@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceFailure, EmptySubset, WrongDimension
+from .errors import EmptySubset, WrongDimension
 from .linalg import PURITY_TOL, SIGMA_Y, SubsetMask
 from .states import DensityMatrix, FamilyPoint, PureState
 
@@ -51,11 +51,7 @@ def _floored_spectrum(gram: np.ndarray) -> np.ndarray:
     """Eigenvalues of a cut's Gram matrix through linalg.floor_eigen_dust: the
     eigensolver leaves ~1e-16 of absolute dust where a weight is zero, and
     the floor turns it into an exact zero."""
-    try:
-        w = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(str(exc)) from exc
-    return linalg.floor_eigen_dust(w)
+    return linalg.floor_eigen_dust(linalg.converged(np.linalg.eigvalsh, gram))
 
 
 def _schmidt_squares(psi: PureState, subset: SubsetMask) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Minimal dense complex linear algebra for qubit systems.
 
+The guard that turns eigensolver breakdowns into ConvergenceFailure,
 Hermitian eigendecomposition, its dust-floored PSD variant and the floor
 itself, a subset-indexed partial trace, and the size caps on dense and
 pure-state arrays.  Qubit 1 is the most significant bit of the
@@ -111,6 +112,16 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
+def converged(solver, m: np.ndarray):
+    """solver(m) for a numpy.linalg eigensolver, its LinAlgError raised as
+    ConvergenceFailure.  numpy's error subclasses ValueError, which callers
+    read as bad input; a solver that gives up is a numerical failure."""
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
 def hermitian_eigensystem(m: np.ndarray):
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix, or of
     each matrix of a stack (..., d, d).
@@ -121,10 +132,7 @@ def hermitian_eigensystem(m: np.ndarray):
     derives from a state validated where it entered.  Raises
     ConvergenceFailure when the underlying solver gives up.
     """
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    w, v = converged(np.linalg.eigh, m)
     return w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1])
 
 

@@ -1,7 +1,9 @@
-"""State constructors: named pure states, white-noise families, file ingestion.
+"""States: validated pure and density matrices, white-noise families, named
+pure states and matrix-file ingestion.
 
-The six built-in benchmark families used by the CLI ``reproduce`` command are
-all assembled from the constructors here.
+A family is ``NoisyFamily(base)``, the white-noise mixture of one pure state;
+the named constructors here give the bases of the built-in families, which
+``cli.FAMILIES`` lists by their ``--family`` names.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ class DensityMatrix:
             raise InvariantViolation(f"matrix shape {m.shape} does not match 2^{self.n_qubits}")
         herm = _checked_hermitian_part(m)
         if not _cholesky_certifies_psd(herm):
-            low = float(np.linalg.eigvalsh(herm).min())
+            low = float(linalg.converged(np.linalg.eigvalsh, herm).min())
             if low < -PSD_TOL:
                 raise InvariantViolation(f"negative eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
         herm.setflags(write=False)
@@ -165,7 +167,7 @@ class DensityMatrix:
         if 2**n != arr.shape[0]:
             raise InvariantViolation(f"dimension {arr.shape[0]} is not a power of two")
         if clamp:
-            w, v = np.linalg.eigh(_checked_hermitian_part(arr))
+            w, v = linalg.converged(np.linalg.eigh, _checked_hermitian_part(arr))
             if float(w.min()) < CLAMP_FLOOR:
                 raise InvariantViolation(f"eigenvalue {float(w.min()):.3e} too negative to clamp")
             w = np.clip(w, 0.0, None)
@@ -344,28 +346,6 @@ def white_noise_mix(psi: PureState, x: float) -> DensityMatrix:
     m = np.eye(d, dtype=complex) * ((1.0 - x) / d)
     m += x * np.outer(psi.amplitudes, psi.amplitudes.conj())
     return DensityMatrix._derived(psi.n_qubits, m)
-
-
-def w_noise_family(n: int = 4) -> NoisyFamily:
-    return NoisyFamily(w_state(n))
-
-
-def dicke_noise_family(n: int = 4, excitations: int | None = None) -> NoisyFamily:
-    if excitations is None:
-        excitations = n // 2
-    return NoisyFamily(dicke_state(n, excitations))
-
-
-def example3_family() -> NoisyFamily:
-    return NoisyFamily(example3_state())
-
-
-def example4_family() -> NoisyFamily:
-    return NoisyFamily(example4_state())
-
-
-def ghz_noise_family(n: int) -> NoisyFamily:
-    return NoisyFamily(ghz_state(n))
 
 
 def load_density_matrix(source, clamp: bool = False) -> DensityMatrix:

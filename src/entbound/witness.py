@@ -30,7 +30,7 @@ from .linalg import (
     hermitian_eigensystem,
     purity,
 )
-from .states import DensityMatrix, FamilyPoint, NoisyFamily, PureState, ghz_noise_family
+from .states import DensityMatrix, FamilyPoint, NoisyFamily, PureState, ghz_state
 
 GHZ_CHECK_ENTRIES = 2**18  # entries per row block of the GHZ-noise check, 4 MiB
 
@@ -111,7 +111,7 @@ def _ghz_visibility(rho: DensityMatrix | FamilyPoint) -> float:
     if not -FAMILY_MATCH_TOL <= p <= 1.0 + FAMILY_MATCH_TOL:
         raise FamilyMismatch(f"recovered visibility {p} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
-    model = ghz_noise_family(rho.n_qubits).point(p)
+    model = NoisyFamily(ghz_state(rho.n_qubits)).point(p)
     step = max(1, GHZ_CHECK_ENTRIES >> rho.n_qubits)
     gap = max(float(np.max(np.abs(model.rows(i, i + step) - rho.rows(i, i + step))))
               for i in range(0, 2**rho.n_qubits, step))

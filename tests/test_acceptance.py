@@ -23,13 +23,12 @@ from entbound.concurrence import (
 )
 from oracle import SamplerConfig, brute_force_purity_sum, haar_random_pure, random_product_pure
 from entbound.states import (
-    dicke_noise_family,
-    example3_family,
-    example4_family,
+    NoisyFamily,
+    dicke_state,
+    example3_state,
     example4_state,
-    ghz_noise_family,
     ghz_state,
-    w_noise_family,
+    w_state,
 )
 from entbound.witness import Source, detection_threshold, k_nonsep_threshold
 
@@ -43,7 +42,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_w_noise_reproduction():
     t0 = time.perf_counter()
-    family = w_noise_family(4)
+    family = NoisyFamily(w_state(4))
     worst_pair = 0.0
     worst_coeff = 0.0
     for t in GRID_101:
@@ -60,7 +59,7 @@ def test_criterion_1_w_noise_reproduction():
 
 
 def test_criterion_2_dicke_reproduction():
-    family = dicke_noise_family(4, 2)
+    family = NoisyFamily(dicke_state(4, 2))
     worst = 0.0
     for t in GRID_101:
         table = pairwise_table(family.state_at(t))
@@ -80,7 +79,7 @@ def test_criterion_2_dicke_reproduction():
 
 
 def test_criterion_3_cycle_and_bell_pair_reproduction():
-    fam3 = example3_family()
+    fam3 = NoisyFamily(example3_state())
     worst3 = 0.0
     for a in GRID_101:
         table = pairwise_table(fam3.state_at(a))
@@ -89,7 +88,7 @@ def test_criterion_3_cycle_and_bell_pair_reproduction():
             expected = 0.0 if (i, j) in ((1, 3), (2, 4)) else closed
             worst3 = max(worst3, abs(value - expected))
 
-    fam4 = example4_family()
+    fam4 = NoisyFamily(example4_state())
     worst4 = 0.0
     for t in GRID_101:
         table = pairwise_table(fam4.state_at(t))
@@ -115,7 +114,7 @@ def test_criterion_3_cycle_and_bell_pair_reproduction():
 
 def test_criterion_4_witness_threshold_reproduction():
     thr = k_nonsep_threshold(4, 2, 3)
-    crossing = detection_threshold(example4_family(), 3, Source.THEOREM1)
+    crossing = detection_threshold(NoisyFamily(example4_state()), 3, Source.THEOREM1)
     ok = abs(thr - math.sqrt(22) / 4) <= 1e-12 and abs(crossing - 0.9243) <= 1e-4
     _report(4, ok, f"threshold(4,2,3) = {thr:.12f} = sqrt(22)/4 +- 1e-12, "
                    f"3-nonseparability crossing {crossing:.6f} = 0.9243 +- 1e-4")
@@ -130,7 +129,7 @@ def test_criterion_5_ghz_exact_reproduction():
         ))
         edge = ghz_noise_separability_edge(n)
         worst_edge = max(worst_edge, abs(ghz_noise_exact_concurrence(n, edge)))
-    crossing = detection_threshold(ghz_noise_family(4), 3, Source.GHZ_EXACT)
+    crossing = detection_threshold(NoisyFamily(ghz_state(4)), 3, Source.GHZ_EXACT)
     ok = worst_pure <= 1e-10 and worst_edge <= 1e-12 and abs(crossing - 0.8991) <= 1e-4
     _report(5, ok, f"GHZ family: p=1 matches pure concurrence for n=2..8 "
                    f"(err {worst_pure:.2e} <= 1e-10), zero point exact "

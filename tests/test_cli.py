@@ -12,7 +12,16 @@ from entbound import cli
 from entbound.cli import build_parser, main
 from entbound.concurrence import pairwise_table, pairwise_tables
 from entbound.linalg import DENSE_DIM_CAP, HERM_TOL, hermiticity_defect
-from entbound.states import ghz_state, w_state, white_noise_mix
+from entbound.states import (
+    NoisyFamily,
+    dicke_state,
+    example3_state,
+    example4_state,
+    ghz_state,
+    w_state,
+    white_noise_mix,
+)
+from entbound.witness import Source
 
 from conftest import random_density
 
@@ -818,3 +827,71 @@ def test_crossing_builds_no_sampling_states(monkeypatch, capsys, argv, tables):
     assert code == 0
     assert states == {}
     assert counts == tables
+
+
+class TestFamilyCatalogue:
+    @pytest.mark.parametrize("command", ["bound", "witness", "sweep", "threshold"])
+    def test_family_choices_are_the_catalogue_in_order(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices[command]._actions if "--family" in a.option_strings)
+        assert action.choices == tuple(cli.FAMILIES)
+        assert action.choices == ("w-noise", "dicke-noise", "ex3", "ex4", "ghz-noise")
+
+    def test_each_name_builds_the_noisy_family_of_its_constructor(self):
+        cases = [("ex3", n, None, example3_state()) for n in (None, 4)]
+        cases += [("ex4", n, None, example4_state()) for n in (None, 4)]
+        cases += [("dicke-noise", None, None, dicke_state(4, 2))]
+        for n in (4, 5, 6):
+            cases += [("w-noise", n, None, w_state(n)), ("ghz-noise", n, None, ghz_state(n)),
+                      ("dicke-noise", n, None, dicke_state(n, n // 2))]
+            cases += [("dicke-noise", n, e, dicke_state(n, e)) for e in range(1, n)]
+        assert {name for name, *_ in cases} == set(cli.FAMILIES)
+        for name, n, excitations, base in cases:
+            family = cli.make_family(name, n, excitations)
+            assert type(family) is NoisyFamily
+            assert family.n_qubits == base.n_qubits
+            assert family.base.amplitudes.tobytes() == base.amplitudes.tobytes(), (name, n)
+
+    def test_ghz_exact_is_a_default_source_exactly_on_ghz_noise(self):
+        args = argparse.Namespace(source=None)
+        for name in cli.FAMILIES:
+            for n in [4] if name in ("ex3", "ex4") else range(2, 15):
+                for excitations in range(1, n) if name == "dicke-noise" else [None]:
+                    family = cli.make_family(name, n, excitations)
+                    try:
+                        sources = cli._sources(args, family)
+                    except ValueError as exc:
+                        assert str(exc) == f"no bound source applies to {n} qubits"
+                        sources = []
+                    assert (Source.GHZ_EXACT in sources) == (name == "ghz-noise"), (name, n)
+                    assert family.has_ghz_base == (name == "ghz-noise"), (name, n)
+
+    def test_a_ghz_state_file_gets_no_ghz_exact_by_default(self):
+        rho = white_noise_mix(ghz_state(4), 0.9)
+        assert cli._sources(argparse.Namespace(source=None), rho) == [Source.THEOREM1]
+
+
+def _solver_gives_up(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+class TestSolverFailureIsNumerical:
+    def test_psd_check_of_a_state_file(self, tmp_path, capsys, monkeypatch):
+        import entbound.states as states_mod
+
+        path = tmp_path / "ghz.json"
+        write_ghz_json(path)
+        monkeypatch.setattr(states_mod, "_cholesky_certifies_psd", lambda herm: False)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _solver_gives_up)
+        code, out, err = run(capsys, "bound", "--state", str(path))
+        assert (code, out) == (cli.EXIT_NUMERICAL, "")
+        assert err == "error: numerical failure: Eigenvalues did not converge\n"
+
+    def test_clamp_repair_of_a_state_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "ghz.json"
+        write_ghz_json(path)
+        monkeypatch.setattr(np.linalg, "eigh", _solver_gives_up)
+        code, out, err = run(capsys, "bound", "--state", str(path), "--clamp")
+        assert (code, out) == (cli.EXIT_NUMERICAL, "")
+        assert err == "error: numerical failure: Eigenvalues did not converge\n"

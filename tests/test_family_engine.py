@@ -19,7 +19,6 @@ from entbound.states import (
     example3_state,
     example4_state,
     ghz_state,
-    w_noise_family,
     w_state,
     white_noise_mix,
 )
@@ -126,7 +125,7 @@ def test_haar_base_has_one_class_per_pair(n):
 def test_threshold_allocates_less_than_one_dense_matrix():
     tracemalloc.start()
     try:
-        x = detection_threshold(w_noise_family(9), None, Source.THEOREM2)
+        x = detection_threshold(NoisyFamily(w_state(9)), None, Source.THEOREM2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

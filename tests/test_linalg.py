@@ -5,6 +5,7 @@ import pytest
 
 from entbound import linalg
 from entbound.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     DimensionOverflow,
     EmptySubset,
@@ -267,3 +268,23 @@ def test_tolerances_record():
     assert linalg.BISECTION_STOP == 1e-9
     assert linalg.REPORT_REL_TOL == 1e-12
     assert not hasattr(linalg, "Tolerances") and not hasattr(linalg, "TOL")
+
+
+class TestConverged:
+    def test_returns_the_solver_result(self, rng):
+        m = random_hermitian(rng, 8)
+        assert linalg.converged(np.linalg.eigvalsh, m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+    def test_solver_breakdown_is_a_convergence_failure(self, monkeypatch):
+        from entbound import concurrence
+        from entbound.states import w_state
+
+        def gives_up(m):
+            raise np.linalg.LinAlgError("did not converge")
+
+        with pytest.raises(ConvergenceFailure, match="did not converge") as exc:
+            linalg.converged(gives_up, np.eye(2))
+        assert not isinstance(exc.value, ValueError)
+        monkeypatch.setattr(np.linalg, "eigvalsh", gives_up)
+        with pytest.raises(ConvergenceFailure):
+            concurrence.subset_purity(w_state(4), SubsetMask.from_qubits([1], 4))

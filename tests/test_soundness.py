@@ -25,12 +25,11 @@ from entbound.bounds import applicable_theorems, ghz_noise_exact_concurrence
 from entbound.concurrence import pure_concurrence, wootters_concurrence
 from entbound.states import (
     NoisyFamily,
-    dicke_noise_family,
-    example3_family,
-    example4_family,
-    ghz_noise_family,
+    dicke_state,
+    example3_state,
+    example4_state,
     ghz_state,
-    w_noise_family,
+    w_state,
     white_noise_mix,
 )
 from entbound.witness import Source, certified_bound
@@ -74,10 +73,10 @@ def _two_qubit_cases(rng) -> list[dict]:
 
 
 def _family_cases() -> list[dict]:
-    families = [(f"w-noise {n}", w_noise_family(n)) for n in range(3, 9)]
-    families += [(f"dicke-noise {n}", dicke_noise_family(n)) for n in range(4, 9)]
-    families += [(f"ghz-noise {n}", ghz_noise_family(n)) for n in range(2, 9)]
-    families += [("ex3", example3_family()), ("ex4", example4_family())]
+    families = [(f"w-noise {n}", NoisyFamily(w_state(n))) for n in range(3, 9)]
+    families += [(f"dicke-noise {n}", NoisyFamily(dicke_state(n, n // 2))) for n in range(4, 9)]
+    families += [(f"ghz-noise {n}", NoisyFamily(ghz_state(n))) for n in range(2, 9)]
+    families += [("ex3", NoisyFamily(example3_state())), ("ex4", NoisyFamily(example4_state()))]
     families += [(f"haar {n}", NoisyFamily(psi))
                  for n in range(2, 9) for psi in haar_random_pure(SamplerConfig(n, seed=n))]
     cases = []

@@ -27,9 +27,7 @@ from entbound.states import (
     PureState,
     dicke_state,
     example3_state,
-    example4_family,
     example4_state,
-    ghz_noise_family,
     ghz_state,
     w_state,
     white_noise_mix,
@@ -119,14 +117,14 @@ class TestSoundnessSampling:
 
 class TestDetect:
     def test_bell_pair_family_crossing_points(self):
-        family = example4_family()
+        family = NoisyFamily(example4_state())
         above = detect_k_nonseparability(family.state_at(0.93), 3, Source.THEOREM1)
         below = detect_k_nonseparability(family.state_at(0.92), 3, Source.THEOREM1)
         assert above.detected and not below.detected
         assert above.threshold == pytest.approx(math.sqrt(22) / 4, abs=1e-13)
 
     def test_ghz_family_crossing_points(self):
-        family = ghz_noise_family(4)
+        family = NoisyFamily(ghz_state(4))
         above = detect_k_nonseparability(family.state_at(0.90), 3, Source.GHZ_EXACT)
         below = detect_k_nonseparability(family.state_at(0.89), 3, Source.GHZ_EXACT)
         assert above.detected and not below.detected
@@ -170,7 +168,7 @@ class TestDetect:
             WitnessVerdict(4, 2, 5, 1.0, 0.5, Source.THEOREM1, detected=False)
 
     def test_detection_invariant_under_local_unitaries(self, rng):
-        family = example4_family()
+        family = NoisyFamily(example4_state())
         for t in (0.93, 0.92):
             rho = family.state_at(t)
             us = random_single_qubit_unitaries(rng, 4)
@@ -182,20 +180,20 @@ class TestDetect:
 
 class TestDetectionThreshold:
     def test_bell_pair_family_k3(self):
-        x = detection_threshold(example4_family(), 3, Source.THEOREM1)
+        x = detection_threshold(NoisyFamily(example4_state()), 3, Source.THEOREM1)
         assert x == pytest.approx(0.9243, abs=1e-4)
 
     def test_ghz_exact_k3(self):
-        x = detection_threshold(ghz_noise_family(4), 3, Source.GHZ_EXACT)
+        x = detection_threshold(NoisyFamily(ghz_state(4)), 3, Source.GHZ_EXACT)
         assert x == pytest.approx(0.8991, abs=1e-4)
 
     def test_entanglement_mode(self):
-        x = detection_threshold(example4_family(), None, Source.THEOREM1)
+        x = detection_threshold(NoisyFamily(example4_state()), None, Source.THEOREM1)
         assert x == pytest.approx(1 / 3, abs=1e-4)
 
     def test_no_crossing_sentinel(self):
         # k=2 threshold (1.369) lies above the family's maximum bound (1.323).
-        assert detection_threshold(ghz_noise_family(4), 2, Source.GHZ_EXACT) is None
+        assert detection_threshold(NoisyFamily(ghz_state(4)), 2, Source.GHZ_EXACT) is None
 
     def test_non_monotone_family_rejected(self):
         from entbound.states import example4_state
@@ -214,7 +212,7 @@ class TestDetectionThreshold:
 
     def test_ghz_exact_requires_ghz_family(self):
         with pytest.raises(FamilyMismatch):
-            detection_threshold(example4_family(), 3, Source.GHZ_EXACT)
+            detection_threshold(NoisyFamily(example4_state()), 3, Source.GHZ_EXACT)
 
     def test_ghz_exact_refuses_a_base_off_ghz_beyond_its_tolerance(self):
         amps = ghz_state(6).amplitudes.copy()
@@ -223,10 +221,10 @@ class TestDetectionThreshold:
         near = NoisyFamily(PureState(6, amps / np.linalg.norm(amps)))
         with pytest.raises(FamilyMismatch, match="requires the GHZ noise family"):
             require_source(Source.GHZ_EXACT, 6, near)
-        require_source(Source.GHZ_EXACT, 6, ghz_noise_family(6))
+        require_source(Source.GHZ_EXACT, 6, NoisyFamily(ghz_state(6)))
 
     def test_duck_typed_family_is_refused_before_any_state(self):
-        family = example4_family()
+        family = NoisyFamily(example4_state())
         built = []
 
         class Delegating:
@@ -308,7 +306,7 @@ class TestGhzFamilyPointVisibility:
         from entbound.bounds import ghz_noise_exact_concurrence
         from entbound.witness import _ghz_visibility
 
-        family = ghz_noise_family(n)
+        family = NoisyFamily(ghz_state(n))
         for x in map(float, dense_grid(n)):
             p = _ghz_visibility(family.state_at(x))
             assert abs(x - p) <= 2 * math.ulp(x), (n, x, p)
@@ -327,7 +325,7 @@ class TestGhzFamilyPointVisibility:
     def test_ghz_base_is_decided_once_per_family(self, monkeypatch):
         import entbound.states as states_mod
 
-        family = ghz_noise_family(6)
+        family = NoisyFamily(ghz_state(6))
         built = []
         monkeypatch.setattr(states_mod, "ghz_state",
                             lambda n: built.append(n) or ghz_state(n))
@@ -374,7 +372,7 @@ class TestSourceBound:
         from entbound.bounds import ghz_noise_exact_concurrence
 
         c = ghz_noise_exact_concurrence(5, 0.8)
-        assert certified_bound(ghz_noise_family(5).point(0.8), Source.GHZ_EXACT) == (c**2, c)
+        assert certified_bound(NoisyFamily(ghz_state(5)).point(0.8), Source.GHZ_EXACT) == (c**2, c)
 
     def test_user_value(self):
         v = verdict(4, 3, Source.USER_SUPPLIED, 0.5)
@@ -445,7 +443,7 @@ def perturbed_ghz_inputs(n):
     whose size is just below, at and just above FAMILY_MATCH_TOL, in the
     first, a middle and the last row block of the streamed check."""
     d = 2**n
-    base = ghz_noise_family(n).state_at(0.8).matrix
+    base = NoisyFamily(ghz_state(n)).state_at(0.8).matrix
     tol = FAMILY_MATCH_TOL
     sizes = (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0), tol * (1 - 1e-6), tol * (1 + 1e-6))
     places = (((1, 2), 1.0), ((d // 2, d // 2 + 1), 1.0), ((d - 2, d - 3), 1j),
