@@ -3,6 +3,10 @@
 The multipartite pure-state concurrence, squared bipartite-cut concurrences,
 the two-qubit mixed-state spectrum formula, and the sigma_y polynomial
 invariant that enters the even-qubit monogamy equality.
+
+Every whole-state cut quantity (pure_concurrence, cut_profile, purity_sum)
+is a fold over one depth-first walk of the subset lattice, _lattice_grams,
+which yields the reduced state of each bipartition once.
 """
 
 from __future__ import annotations
@@ -17,13 +21,6 @@ from . import linalg
 from .errors import EmptySubset, WrongDimension
 from .linalg import PURITY_TOL, SIGMA_Y, SubsetMask
 from .states import DensityMatrix, FamilyPoint, PureState
-
-
-def _canonical_cuts(n: int):
-    """Each bipartition S|rest of n qubits once, as the mask below its
-    complement: the masks 1 .. 2^(n-1) - 1, which leave out qubit 1."""
-    for bits in range(1, 2 ** (n - 1)):
-        yield SubsetMask(bits, n)
 
 
 def _cut_gram(psi: PureState, subset: SubsetMask) -> np.ndarray:
@@ -54,16 +51,14 @@ def _floored_spectrum(gram: np.ndarray) -> np.ndarray:
     return linalg.floor_eigen_dust(linalg.converged(np.linalg.eigvalsh, gram))
 
 
-def _schmidt_squares(psi: PureState, subset: SubsetMask) -> np.ndarray:
-    """Squared Schmidt coefficients of a pure state across subset|rest: the
-    floored eigenvalues of the cut's Gram matrix."""
-    return _floored_spectrum(_cut_gram(psi, subset))
+def _gram_purity(gram: np.ndarray) -> float:
+    """Tr(rho^2) of the reduced state with Gram matrix G: ||G||_F^2."""
+    return float(np.vdot(gram, gram).real)
 
 
 def subset_purity(psi: PureState, subset: SubsetMask) -> float:
-    """Tr(rho_S^2) of the reduced state on subset S: sum of lambda_i^2."""
-    s2 = _schmidt_squares(psi, subset)
-    return float(np.dot(s2, s2))
+    """Tr(rho_S^2) of the reduced state on subset S."""
+    return _gram_purity(_cut_gram(psi, subset))
 
 
 def _gram_deficit(gram: np.ndarray) -> float:
@@ -75,33 +70,30 @@ def _gram_deficit(gram: np.ndarray) -> float:
     few eps t^2.  Summed from the floored eigenvalues, the cross terms do
     not cancel, so the eigensolve is kept for the Grams where that error
     matters: those that read as pure, D < PURITY_TOL t^2.  There the floored
-    eigenvalues decide as the reference path _schmidt_squares does: an
-    exactly product cut has one nonzero Schmidt weight after the dust
-    floor, so its deficit is an exact 0 and product states read 0.
+    eigenvalues decide: an exactly product cut has one nonzero Schmidt
+    weight after the dust floor, so its deficit is an exact 0 and product
+    states read 0.
+
+    Error argument.  G is at most 2^7 square at PURE_DIM_CAP, so ||G||_F^2
+    sums at most 4^7 terms and t^2 - ||G||_F^2 rounds with an absolute error
+    below 4^7 eps t^2 ~ 4e-12 t^2 in the worst case and a few eps t^2 in
+    practice.  An entry of G_T is a sum of 2^(N - |T|) amplitude products,
+    whether _cut_gram forms it from the vector as M M^dagger (M at most 2^13
+    columns) or _lattice_grams traces it out of an ancestor's Gram; tracing
+    only reorders that sum, into a matrix product over at most 2^(N/2 + 1)
+    columns followed by at most N/2 pairwise additions.  Either way the
+    error E has ||E||_F <= 2^13 eps t ~ 2e-12 t, which moves D by at most
+    4 t ||E||_F ~ 8e-12 t^2; the eigenvalue path works on the same G, so it
+    shares that error.  Hence D >= PURITY_TOL t^2 (1e-10) proves the cut is
+    not product, and there the two evaluations agree to about 1e-15.
     """
     t = float(gram.trace().real)
-    d = t * t - float(np.vdot(gram, gram).real)
+    d = t * t - _gram_purity(gram)
     if d >= PURITY_TOL * t * t:
         return d
     s2 = _floored_spectrum(gram)
     total = float(s2.sum())
     return float(np.dot(s2, total - s2))
-
-
-def subset_purity_deficit(psi: PureState, subset: SubsetMask) -> float:
-    """1 - Tr(rho_S^2) of one cut, by _gram_deficit on the Gram matrix that
-    _cut_gram forms from the vector.
-
-    Error argument.  G is at most 2^7 square at PURE_DIM_CAP, so ||G||_F^2
-    sums at most 4^7 terms and t^2 - ||G||_F^2 rounds with an absolute error
-    below 4^7 eps t^2 ~ 4e-12 t^2 in the worst case and a few eps t^2 in
-    practice.  Forming G from M (at most 2^13 columns) leaves an error E
-    with ||E||_F <= 2^13 eps t ~ 2e-12 t, which moves D by at most
-    4 t ||E||_F ~ 8e-12 t^2; the eigenvalue path works on the same G, so it
-    shares that error.  Hence D >= PURITY_TOL t^2 (1e-10) proves the cut is
-    not product, and there the two evaluations agree to about 1e-15.
-    """
-    return _gram_deficit(_cut_gram(psi, subset))
 
 
 def _trace_out_bit(gram: np.ndarray, size: int, bit: int) -> np.ndarray:
@@ -113,25 +105,17 @@ def _trace_out_bit(gram: np.ndarray, size: int, bit: int) -> np.ndarray:
     return (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]).reshape(hi * lo, hi * lo)
 
 
-def _lattice_deficits(psi: PureState) -> list[float]:
-    """Purity deficit of every canonical cut, indexed by its mask bits (entry
-    0 is unused), from one depth-first walk over the subset lattice.
+def _lattice_grams(psi: PureState):
+    """(canonical bits, G) for every bipartition once, from one depth-first
+    walk over the subset lattice.  The canonical bits are the mask of the
+    side without qubit 1, 1 .. 2^(N-1) - 1; G is the Gram of the cut's
+    smaller side T (for |T| = N/2, the side without qubit 1).
 
-    Each cut is evaluated on its smaller side T (for |T| = N/2, the side
-    without qubit 1).  The cuts of floor(N/2) or floor(N/2) + 1 qubits take
-    G_T from the vector, through _cut_gram.  Every smaller side T is then
-    reached from its parent P = T | (T + 1), T with its lowest clear bit
-    set, whose Gram is one qubit larger: G_T = Tr_q G_P.  Every Gram goes
-    through the per-cut rule, _gram_deficit.
-
-    Error argument.  An entry of G_T is a sum of 2^(N - |T|) amplitude
-    products whether _cut_gram forms it from the vector or the walk traces
-    it out of an ancestor; tracing only changes the order of the sum, into
-    a matrix product over at most 2^(N/2 + 1) columns followed by at most
-    N/2 pairwise additions.  That order is no deeper than the 2^13-term sum
-    bounded in subset_purity_deficit, so ||E||_F <= 2^13 eps t ~ 2e-12 t
-    still holds and D moves by at most ~8e-12 t^2 at the 2^14 cap, far below
-    PURITY_TOL t^2 (1e-10).  The rule then decides each cut as before.
+    The cuts of floor(N/2) or floor(N/2) + 1 qubits take G_T from the
+    vector, through _cut_gram.  Every smaller side T is then reached from
+    its parent P = T | (T + 1), T with its lowest clear bit set, whose Gram
+    is one qubit larger: G_T = Tr_q G_P.  _gram_deficit bounds the error
+    of both kinds of Gram.
 
     The walk keeps a stack, not a level: the Grams alive at once are the
     pending siblings along one path, at most ~N of them per level.
@@ -140,7 +124,6 @@ def _lattice_deficits(psi: PureState) -> list[float]:
     full = 2**n - 1
     top = 1 << (n - 1)  # mask bit of qubit 1
     half = n // 2
-    deficits = [0.0] * top
     for canonical in range(1, top):
         if canonical.bit_count() not in (half, half + 1):
             continue
@@ -148,24 +131,29 @@ def _lattice_deficits(psi: PureState) -> list[float]:
         stack = [(root, _cut_gram(psi, SubsetMask(canonical, n)))]
         while stack:
             bits, gram = stack.pop()
-            deficits[bits ^ full if bits & top else bits] = _gram_deficit(gram)
+            yield (bits ^ full if bits & top else bits), gram
             size = bits.bit_count()
             if size > 1:
                 ones = (bits ^ (bits + 1)).bit_length() - 1
                 stack += [(bits ^ (1 << i), _trace_out_bit(gram, size, i)) for i in range(ones)]
+
+
+def _lattice_deficits(psi: PureState) -> list[float]:
+    """Purity deficit of every canonical cut, indexed by its mask bits (entry
+    0 is unused): _gram_deficit of each Gram of _lattice_grams."""
+    deficits = [0.0] * 2 ** (psi.n_qubits - 1)
+    for bits, gram in _lattice_grams(psi):
+        deficits[bits] = _gram_deficit(gram)
     return deficits
 
 
 def purity_sum(psi: PureState) -> float:
     """Sum of Tr(rho_S^2) over all 2^N - 2 proper nonempty subsets S.
 
-    Complementary subsets of a pure state have equal purity, so only the
-    canonical half of the masks is evaluated.
+    Complementary subsets of a pure state have equal purity, so each
+    bipartition of _lattice_grams counts twice; no eigensolve is needed.
     """
-    total = 0.0
-    for cut in _canonical_cuts(psi.n_qubits):
-        total += 2.0 * subset_purity(psi, cut)
-    return total
+    return 2.0 * math.fsum(_gram_purity(gram) for _, gram in _lattice_grams(psi))
 
 
 def pure_concurrence(psi: PureState) -> float:
@@ -192,7 +180,7 @@ def cut_concurrence_squared(psi: PureState, cut: SubsetMask) -> float:
     Normalized as 2 (1 - Tr rho_cut^2), which makes the bipartition
     decompositions of the squared multipartite concurrence exact identities.
     """
-    return max(2.0 * subset_purity_deficit(psi, cut), 0.0)
+    return max(2.0 * _gram_deficit(_cut_gram(psi, cut)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -291,9 +279,12 @@ def pairwise_tables(points) -> list[PairwiseConcurrenceTable]:
 
     The marginals of every state's pair_marginals() (per pair for a
     DensityMatrix, per class of equal pairs for a FamilyPoint) go through
-    _wootters_stack in point-then-pair order, WOOTTERS_STACK at a time, so a
-    NotPSD names the first failing marginal in that order.  Each table's
-    values keep combinations order, the order sum_of_squares adds in.
+    _wootters_stack in point-then-pair order, WOOTTERS_STACK at a time.  No
+    marginal is checked against PSD_TOL, which only states reads: entry
+    validation allows a state's eigenvalues down to -PSD_TOL, so a marginal
+    of N qubits may reach -2^(N-2) PSD_TOL, and the kernel's floor clips it.
+    Each table's values keep combinations order, the order sum_of_squares
+    adds in.
     """
     layout = []
 

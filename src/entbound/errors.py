@@ -6,10 +6,6 @@ genuine numerical breakdowns stay distinguishable.
 """
 
 
-class NotPSD(ValueError):
-    """Matrix has an eigenvalue below the PSD tolerance."""
-
-
 class ConvergenceFailure(RuntimeError):
     """The iterative eigensolver did not converge."""
 

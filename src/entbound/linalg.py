@@ -19,14 +19,13 @@ from .errors import (
     DimensionMismatch,
     DimensionOverflow,
     EmptySubset,
-    NotPSD,
 )
 
 # ---------------------------------------------------------------- tolerances
-# Every numerical tolerance of the package.  HERM_TOL, TRACE_TOL and NORM_TOL
-# are read only in ``states``, where states enter; PSD_TOL bounds both the
-# entry check and the eigenvalue dust that psd_eigensystem floors.  The rest
-# are read by the kernels, the bounds and the witness.
+# Every numerical tolerance of the package.  HERM_TOL, PSD_TOL, TRACE_TOL and
+# NORM_TOL are read only in ``states``, where states enter; nothing derived
+# from a state is checked against them again.  The rest are read by the
+# kernels, the bounds and the witness.
 HERM_TOL = 1e-10  # max-norm of m - m^dagger for a Hermitian matrix
 PSD_TOL = 1e-10  # eigenvalues in [-PSD_TOL, 0) of a PSD matrix count as zero
 TRACE_TOL = 1e-10  # |Tr rho - 1| of a density matrix
@@ -138,20 +137,18 @@ def hermitian_eigensystem(m: np.ndarray):
 
 def psd_eigensystem(m: np.ndarray, scale: float | None = None):
     """hermitian_eigensystem of a PSD matrix, or of each matrix of a stack,
-    its eigenvalues floored for square roots.
+    its eigenvalues floored for square roots by floor_eigen_dust.
 
-    Values in [-PSD_TOL, 0) clamp to zero; anything lower raises NotPSD,
-    which names the lowest eigenvalue of the first failing matrix in stack
-    order.  Positive values below a noise floor (EIGEN_DUST of the matrix's
-    largest eigenvalue, or of ``scale`` when the caller knows the natural
-    scale) also clamp to zero: such dust is below the eigensolver's own
-    backward error, and carrying it through a square root would inflate it
-    from ~1e-16 to ~1e-8.
+    Negative values clip to zero.  The input is not re-checked: it derives
+    from a state that entry validation held to -PSD_TOL per eigenvalue, and
+    a marginal may add up several of those allowed negatives.  Positive
+    values below a noise floor (EIGEN_DUST of the matrix's largest
+    eigenvalue, or of ``scale`` when the caller knows the natural scale)
+    also clamp to zero: such dust is below the eigensolver's own backward
+    error, and carrying it through a square root would inflate it from
+    ~1e-16 to ~1e-8.
     """
     w, v = hermitian_eigensystem(m)
-    if w.size and w.min() < -PSD_TOL:
-        low = w.min(axis=-1)
-        raise NotPSD(f"eigenvalue {float(low[low < -PSD_TOL][0]):.3e} below -{PSD_TOL:.1e}")
     return floor_eigen_dust(w, scale), v
 
 

@@ -403,17 +403,17 @@ class TestGramKernelAgainstSvd:
 
 
 class TestFrobeniusDeficitAgainstEigenPath:
-    """subset_purity_deficit reads a cut's deficit off its Gram matrix as
+    """cut_concurrence_squared reads a cut's deficit off its Gram matrix as
     (Tr G)^2 - ||G||_F^2 and solves for eigenvalues only on cuts that read
     as pure.  cut_profile and pure_concurrence apply the same rule to Grams
     from one walk over the subset lattice, most of them partial traces of a
-    larger cut's Gram.  The eigenvalue path, _schmidt_squares, is the
-    reference for both on every cut."""
+    larger cut's Gram.  The eigenvalue path, the floored spectrum of the
+    cut's Gram, is the reference for both on every cut."""
 
     @staticmethod
     def assert_close(psi):
         """Each canonical cut's C^2, per cut and in cut_profile, and the
-        state's C^2 against the same values summed from _schmidt_squares;
+        state's C^2 against the same values summed from the eigenvalue path;
         returns the package's per-cut values and C."""
         n = psi.n_qubits
         full = 2**n - 1
@@ -422,7 +422,7 @@ class TestFrobeniusDeficitAgainstEigenPath:
         cuts, radicand = [], 0.0
         for bits in range(1, 2 ** (n - 1)):
             cut = SubsetMask(bits, n)
-            s2 = concurrence._schmidt_squares(psi, cut)
+            s2 = concurrence._floored_spectrum(concurrence._cut_gram(psi, cut))
             ref = 2.0 * float(np.dot(s2, s2.sum() - s2))
             cuts.append(cut_concurrence_squared(psi, cut))
             assert abs(cuts[-1] - max(ref, 0.0)) <= 1e-13
@@ -480,6 +480,44 @@ class TestFrobeniusDeficitAgainstEigenPath:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         pure_concurrence(psi)
         assert len(calls) == eigensolves
+
+
+class TestLatticeGrams:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_each_canonical_cut_once_with_its_gram(self, n):
+        psi = haar_random_pure(SamplerConfig(n, seed=1700 + n, count=1))[0]
+        seen = []
+        for bits, gram in concurrence._lattice_grams(psi):
+            seen.append(bits)
+            want = concurrence._cut_gram(psi, SubsetMask(bits, n))
+            assert gram.shape == want.shape
+            assert np.max(np.abs(gram - want)) <= 1e-13
+        assert sorted(seen) == list(range(1, 2 ** (n - 1)))
+
+    def test_purity_sum_folds_the_walk_without_an_eigensolve(self, monkeypatch):
+        # Every cut of a product state reads as pure, so pure_concurrence
+        # eigensolves all of them; the purity sum needs none.
+        def no_eigensolve(m):
+            raise AssertionError("eigensolve in purity_sum")
+
+        grams, cut_gram = [], concurrence._cut_gram
+
+        def counting_gram(psi, subset):
+            grams.append(subset.bits)
+            return cut_gram(psi, subset)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        monkeypatch.setattr(concurrence, "_cut_gram", counting_gram)
+        for n in (5, 6):
+            singles = [[q] for q in range(1, n + 1)]
+            for psi in (random_product_pure(SamplerConfig(n, seed=1750 + n, count=1), singles)[0],
+                        haar_random_pure(SamplerConfig(n, seed=1760 + n, count=1))[0]):
+                grams.clear()
+                total = purity_sum(psi)
+                assert total == pytest.approx(brute_force_purity_sum(psi), rel=1e-13, abs=0)
+                assert sorted(grams) == [bits for bits in range(1, 2 ** (n - 1))
+                                         if bits.bit_count() in (n // 2, n // 2 + 1)]
+        assert purity_sum(PureState(1, np.array([1.0, 0.0], dtype=complex))) == 0.0
 
 
 class TestLatticeWalkMemory:

@@ -9,7 +9,6 @@ from entbound.errors import (
     DimensionMismatch,
     DimensionOverflow,
     EmptySubset,
-    NotPSD,
 )
 from entbound.linalg import (
     SIGMA_Y,
@@ -70,12 +69,6 @@ class TestEigensystem:
             assert v_m.tobytes() == want_v.tobytes()
         assert np.count_nonzero(w[3:]) == 7  # ranks 1, 2 and 4 at scale 1e-15
 
-    def test_stack_names_its_first_failing_matrix(self):
-        mats = np.stack([np.diag(d).astype(complex) for d in
-                         ([1.0, 0.0], [1.0, -2e-10], [1.0, -5e-10], [1.0, -5e-11])])
-        with pytest.raises(NotPSD, match=r"^eigenvalue -2\.000e-10 below -1\.0e-10$"):
-            psd_eigensystem(mats)
-
 
 def psd_sqrt(m):
     """Hermitian square root through psd_eigensystem, as the Wootters kernel takes it."""
@@ -97,10 +90,6 @@ class TestPsdSqrt:
         r = psd_sqrt(m)
         assert np.max(np.abs(r @ r - m)) < 1e-8
         assert np.max(np.abs(r - r.conj().T)) < 1e-10
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSD):
-            psd_sqrt(np.diag([1.0, -1.0]).astype(complex))
 
 
 class TestCaps:
@@ -277,7 +266,7 @@ class TestConverged:
 
     def test_solver_breakdown_is_a_convergence_failure(self, monkeypatch):
         from entbound import concurrence
-        from entbound.states import w_state
+        from entbound.states import PureState
 
         def gives_up(m):
             raise np.linalg.LinAlgError("did not converge")
@@ -286,5 +275,6 @@ class TestConverged:
             linalg.converged(gives_up, np.eye(2))
         assert not isinstance(exc.value, ValueError)
         monkeypatch.setattr(np.linalg, "eigvalsh", gives_up)
+        product = PureState(4, np.eye(16, dtype=complex)[0])  # every cut reads as pure
         with pytest.raises(ConvergenceFailure):
-            concurrence.subset_purity(w_state(4), SubsetMask.from_qubits([1], 4))
+            concurrence.pure_concurrence(product)

@@ -3,9 +3,11 @@
 The DensityMatrix constructor, ``from_array(clamp=True)`` and the matrix-file
 parsers check everything; the eigensolver does not re-check its input.  These
 tests show that every matrix handed to the eigensolver is exactly Hermitian,
-that the Wootters chain gives the bits of the chain that re-checked, that the
-JSON parser gives the bits of the per-entry loop it replaced, and that
-``--clamp`` checks the file's own matrix before repairing it.
+that every marginal handed to the Wootters kernel stays within the floor that
+entry validation allows it, that the Wootters chain gives the bits of the
+chain that re-checked, that the JSON parser gives the bits of the per-entry
+loop it replaced, and that ``--clamp`` checks the file's own matrix before
+repairing it.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import pytest
 from entbound import concurrence, linalg, states, witness
 from entbound.cli import main
 from entbound.concurrence import pairwise_tables, wootters_concurrence
-from entbound.errors import NotPSD, ParseError
+from entbound.errors import ParseError
 from entbound.linalg import (
     EIGEN_DUST,
     HERM_TOL,
@@ -99,6 +101,24 @@ FAMILY_COMMANDS = [
 ]
 
 
+def state_file_commands(tmp_path) -> list:
+    """Write four accepted state files and return the commands that read them."""
+    files = {
+        "mixed.json": random_density(np.random.default_rng(3), 5).matrix,
+        "defect.json": defect_file_matrix(),
+        "pure.json": w_state(5).density_matrix().matrix,
+        "near-psd.json": near_psd_matrix(),
+    }
+    for name, matrix in files.items():
+        write_json(tmp_path / name, matrix)
+    return [
+        ["bound", "--state", str(tmp_path / "mixed.json")],
+        ["bound", "--state", str(tmp_path / "defect.json")],
+        ["witness", "--state", str(tmp_path / "pure.json"), "--k", "3"],
+        ["bound", "--state", str(tmp_path / "near-psd.json"), "--clamp"],
+    ]
+
+
 class TestEigensolverInputsAreHermitian:
     def test_family_commands_and_reproduce(self, monkeypatch, capsys):
         defects = record_eigensolves(monkeypatch)
@@ -109,22 +129,10 @@ class TestEigensolverInputsAreHermitian:
         assert max(defects) <= 1e-15
 
     def test_state_files(self, monkeypatch, tmp_path, capsys):
-        files = {
-            "mixed.json": random_density(np.random.default_rng(3), 5).matrix,
-            "defect.json": defect_file_matrix(),
-            "pure.json": w_state(5).density_matrix().matrix,
-            "near-psd.json": near_psd_matrix(),
-        }
-        for name, matrix in files.items():
-            write_json(tmp_path / name, matrix)
-        assert 5e-11 < hermiticity_defect(files["defect.json"]) <= HERM_TOL
+        assert 5e-11 < hermiticity_defect(defect_file_matrix()) <= HERM_TOL
+        argvs = state_file_commands(tmp_path)
         defects = record_eigensolves(monkeypatch)
-        for argv in (
-            ["bound", "--state", str(tmp_path / "mixed.json")],
-            ["bound", "--state", str(tmp_path / "defect.json")],
-            ["witness", "--state", str(tmp_path / "pure.json"), "--k", "3"],
-            ["bound", "--state", str(tmp_path / "near-psd.json"), "--clamp"],
-        ):
+        for argv in argvs:
             code, _, err = run(capsys, *argv)
             assert (code, err) == (0, ""), argv
         before = len(defects)
@@ -173,21 +181,71 @@ def qubits_of(i: int, *qubits: int) -> tuple[int, ...]:
     return tuple(i >> (6 - q) & 1 for q in qubits)
 
 
-@pytest.mark.parametrize("negatives, message", [
-    # 16 entries of -0.9e-10 add up in the 00 entry of the (1,2) marginal
-    ({i: -0.9e-10 for i in range(64) if qubits_of(i, 1, 2) == (0, 0)},
-     "error: eigenvalue -1.440e-09 below -1.0e-10\n"),
-    # (3,4) reads -8e-10 and (5,6) -1.28e-9: the first pair in order is named
-    ({i: -0.5e-10 if qubits_of(i, 3, 4) == (0, 0) else -0.9e-10
-      for i in range(64) if qubits_of(i, 3, 4) == (0, 0) or qubits_of(i, 5, 6) == (1, 1)},
-     "error: eigenvalue -8.000e-10 below -1.0e-10\n"),
-], ids=["one-pair", "two-pairs"])
-def test_marginal_below_the_psd_floor_is_named(tmp_path, capsys, negatives, message):
+DUST_FILES = {
+    # 16 entries of -0.9e-10 add up in the 00 entry of the (1,2) marginal: -1.44e-9
+    "one-pair": {i: -0.9e-10 for i in range(64) if qubits_of(i, 1, 2) == (0, 0)},
+    # (3,4) reads -8e-10 and (5,6) -1.28e-9
+    "two-pairs": {i: -0.5e-10 if qubits_of(i, 3, 4) == (0, 0) else -0.9e-10
+                  for i in range(64) if qubits_of(i, 3, 4) == (0, 0) or qubits_of(i, 5, 6) == (1, 1)},
+}
+
+
+def dust_file_commands(tmp_path) -> list:
+    """Write the DUST_FILES and return a `bound --state` command for each."""
+    argvs = []
+    for name, negatives in sorted(DUST_FILES.items()):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(diagonal_csv(negatives))
+        argvs.append(["bound", "--state", str(path)])
+    return argvs
+
+
+@pytest.mark.parametrize("name", sorted(DUST_FILES))
+def test_marginal_below_the_psd_floor_reads_as_its_clamp(tmp_path, capsys, name):
+    # The file passes entry validation; its marginal, below -PSD_TOL, is not
+    # checked again, so the run gives the bytes of the repaired file's run.
     path = tmp_path / "dust.csv"
-    path.write_text(diagonal_csv(negatives))
+    path.write_text(diagonal_csv(DUST_FILES[name]))
     states.load_density_matrix(path)  # within -PSD_TOL, so the file is a state
-    code, out, err = run(capsys, "bound", "--state", str(path))
-    assert (code, out, err) == (2, "", message)
+    clamped = run(capsys, "bound", "--state", str(path), "--clamp")
+    assert clamped[0] == 0 and clamped[1] and clamped[2] == ""
+    assert run(capsys, "bound", "--state", str(path)) == clamped
+
+
+def record_marginal_floors(monkeypatch) -> tuple[list, list]:
+    """The qubit count N of the state behind every marginal handed to
+    _wootters_stack, and each marginal's lowest eigenvalue, in stack order."""
+    qubits, lows = [], []
+    for cls in (states.DensityMatrix, states.FamilyPoint):
+        def recording(self, original=cls.pair_marginals):
+            for item in original(self):
+                qubits.append(self.n_qubits)
+                yield item
+
+        monkeypatch.setattr(cls, "pair_marginals", recording)
+    kernel = concurrence._wootters_stack
+
+    def recording_kernel(m):
+        lows.extend(np.linalg.eigvalsh(m).min(axis=-1).tolist())
+        return kernel(m)
+
+    monkeypatch.setattr(concurrence, "_wootters_stack", recording_kernel)
+    return qubits, lows
+
+
+def test_marginals_stay_within_the_entry_floor(monkeypatch, tmp_path, capsys):
+    # Entry validation allows a state's eigenvalues down to -PSD_TOL, and a
+    # partial trace over N - 2 qubits adds 2^(N-2) of them, so the Wootters
+    # kernel's floor repairs no more than what entered as a valid state.
+    argvs = FAMILY_COMMANDS + state_file_commands(tmp_path) + dust_file_commands(tmp_path)
+    qubits, lows = record_marginal_floors(monkeypatch)
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    assert len(lows) == len(qubits) > 1000
+    for n, low in zip(qubits, lows):
+        assert low >= -(2 ** (n - 2)) * PSD_TOL, (n, low)
+    assert min(lows) < -PSD_TOL  # the dust files' marginals reach below the entry floor
 
 
 # ------------------------------------------------ Wootters, against the re-checking chain
@@ -207,7 +265,7 @@ def _ref_hermitian_eigensystem(m):
 def _ref_floored_psd_eigenvalues(w, scale=None):
     low = float(w.min()) if w.size else 0.0
     if low < -PSD_TOL:
-        raise NotPSD(f"eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
+        raise ValueError(f"eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
     w = np.clip(w, 0.0, None)
     top = float(w[0]) if w.size else 0.0
     floor = EIGEN_DUST * max(top, scale or 0.0)
