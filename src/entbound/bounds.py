@@ -75,13 +75,18 @@ def require_domain(theorem: str, n: int) -> None:
         raise WrongQubitCount(message.format(n=n))
 
 
+def theorem_c2(theorem: str, n: int, pair_sum: float) -> float:
+    """The named theorem's bound on C^2 of an N = n qubit state whose pairwise
+    table has sum_{i<j} C_ij^2 = pair_sum: coefficient(N) * pair_sum."""
+    require_domain(theorem, n)
+    return theorem_coefficient(theorem, n) * pair_sum
+
+
 def theorem_bound(theorem: str, table: PairwiseConcurrenceTable) -> BoundReport:
     """The named theorem's bound: C^2 >= coefficient(N) * sum_{i<j} C_ij^2."""
-    require_domain(theorem, table.n_qubits)
-    coeff = theorem_coefficient(theorem, table.n_qubits)
-    pair_sum = table.sum_of_squares
-    c2 = coeff * pair_sum
-    return BoundReport(theorem, table.n_qubits, pair_sum, coeff, c2, math.sqrt(c2))
+    n, pair_sum = table.n_qubits, table.sum_of_squares
+    c2 = theorem_c2(theorem, n, pair_sum)
+    return BoundReport(theorem, n, pair_sum, theorem_coefficient(theorem, n), c2, math.sqrt(c2))
 
 
 def best_bound(table: PairwiseConcurrenceTable) -> tuple[BoundReport, ...]:

@@ -271,45 +271,99 @@ class PairwiseConcurrenceTable:
 
     @property
     def sum_of_squares(self) -> float:
-        return sum(v * v for v in self.values.values())
+        return _sum_of_squares(self.values.values())
+
+
+def _sum_of_squares(values) -> float:
+    """sum_{i<j} C_ij^2 in the order of values, by the builtin sum, which
+    Python >= 3.12 compensates: a numpy re-sum would not give its bits."""
+    return sum(v * v for v in values)
+
+
+def _marginal_blocks(points, layout: list):
+    """(k, 4, 4) arrays of the pair marginals of points, in point-then-class
+    order.  A run of consecutive FamilyPoints of one family takes its
+    marginals from the family's marginal_stacks, one marginal per class of
+    equal pairs; any other state from its pair_marginals().  Appends to
+    layout, per point, its qubit count, its number of classes and the class
+    of each pair in combinations order."""
+    run, xs = None, []
+    for rho in itertools.chain(points, [None]):  # None flushes the last run
+        family = rho.family if isinstance(rho, FamilyPoint) else None
+        if xs and family is not run:
+            yield from (s.reshape(-1, 4, 4) for s in run.marginal_stacks(xs))
+            xs = []
+        if rho is None:
+            return
+        n = rho.n_qubits
+        if n < 2:
+            raise WrongDimension("pairwise table needs at least 2 qubits")
+        if family is not None:
+            if family is not run:
+                run, classes = family, [pairs for pairs, _ in family.pair_classes]
+                entry = (n, len(classes), _class_order(n, classes))
+            xs.append(rho.x)
+            layout.append(entry)
+        else:
+            classes, marginals = zip(*rho.pair_marginals())
+            layout.append((n, len(classes), _class_order(n, classes)))
+            yield np.array([m.matrix for m in marginals])
+
+
+def _class_order(n: int, classes) -> list[int]:
+    """The index in classes of the class of each pair (i, j), in combinations order."""
+    index = {pair: c for c, pairs in enumerate(classes) for pair in pairs}
+    return [index[pair] for pair in itertools.combinations(range(1, n + 1), 2)]
+
+
+def _stacks(blocks):
+    """The marginals of blocks regrouped into stacks of WOOTTERS_STACK, the
+    last one shorter."""
+    pending, size = [], 0
+    for block in blocks:
+        while size + len(block) >= WOOTTERS_STACK:
+            cut = WOOTTERS_STACK - size
+            yield np.concatenate(pending + [block[:cut]])
+            pending, size, block = [], 0, block[cut:]
+        if len(block):
+            pending.append(block)
+            size += len(block)
+    if pending:
+        yield np.concatenate(pending)
+
+
+def _pair_concurrences(points) -> list[tuple[int, list[float]]]:
+    """(N, the concurrence of every pair in combinations order) per state."""
+    layout, found = [], []
+    for stack in _stacks(_marginal_blocks(points, layout)):
+        found += _wootters_stack(stack)
+    out, start = [], 0
+    for n, count, order in layout:
+        cs = found[start:start + count]
+        start += count
+        out.append((n, [cs[c] for c in order]))
+    return out
 
 
 def pairwise_tables(points) -> list[PairwiseConcurrenceTable]:
     """The pairwise table of each state in points, in order.
 
-    The marginals of every state's pair_marginals() (per pair for a
-    DensityMatrix, per class of equal pairs for a FamilyPoint) go through
-    _wootters_stack in point-then-pair order, WOOTTERS_STACK at a time.  No
+    The marginals of every state (per pair for a DensityMatrix, per class of
+    equal pairs for a run of FamilyPoints of one family) go through
+    _wootters_stack in point-then-class order, WOOTTERS_STACK at a time.  No
     marginal is checked against PSD_TOL, which only states reads: entry
     validation allows a state's eigenvalues down to -PSD_TOL, so a marginal
     of N qubits may reach -2^(N-2) PSD_TOL, and the kernel's floor clips it.
     Each table's values keep combinations order, the order sum_of_squares
     adds in.
     """
-    layout = []
+    return [PairwiseConcurrenceTable(n, dict(zip(itertools.combinations(range(1, n + 1), 2), cs)))
+            for n, cs in _pair_concurrences(points)]
 
-    def matrices():
-        for rho in points:
-            n = rho.n_qubits
-            if n < 2:
-                raise WrongDimension("pairwise table needs at least 2 qubits")
-            classes = []
-            layout.append((n, classes))
-            for pairs, marginal in rho.pair_marginals():
-                classes.append(pairs)
-                yield marginal.matrix
 
-    stream, found = matrices(), []
-    while chunk := list(itertools.islice(stream, WOOTTERS_STACK)):
-        found += _wootters_stack(np.array(chunk))
-    tables, start = [], 0
-    for n, classes in layout:
-        cs = found[start:start + len(classes)]
-        start += len(classes)
-        by_pair = {pair: c for pairs, c in zip(classes, cs) for pair in pairs}
-        ordered = {pair: by_pair[pair] for pair in itertools.combinations(range(1, n + 1), 2)}
-        tables.append(PairwiseConcurrenceTable(n, ordered))
-    return tables
+def pair_square_sums(points) -> list[float]:
+    """sum_of_squares of each state's pairwise table, without building the tables."""
+    return [_sum_of_squares(cs) for _, cs in _pair_concurrences(points)]
 
 
 def pairwise_table(rho: DensityMatrix | FamilyPoint) -> PairwiseConcurrenceTable:

@@ -33,6 +33,9 @@ from .linalg import (
 
 # A qubit count above this would need a dense matrix beyond DENSE_DIM_CAP.
 MAX_DENSE_QUBITS = DENSE_DIM_CAP.bit_length() - 1
+# Complex entries in one broadcast of NoisyFamily.marginal_stacks, 1 MiB.
+MARGINAL_CHUNK_ENTRIES = 2**16
+_EYE4 = np.eye(4, dtype=complex)
 
 
 def _require_bounded(a: np.ndarray, what: str) -> None:
@@ -238,6 +241,37 @@ class NoisyFamily:
             pairs.append((i, j))
         return tuple((tuple(pairs), block) for pairs, block in classes.values())
 
+    def marginal_stacks(self, xs):
+        """The pair marginals of the members at visibilities xs, as
+        (m, classes, 4, 4) arrays over consecutive chunks of m x's, one
+        marginal per class of pair_classes.
+
+        Per class, one broadcast of the noise term plus x times the block runs
+        over the chunk, then the N-2 folds of the traced axes, lowest label
+        first: white_noise_mix's and partial_trace's float operations on these
+        entries, so each row is bit-identical to the one-x call.  The product,
+        the sum and the folds all write into one buffer of at most
+        MARGINAL_CHUNK_ENTRIES entries, reused by every class and chunk.
+        """
+        n = self.n_qubits
+        classes = self.pair_classes
+        step = max(1, MARGINAL_CHUNK_ENTRIES >> (n + 2))
+        xs = np.asarray(xs, dtype=float)
+        buffer = np.empty(min(step, xs.size) << (n + 2), dtype=complex)
+        for start in range(0, xs.size, step):
+            x = xs[start:start + step].reshape((-1,) + (1,) * n)  # over traced and kept axes
+            noise = _EYE4 * ((1.0 - x) / 2**n)
+            broadcast = buffer[:x.size << (n + 2)].reshape((x.size,) + (2,) * (n - 2) + (4, 4))
+            stack = np.empty((x.size, len(classes), 4, 4), dtype=complex)
+            for c, (_, block) in enumerate(classes):
+                t = np.multiply(x, block, out=broadcast)
+                np.add(noise, t, out=t)
+                for _ in range(n - 2):
+                    t, half = t[:, 0], t[:, 1]
+                    np.add(t, half, out=t)
+                stack[:, c] = t
+            yield stack
+
 
 @dataclass(frozen=True)
 class FamilyPoint:
@@ -266,16 +300,11 @@ class FamilyPoint:
         return m
 
     def pair_marginals(self):
-        """(pairs, marginal) per class of pair_classes.  The noise term, the
-        scaled block and the folds of the traced axes, lowest label first,
-        are white_noise_mix's and partial_trace's operations on these entries."""
-        n = self.n_qubits
-        noise = np.eye(4, dtype=complex) * ((1.0 - self.x) / 2**n)
-        for pairs, block in self.family.pair_classes:
-            t = noise + self.x * block
-            for _ in range(n - 2):
-                t = t[0] + t[1]
-            yield pairs, DensityMatrix._derived(2, t)
+        """(pairs, marginal) per class of pair_classes: this point's row of
+        the family's marginal_stacks."""
+        (stack,) = self.family.marginal_stacks([self.x])
+        for (pairs, _), m in zip(self.family.pair_classes, stack[0]):
+            yield pairs, DensityMatrix._derived(2, m)
 
 
 def w_state(n: int) -> PureState:

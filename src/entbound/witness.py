@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .concurrence import PairwiseConcurrenceTable, pairwise_table, pure_concurrence
+from .concurrence import PairwiseConcurrenceTable, pair_square_sums, pure_concurrence
 from .errors import (
     FamilyMismatch,
     NegativeRadicand,
@@ -33,6 +33,12 @@ from .linalg import (
 from .states import DensityMatrix, FamilyPoint, NoisyFamily, PureState, ghz_state
 
 GHZ_CHECK_ENTRIES = 2**18  # entries per row block of the GHZ-noise check, 4 MiB
+# Bisection steps per batch of detection_threshold: a batch evaluates the
+# 2^L - 1 midpoints L steps can visit.  On Dicke thresholds at n = 4..14, two
+# levels beat one up to n = 11 and cost about 15% more at n = 14, where
+# building the marginals dominates; three beat two by about 10% up to n = 7
+# and cost more from n = 10 up.
+BISECTION_LEVELS = 2
 
 
 class Source(str, enum.Enum):
@@ -145,27 +151,38 @@ def require_source(source: Source, n_qubits: int, family: NoisyFamily | None = N
         raise FamilyMismatch("ghz-exact source requires the GHZ noise family")
 
 
-def certified_bound(rho: DensityMatrix | FamilyPoint, source: Source,
-                    table: PairwiseConcurrenceTable | None = None) -> tuple[float, float]:
-    """Certified lower bounds (on C^2, on C) of rho from one source.
+def certified_bounds(states, source: Source, tables=None) -> list[tuple[float, float]]:
+    """Certified lower bounds (on C^2, on C) of each state in the sequence
+    states from one source, in order.
 
-    Theorem sources read rho's pairwise table (table, for callers that
-    already have it), ghz-exact reads the visibility of a GHZ + white-noise
-    state, and pure-exact the concurrence of a pure state.  A bound computed
-    elsewhere needs no state: pass it to verdict with Source.USER_SUPPLIED.
+    Theorem sources read each state's pairwise sum of squares (from tables,
+    for callers that already have them, else from pair_square_sums without a
+    table or report per state), ghz-exact reads the visibility of a GHZ +
+    white-noise state, and pure-exact the concurrence of a pure state.  A
+    bound computed elsewhere needs no state: pass it to verdict with
+    Source.USER_SUPPLIED.
     """
     if source in THEOREM_SOURCES:
-        table = pairwise_table(rho) if table is None else table
-        r = bounds_mod.theorem_bound(source.value.upper(), table)
-        return r.bound_on_C2, r.bound_on_C
+        sums = (((t.n_qubits, t.sum_of_squares) for t in tables) if tables is not None
+                else zip((rho.n_qubits for rho in states), pair_square_sums(states)))
+        c2s = [bounds_mod.theorem_c2(source.value.upper(), n, s) for n, s in sums]
+        return [(c2, math.sqrt(c2)) for c2 in c2s]
     if source is Source.GHZ_EXACT:
-        c = bounds_mod.ghz_noise_exact_concurrence(rho.n_qubits, _ghz_visibility(rho))
+        cs = [bounds_mod.ghz_noise_exact_concurrence(rho.n_qubits, _ghz_visibility(rho))
+              for rho in states]
     elif source is Source.PURE_EXACT:
-        c = pure_concurrence(_pure_state_of(rho))
+        cs = [pure_concurrence(_pure_state_of(rho)) for rho in states]
     else:
         raise ParameterOutOfRange(
             f"source {source.value!r} reads no state; pass its bound to verdict")
-    return c**2, c
+    return [(c**2, c) for c in cs]
+
+
+def certified_bound(rho: DensityMatrix | FamilyPoint, source: Source,
+                    table: PairwiseConcurrenceTable | None = None) -> tuple[float, float]:
+    """Certified lower bounds (on C^2, on C) of rho from one source:
+    certified_bounds of rho alone (and of table, when given)."""
+    return certified_bounds([rho], source, None if table is None else [table])[0]
 
 
 def verdict(n_qubits: int, k: int, source: Source, bound: float) -> WitnessVerdict:
@@ -211,21 +228,43 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     theorem sources take its pair marginals from the base vector without a
     dense matrix, and a tier-1 test ties them to the dense mixture state_at(x)
     by checking every pair marginal bit for bit; ghz-exact reads x itself.
+
+    The steps are those of the one-point bisection loop, evaluated
+    BISECTION_LEVELS at a time: when a step reaches a midpoint without a
+    verdict, every midpoint the next BISECTION_LEVELS steps can visit from
+    [lo, hi] is formed with the same (lo + hi) / 2 and the same
+    > BISECTION_STOP test, and all of them go through one certified_bounds
+    batch, one stacked Wootters kernel call.  A point's bound does not depend
+    on the batch it is in (marginal_stacks and _wootters_stack give each row
+    the float operations of a one-point call), so every step compares the
+    same bound at the same x, and the crossing is the one-point bisection's,
+    bit for bit.
     """
     if type(family) is not NoisyFamily:
         raise NonMonotoneFamily(f"bisection needs a NoisyFamily, got {type(family).__name__}")
     require_source(source, family.n_qubits, family)
     threshold = 0.0 if k is None else k_nonsep_threshold(family.n_qubits, 2, k)
 
-    def bound(x: float) -> float:
-        return certified_bound(family.point(x), source)[1]
+    def detected(xs: list[float]) -> dict[float, bool]:
+        found = certified_bounds([family.point(x) for x in xs], source)
+        return {x: c > threshold for x, (_, c) in zip(xs, found)}
 
-    if not bound(1.0) > threshold:
+    def next_levels(lo: float, hi: float) -> list[float]:
+        brackets, mids = [(lo, hi)], []
+        for _ in range(BISECTION_LEVELS):
+            live = [(a, b, (a + b) / 2) for a, b in brackets if b - a > BISECTION_STOP]
+            mids += [mid for _, _, mid in live]
+            brackets = [half for a, b, mid in live for half in ((a, mid), (mid, b))]
+        return mids
+
+    if not detected([1.0])[1.0]:
         return None
-    lo, hi = 0.0, 1.0
+    lo, hi, verdicts = 0.0, 1.0, {}
     while hi - lo > BISECTION_STOP:
         mid = (lo + hi) / 2
-        if bound(mid) > threshold:
+        if mid not in verdicts:
+            verdicts = detected(next_levels(lo, hi))
+        if verdicts[mid]:
             hi = mid
         else:
             lo = mid

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 import re
 import tracemalloc
 from collections import Counter
@@ -8,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from entbound import cli
+from entbound import cli, concurrence, witness
 from entbound.cli import build_parser, main
 from entbound.concurrence import pairwise_table, pairwise_tables
 from entbound.linalg import DENSE_DIM_CAP, HERM_TOL, hermiticity_defect
@@ -619,6 +620,19 @@ def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(capsys):
     assert peak <= 16 * 2**20
 
 
+def test_threshold_at_the_pure_state_cap_stays_below_8_mib(capsys):
+    # the bisection's batches are chunked like a sweep's grid: one 1 MiB broadcast at a time
+    tracemalloc.start()
+    try:
+        code = main(["threshold", "--family", "dicke-noise", "--n", "14", "--source", "t2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "0.866666667" in capsys.readouterr().out
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("n", [13, 14])
 @pytest.mark.parametrize("argv", [
     ["bound", "--family", "w-noise", "--param", "0.9"],
@@ -812,21 +826,26 @@ def test_ghz_witness_recovers_the_visibility_once_for_every_k(monkeypatch, capsy
     assert sum(counts.values()) == 0
 
 
-@pytest.mark.parametrize("argv, tables", [
-    # one table at the noiseless end for the no-crossing test, then 30 bisection steps
+@pytest.mark.parametrize("argv, tables, kernel_calls", [
+    # no table; one kernel call at the noiseless end for the no-crossing test,
+    # then 30 bisection steps, BISECTION_LEVELS per kernel call
     (["threshold", "--family", "ex4", "--n", "4", "--k", "3", "--source", "t1"],
-     {"entbound.witness": 31}),
-    # 11 grid rows plus the 31 of the crossing
+     {}, 1 + math.ceil(30 / witness.BISECTION_LEVELS)),
+    # the 11 grid rows in one kernel call, plus the calls of the crossing
     (["sweep", "--family", "ex4", "--n", "4", "--grid", "0:1:11", "--k", "3",
-      "--source", "t1"], {"entbound.cli": 11, "entbound.witness": 31}),
+      "--source", "t1"], {"entbound.cli": 11}, 2 + math.ceil(30 / witness.BISECTION_LEVELS)),
 ], ids=["threshold", "sweep"])
-def test_crossing_builds_no_sampling_states(monkeypatch, capsys, argv, tables):
+def test_crossing_builds_no_sampling_states(monkeypatch, capsys, argv, tables, kernel_calls):
     states = count_calls(monkeypatch, white_noise_mix)
     counts = count_tables(monkeypatch)
+    kernel = concurrence._wootters_stack
+    stacks = []
+    monkeypatch.setattr(concurrence, "_wootters_stack", lambda m: stacks.append(len(m)) or kernel(m))
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert states == {}
     assert counts == tables
+    assert len(stacks) == kernel_calls
 
 
 class TestFamilyCatalogue:

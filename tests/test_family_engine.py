@@ -8,12 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entbound.bounds import applicable_theorems
+from entbound import concurrence
+from entbound.bounds import applicable_theorems, theorem_bound
 from entbound.concurrence import pairwise_table
 from entbound.errors import DimensionOverflow, ParameterOutOfRange
 from entbound.linalg import BISECTION_STOP
 from oracle import SamplerConfig, haar_random_pure
 from entbound.states import (
+    MARGINAL_CHUNK_ENTRIES,
     NoisyFamily,
     dicke_state,
     example3_state,
@@ -22,7 +24,13 @@ from entbound.states import (
     w_state,
     white_noise_mix,
 )
-from entbound.witness import Source, certified_bound, detection_threshold, k_nonsep_threshold
+from entbound.witness import (
+    BISECTION_LEVELS,
+    Source,
+    certified_bound,
+    detection_threshold,
+    k_nonsep_threshold,
+)
 
 
 def symmetric_bases(n):
@@ -74,12 +82,15 @@ def test_tables_are_bit_identical_to_the_dense_path(n):
 
 
 def dense_reference_threshold(family, k, source):
-    """detection_threshold's bisection, on pairwise tables of the dense members."""
+    """detection_threshold's bisection one step at a time, on the dense members:
+    theorem bounds from the report of each member's pairwise table."""
     n = family.n_qubits
     threshold = 0.0 if k is None else k_nonsep_threshold(n, 2, k)
 
     def bound(x):
-        return certified_bound(family.state_at(x), source)[1]
+        if source is Source.GHZ_EXACT:
+            return certified_bound(family.state_at(x), source)[1]
+        return theorem_bound(source.value.upper(), pairwise_table(family.state_at(x))).bound_on_C
 
     if not bound(1.0) > threshold:
         return None
@@ -98,14 +109,83 @@ def builtin_family_bases(n):
     return bases + [example3_state(), example4_state()] if n == 4 else bases
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-@pytest.mark.parametrize("k", [None, 3])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("k", [None, 2, 3, "N"])
 def test_crossings_equal_the_dense_reference_bisection(n, k):
-    for base in builtin_family_bases(n):
+    k = n if k == "N" else k
+    bases = builtin_family_bases(n) + haar_random_pure(SamplerConfig(n, seed=8400 + n, count=2))
+    for base in bases:
         family = NoisyFamily(base)
         for source in (Source(t.lower()) for t in applicable_theorems(n)):
             expected = dense_reference_threshold(family, k, source)
             assert detection_threshold(family, k, source) == expected, (base, k, source)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ghz_exact_crossings_equal_the_dense_reference_bisection(n):
+    family = NoisyFamily(ghz_state(n))
+    for k in [None] + list(range(2, n + 1)):
+        expected = dense_reference_threshold(family, k, Source.GHZ_EXACT)
+        assert detection_threshold(family, k, Source.GHZ_EXACT) == expected, k
+
+
+def test_bisection_takes_its_levels_in_one_kernel_call_each(monkeypatch):
+    kernel, stacks = concurrence._wootters_stack, []
+    monkeypatch.setattr(concurrence, "_wootters_stack", lambda m: stacks.append(len(m)) or kernel(m))
+    assert detection_threshold(NoisyFamily(w_state(5)), None, Source.THEOREM2) is not None
+    # the noiseless end alone, then every midpoint of BISECTION_LEVELS steps per call
+    assert len(stacks) == 1 + math.ceil(30 / BISECTION_LEVELS)
+    assert stacks[0] == 1
+    assert max(stacks) == 2**BISECTION_LEVELS - 1
+
+
+def streamed_marginals(point, step=256):
+    """Pair -> partial_trace's marginal of the dense member, gathered from
+    point.rows() blocks of step rows: the traced diagonal of each pair, then
+    its folds, lowest traced label first, without a dense matrix."""
+    n = point.n_qubits
+    index = np.arange(2**n).reshape((2,) * n)
+    gathers = {}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        traced = [a for a in range(n) if a not in (i - 1, j - 1)]
+        flat = index.transpose(traced + [i - 1, j - 1]).reshape(-1, 4)  # [t, a] -> index
+        rows, cols = np.broadcast_arrays(flat[:, :, None], flat[:, None, :])
+        gathers[i, j] = rows, cols, np.empty(rows.shape, dtype=complex)
+    for start in range(0, 2**n, step):
+        block = point.rows(start, start + step)
+        for rows, cols, out in gathers.values():
+            inside = (rows >= start) & (rows < start + step)
+            out[inside] = block[rows[inside] - start, cols[inside]]
+    marginals = {}
+    for pair, (_, _, out) in gathers.items():
+        t = out.reshape((2,) * (n - 2) + (4, 4))
+        for _ in range(n - 2):
+            t = t[0] + t[1]
+        marginals[pair] = t
+    return marginals
+
+
+@pytest.mark.parametrize("n", [4, 9, 12])
+def test_batched_marginals_are_bit_identical_across_chunks(n):
+    # the dense member state_at(x) up to 9 qubits; at 12 qubits it would take
+    # 256 MiB, so its rows are streamed instead (rows are state_at's, bit for bit)
+    step = max(1, MARGINAL_CHUNK_ENTRIES >> (n + 2))
+    bases = [dicke_state(n, n // 2)] + haar_random_pure(SamplerConfig(n, seed=8500 + n))
+    for base in bases:
+        family = NoisyFamily(base)
+        xs = [0.0, 1.0] + [float(x) for x in np.random.default_rng(n).uniform(0, 1, step + 1)]
+        stacks = list(family.marginal_stacks(xs))
+        assert [len(s) for s in stacks] == [step, 3]
+        rows = np.concatenate(stacks)
+        for x, row in [(xs[0], rows[0]), (xs[1], rows[1]), (xs[-1], rows[-1])]:
+            if n <= 9:
+                dense = family.state_at(x)
+                want = {pair: dense.reduced(pair).matrix for pair in itertools.combinations(range(1, n + 1), 2)}
+            else:
+                want = streamed_marginals(family.point(x))
+            for (pairs, _), got in zip(family.pair_classes, row):
+                for pair in pairs:
+                    assert got.tobytes() == want[pair].tobytes(), (base, x, pair)
 
 
 @pytest.mark.parametrize("n", range(4, 10))

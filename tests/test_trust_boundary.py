@@ -216,13 +216,20 @@ def record_marginal_floors(monkeypatch) -> tuple[list, list]:
     """The qubit count N of the state behind every marginal handed to
     _wootters_stack, and each marginal's lowest eigenvalue, in stack order."""
     qubits, lows = [], []
-    for cls in (states.DensityMatrix, states.FamilyPoint):
-        def recording(self, original=cls.pair_marginals):
-            for item in original(self):
-                qubits.append(self.n_qubits)
-                yield item
 
-        monkeypatch.setattr(cls, "pair_marginals", recording)
+    def recording(self, original=states.DensityMatrix.pair_marginals):
+        for item in original(self):
+            qubits.append(self.n_qubits)
+            yield item
+
+    def recording_stacks(self, xs, original=states.NoisyFamily.marginal_stacks):
+        for stack in original(self, xs):
+            qubits.extend([self.n_qubits] * (len(stack) * len(self.pair_classes)))
+            yield stack
+
+    # a family point's marginals, alone or in a batch, come from marginal_stacks
+    monkeypatch.setattr(states.DensityMatrix, "pair_marginals", recording)
+    monkeypatch.setattr(states.NoisyFamily, "marginal_stacks", recording_stacks)
     kernel = concurrence._wootters_stack
 
     def recording_kernel(m):
