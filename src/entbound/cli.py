@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -484,7 +485,21 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse tree, built at the first call and shared by every
+    later call in the process, so in-process `main` calls pay for it once.
+
+    Sharing is safe because parsing only reads the tree: argparse makes a
+    fresh namespace per call (where `_Once` keeps its seen-set), copies the
+    appended `--source`/`--k` lists from their None defaults, and formats
+    usage and help, with the terminal width, only when it prints them. Two
+    threads making the first call at once may each build a tree; either
+    one serves. A caller that changes the returned tree changes it for
+    every later call, so callers only read it. The tree binds `FAMILIES`,
+    `CLI_SOURCES` and the `cmd_*` handlers at its build, so patching those
+    afterwards has no effect on parsing; the handlers look up their own
+    callees at call time."""
     parser = argparse.ArgumentParser(
         prog="entbound",
         description="Concurrence lower bounds and k-nonseparability witnesses "
@@ -566,6 +581,7 @@ def _attach_numeric_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one CLI command and return its exit code, on the shared parser."""
     parser = build_parser()
     argv = _attach_numeric_values(sys.argv[1:] if argv is None else argv)
     try:

@@ -325,7 +325,7 @@ def dicke_state(n: int, k: int) -> PureState:
         raise TooFewQubits("Dicke state needs at least 2 qubits")
     if not 1 <= k <= n - 1:
         raise ExcitationOutOfRange(f"excitation number {k} outside 1..{n - 1}")
-    idx = [i for i in range(2**n) if bin(i).count("1") == k]
+    idx = np.flatnonzero(np.bitwise_count(np.arange(2**n)) == k)
     amps = np.zeros(2**n, dtype=complex)
     amps[idx] = 1.0 / math.sqrt(len(idx))
     return PureState(n, amps)

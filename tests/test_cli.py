@@ -2,9 +2,13 @@ import argparse
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -764,6 +768,57 @@ class TestParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: unrecognized arguments: --par {value}" in err
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+class TestSharedParser:
+    """Every `main` call in a process runs on the one cached parser; no call
+    leaves state behind for the next."""
+
+    WITNESS = ["witness", "--family", "ex4", "--n", "4", "--param", "0.95"]
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_repeated_witness_k_leaks_nothing(self, capsys):
+        first = run(capsys, *self.WITNESS, "--k", "2")
+        assert first[0] == 0 and first[2] == ""
+        assert run(capsys, *self.WITNESS, "--k", "2", "--k", "2") == (
+            2, "", "error: --k 2 given twice\n")
+        assert run(capsys, *self.WITNESS, "--k", "2") == first
+
+    def test_a_repeated_single_value_flag_leaks_nothing(self, capsys):
+        argv = ["threshold", "--family", "w-noise", "--n", "4", "--source", "t1"]
+        assert run(capsys, *argv, "--n", "4") == (2, "", "error: --n given twice\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+
+    def test_an_argparse_error_leaks_nothing(self, capsys):
+        case = next(c for c in json.loads(GOLDEN.read_text(encoding="utf-8"))
+                    if c["argv"][0] == "threshold" and c["out_file"] is None)
+        with pytest.raises(SystemExit) as exc:
+            main(case["argv"] + ["--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+    def test_source_lists_do_not_accumulate(self, capsys):
+        argv = ["witness", "--family", "ghz-noise", "--n", "6", "--param", "0.97"]
+        outputs = {}
+        for sources in (("t2", "ghz-exact"), ("t3",), ("t2", "ghz-exact")):
+            code, out, err = run(capsys, *argv, *(f for s in sources for f in ("--source", s)))
+            assert (code, err) == (0, "")
+            rows = [line.split()[5] for line in out.splitlines()[1:]]
+            assert rows == list(sources)
+            assert outputs.setdefault(sources, out) == out
+
+    def test_importing_the_cli_builds_no_parser(self):
+        code = ("import entbound.cli as cli; "
+                "assert cli.build_parser.cache_info().currsize == 0")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestIgnoredFlagsAreErrors:

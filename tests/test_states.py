@@ -54,6 +54,14 @@ class TestConstructors:
         for n in (2, 3, 4, 5):
             assert np.array_equal(dicke_state(n, 1).amplitudes, w_state(n).amplitudes)
 
+    def test_dicke_bytes_equal_the_popcount_comprehension(self):
+        for n in range(2, 15):
+            for k in range(1, n):
+                idx = [i for i in range(2**n) if bin(i).count("1") == k]
+                amps = np.zeros(2**n, dtype=complex)
+                amps[idx] = 1.0 / math.sqrt(len(idx))
+                assert dicke_state(n, k).amplitudes.tobytes() == amps.tobytes(), (n, k)
+
     def test_ghz(self):
         psi = ghz_state(4)
         assert psi.amplitudes[0] == pytest.approx(1 / math.sqrt(2))
