@@ -27,9 +27,11 @@ from .witness import (
     THEOREM_SOURCES,
     Source,
     WitnessVerdict,
+    applicable_sources,
     certified_bound,
     detect_k_nonseparability,
     detection_threshold,
+    exceeds,
     k_nonsep_threshold,
     require_source,
     verdict,
@@ -91,18 +93,13 @@ def make_family(name: str, n: int | None, excitations: int | None = None) -> Noi
     return NoisyFamily(FAMILIES[name](n, excitations))
 
 
-def _sources(args, given: DensityMatrix | NoisyFamily) -> list[Source]:
-    """The --source values, else every source that applies to the input:
-    each theorem on its qubit-count domain, plus ghz-exact on a family with
-    a GHZ base, the family that require_source accepts it for."""
-    if args.source:
-        return [CLI_SOURCES[s] for s in args.source]
-    n = given.n_qubits
-    sources = [Source(t.lower()) for t in bounds_mod.applicable_theorems(n)]
-    if isinstance(given, NoisyFamily) and given.has_ghz_base:
-        sources.append(Source.GHZ_EXACT)
-    if not sources:
-        raise ValueError(f"no bound source applies to {n} qubits")
+def _sources(args, given: DensityMatrix | NoisyFamily, per_family: bool) -> list[Source]:
+    """The --source values, else applicable_sources(given), each admitted by
+    require_source before any state is built: for every member of the
+    family given when per_family, else for the one point to be evaluated."""
+    sources = [CLI_SOURCES[s] for s in args.source] if args.source else applicable_sources(given)
+    for source in sources:
+        require_source(source, given.n_qubits, given if per_family else None)
     return sources
 
 
@@ -220,11 +217,8 @@ def cmd_witness(args) -> int:
     given = load_input(args)
     n = given.n_qubits
     ks = args.k or [2]
-    sources = _sources(args, given)
-    # reject inapplicable theorems and impossible k before building the state
-    for source in sources:
-        require_source(source, n)
-    for k in ks:
+    sources = _sources(args, given, per_family=False)
+    for k in ks:  # reject an impossible k before building the state
         k_nonsep_threshold(n, 2, k)
     rho = at_param(given, args.param)
     table = pairwise_table(rho) if any(s in THEOREM_SOURCES for s in sources) else None
@@ -241,21 +235,18 @@ def cmd_witness(args) -> int:
 def cmd_sweep(args) -> int:
     family = make_family(args.family, args.n, args.excitations)
     n = family.n_qubits
-    sources = _sources(args, family)
+    sources = _sources(args, family, per_family=True)
     grid = _grid_points(*args.grid)
     threshold = None if args.k is None else k_nonsep_threshold(n, 2, args.k)
-    for source in sources:
-        require_source(source, n, family)
 
     rows = []
-    # each point is built twice rather than held: a grid can have 10001 of them
-    for x, table in zip(grid, pairwise_tables(family.point(x) for x in grid)):
-        point = family.point(x)
+    points = [family.point(x) for x in grid]
+    for point, table in zip(points, pairwise_tables(points)):
         found = [certified_bound(point, s, table) for s in sources]
-        row = [x] + [v for _, v in table.pairs()] + [b for bounds in found for b in bounds]
+        row = [point.x] + [v for _, v in table.pairs()] + [b for bounds in found for b in bounds]
         if threshold is not None:
             row.append(threshold)
-            row += [bound_c > threshold for _, bound_c in found]
+            row += [exceeds(bound_c, threshold) for _, bound_c in found]
         rows.append(row)
     header = ["param"] + [f"C_{i}_{j}" for (i, j), _ in table.pairs()]
     for source in sources:
@@ -288,7 +279,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_threshold(args) -> int:
     family = make_family(args.family, args.n, args.excitations)
-    sources = _sources(args, family)
+    sources = _sources(args, family, per_family=True)
     crossings = [(source, detection_threshold(family, args.k, source))
                  for source in sources]
     rows = [

@@ -39,6 +39,7 @@ PURITY_TOL = 1e-10  # |Tr rho^2 - 1| of a state read as pure
 BISECTION_TOL = 1e-6  # a reported crossing is within this of the true one
 BISECTION_STOP = BISECTION_TOL * 1e-3  # bracket width at which bisection stops
 REPORT_REL_TOL = 1e-12  # relative gap of bound_on_C2 from coefficient * pair_sum
+DETECTION_MARGIN = 1e-12  # a bound detects only above threshold + this (witness.exceeds)
 
 # Dense matrices are capped at 2^12, so one complex128 matrix takes at most
 # 256 MiB; pure-state-only paths may go up to 2^14 amplitudes.

@@ -278,8 +278,9 @@ class FamilyPoint:
     """The member of a NoisyFamily at visibility x: the base vector and x,
     never a dense matrix, so a point obeys the pure-state cap only.
 
-    Checks x as white_noise_mix does.  pair_marginals (one marginal per class
-    of equal pairs) and rows(start, stop) repeat white_noise_mix's float ops.
+    Checks x as white_noise_mix does.  Its row of the family's
+    marginal_stacks (one marginal per class of equal pairs) and
+    rows(start, stop) repeat white_noise_mix's float ops.
     """
 
     family: NoisyFamily
@@ -298,13 +299,6 @@ class FamilyPoint:
         m = np.eye(head.size, amps.size, start, dtype=complex) * ((1.0 - self.x) / amps.size)
         m += self.x * np.outer(head, amps.conj())
         return m
-
-    def pair_marginals(self):
-        """(pairs, marginal) per class of pair_classes: this point's row of
-        the family's marginal_stacks."""
-        (stack,) = self.family.marginal_stacks([self.x])
-        for (pairs, _), m in zip(self.family.pair_classes, stack[0]):
-            yield pairs, DensityMatrix._derived(2, m)
 
 
 def w_state(n: int) -> PureState:

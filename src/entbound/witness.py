@@ -21,9 +21,11 @@ from .errors import (
     NegativeRadicand,
     NonMonotoneFamily,
     ParameterOutOfRange,
+    WrongQubitCount,
 )
 from .linalg import (
     BISECTION_STOP,
+    DETECTION_MARGIN,
     FAMILY_MATCH_TOL,
     PURITY_TOL,
     ZERO_DUST,
@@ -52,7 +54,8 @@ class Source(str, enum.Enum):
     USER_SUPPLIED = "user"
 
 
-THEOREM_SOURCES = (Source.THEOREM1, Source.THEOREM2, Source.THEOREM3)
+# Each theorem source and its row label in bounds.THEOREMS, in THEOREMS order.
+THEOREM_SOURCES = {Source.THEOREM1: "T1", Source.THEOREM2: "T2", Source.THEOREM3: "T3"}
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class WitnessVerdict:
             raise ParameterOutOfRange("threshold must be nonnegative")
         if not self.certified_lower_bound_on_C >= 0:
             raise ParameterOutOfRange("certified lower bound must be nonnegative")
-        if self.detected != (self.certified_lower_bound_on_C > self.threshold):
+        if self.detected != exceeds(self.certified_lower_bound_on_C, self.threshold):
             raise ParameterOutOfRange("detected flag inconsistent with bound/threshold")
 
 
@@ -107,6 +110,43 @@ def k_nonsep_threshold(n: int, d: int, k: int, min_block_size: int = 1) -> float
     return 2.0 ** (1 - n / 2) * math.sqrt(max(radicand, 0.0))
 
 
+def exceeds(bound: float, threshold: float) -> bool:
+    """Whether a certified lower bound on C detects at threshold: the one
+    comparison behind every verdict, sweep column and bisection step.
+
+    The bound must beat the threshold by more than DETECTION_MARGIN (1e-12),
+    so rounding cannot lift a state that only reaches its threshold into a
+    detection.  The margin covers the rounding of both sides:
+
+    - k_nonsep_threshold: for d = 2 and N <= 14 its radicand is a sum of
+      dyadic rationals that floats hold exactly, so only the square root and
+      the factor 2^(1-N/2) round: a few ulp of a value at most 2, < 1e-15.
+    - pure-exact: C^2 = 2^(3-N) times the sum of the deficits D of the
+      2^(N-1) - 1 cuts, so an error delta in each D moves C by at most
+      2 delta / C.  _gram_deficit puts delta at a few eps in practice (8e-12
+      in its worst case at PURE_DIM_CAP): about 1e-15 at the one tight
+      nonzero threshold, C = 1 at N = 3, k = 2, whose Grams are 2 x 2.
+    - T1-T3: C = sqrt(c sum C_ij^2), and c times the number of pairs is at
+      most 15/2 (T3 at N = 6), so C errs by less than 3 times one pair's
+      error.  A Wootters value adds and subtracts the square roots of four
+      eigenvalues of a unit-trace matrix: those below the dust floor
+      EIGEN_DUST are exact zeros, and one of size mu errs by a few
+      eps / sqrt(mu).  At the Werner edge, the tight case of plain
+      entanglement detection, every mu is 1/36, and the bounds of rotated
+      edge marginals read up to 7e-16 where the truth is 0.
+    - ghz-exact: a square root times ((2^(N-1) + 1) p - 1) / 2^(N-1), one
+      rounding per operation on values near 1: a few ulp, < 1e-15.
+
+    Where a threshold is tight, each side thus errs by about 1e-15, and the
+    margin leaves three orders of magnitude for the longer sums of larger N.
+    It is a rounding allowance, not an interval bound: an eigenvalue just
+    above the dust floor carries up to eps / sqrt(EIGEN_DUST), about 2e-9.
+    The margin moves a crossing by margin / slope, below BISECTION_TOL for
+    any slope above 1e-6.
+    """
+    return bound > threshold + DETECTION_MARGIN
+
+
 def _ghz_visibility(rho: DensityMatrix | FamilyPoint) -> float:
     """The visibility p of a GHZ + white-noise state, rejecting other states:
     a point of a family with a GHZ base is its own x, any other state must match
@@ -138,11 +178,26 @@ def _pure_state_of(rho: DensityMatrix | FamilyPoint) -> PureState:
     return PureState(rho.n_qubits, vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
 
 
+def applicable_sources(given: DensityMatrix | NoisyFamily) -> list[Source]:
+    """Every source that applies to the input by default: each theorem on its
+    bounds.THEOREMS domain, in THEOREMS order, plus ghz-exact on a family with
+    a GHZ base.  A dense state never gets ghz-exact by default: reading it
+    compares the state with the GHZ model entry by entry and raises on any
+    other state, a check a caller asks for by naming the source."""
+    theorems = bounds_mod.applicable_theorems(given.n_qubits)
+    sources = [source for source, label in THEOREM_SOURCES.items() if label in theorems]
+    if isinstance(given, NoisyFamily) and given.has_ghz_base:
+        sources.append(Source.GHZ_EXACT)
+    if not sources:
+        raise WrongQubitCount(f"no bound source applies to {given.n_qubits} qubits")
+    return sources
+
+
 def require_source(source: Source, n_qubits: int, family: NoisyFamily | None = None) -> None:
     """Raise unless source can bound an N-qubit state, or every member of
     family when one is given; needs no state, so it runs before any is built."""
     if source in THEOREM_SOURCES:
-        bounds_mod.require_domain(source.value.upper(), n_qubits)
+        bounds_mod.require_domain(THEOREM_SOURCES[source], n_qubits)
     elif family is None:
         return
     elif source is not Source.GHZ_EXACT:
@@ -165,7 +220,7 @@ def certified_bounds(states, source: Source, tables=None) -> list[tuple[float, f
     if source in THEOREM_SOURCES:
         sums = (((t.n_qubits, t.sum_of_squares) for t in tables) if tables is not None
                 else zip((rho.n_qubits for rho in states), pair_square_sums(states)))
-        c2s = [bounds_mod.theorem_c2(source.value.upper(), n, s) for n, s in sums]
+        c2s = [bounds_mod.theorem_c2(THEOREM_SOURCES[source], n, s) for n, s in sums]
         return [(c2, math.sqrt(c2)) for c2 in c2s]
     if source is Source.GHZ_EXACT:
         cs = [bounds_mod.ghz_noise_exact_concurrence(rho.n_qubits, _ghz_visibility(rho))
@@ -189,15 +244,9 @@ def verdict(n_qubits: int, k: int, source: Source, bound: float) -> WitnessVerdi
     """The k-nonseparability verdict of a certified lower bound on the
     concurrence of an N-qubit state (local dimension 2)."""
     threshold = k_nonsep_threshold(n_qubits, 2, k)
-    return WitnessVerdict(
-        n_parties=n_qubits,
-        local_dim=2,
-        k=k,
-        threshold=threshold,
-        certified_lower_bound_on_C=bound,
-        source=source,
-        detected=bound > threshold,
-    )
+    return WitnessVerdict(n_parties=n_qubits, local_dim=2, k=k, threshold=threshold,
+                          certified_lower_bound_on_C=bound, source=source,
+                          detected=exceeds(bound, threshold))
 
 
 def detect_k_nonseparability(rho: DensityMatrix | FamilyPoint, k: int,
@@ -247,7 +296,7 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
 
     def detected(xs: list[float]) -> dict[float, bool]:
         found = certified_bounds([family.point(x) for x in xs], source)
-        return {x: c > threshold for x, (_, c) in zip(xs, found)}
+        return {x: exceeds(c, threshold) for x, (_, c) in zip(xs, found)}
 
     def next_levels(lo: float, hi: float) -> list[float]:
         brackets, mids = [(lo, hi)], []

@@ -26,7 +26,7 @@ from entbound.states import (
     w_state,
     white_noise_mix,
 )
-from entbound.witness import Source
+from entbound.witness import Source, applicable_sources
 
 from conftest import random_density
 
@@ -401,6 +401,22 @@ class TestRejectionBeforeStateIsBuilt:
                            "--grid", "0:1:5", "--source", "ghz-exact")
         assert code == 2
         assert err == "error: ghz-exact source requires the GHZ noise family\n"
+
+    @pytest.mark.parametrize("argv", [["sweep", "--grid", "0:1:5"], ["threshold"]],
+                             ids=lambda argv: argv[0])
+    def test_family_commands_admit_ghz_exact_per_family(self, no_states, capsys, argv):
+        # witness admits the same family and source at a point: see TestSourceAdmission
+        code, out, err = run(capsys, *argv, "--family", "w-noise", "--n", "4",
+                             "--source", "ghz-exact")
+        assert (code, out) == (2, "")
+        assert err == "error: ghz-exact source requires the GHZ noise family\n"
+
+    @pytest.mark.parametrize("argv", [["witness", "--param", "0.9", "--k", "9"],
+                                      ["sweep", "--grid", "0:1:1", "--k", "9"],
+                                      ["threshold", "--k", "9"]], ids=lambda argv: argv[0])
+    def test_source_admission_comes_before_the_grid_and_k(self, no_states, capsys, argv):
+        code, out, err = run(capsys, *argv, "--family", "w-noise", "--n", "5", "--source", "t1")
+        assert (code, out, err) == (2, "", "error: four-qubit bound applied to N=5\n")
 
     def test_sweep_theorem_outside_domain(self, no_states, capsys):
         code, _, err = run(capsys, "sweep", "--family", "w-noise", "--n", "5",
@@ -903,6 +919,30 @@ def test_crossing_builds_no_sampling_states(monkeypatch, capsys, argv, tables, k
     assert len(stacks) == kernel_calls
 
 
+class TestSourceAdmission:
+    def test_witness_admits_ghz_exact_per_point(self, capsys):
+        # every family's point at 0 is I/2^N, the GHZ-noise state at p = 0
+        code, out, err = run(capsys, "witness", "--family", "w-noise", "--n", "4",
+                             "--param", "0", "--source", "ghz-exact", "--format", "json")
+        assert (code, err) == (0, "")
+        (v,) = json.loads(out)["verdicts"]
+        assert (v["source"], v["certified_lower_bound_on_C"], v["detected"]) == (
+            "ghz-exact", 0.0, False)
+
+    def test_the_default_sources_are_applicable_sources(self, monkeypatch):
+        family = cli.make_family("ghz-noise", 6)
+        for sources in ([Source.THEOREM2], [Source.THEOREM3, Source.GHZ_EXACT]):
+            monkeypatch.setattr(cli, "applicable_sources", lambda given: sources)
+            for per_family in (False, True):
+                assert cli._sources(argparse.Namespace(source=None), family, per_family) == sources
+
+    def test_the_given_sources_skip_the_default(self, monkeypatch):
+        monkeypatch.setattr(cli, "applicable_sources", None)
+        args = argparse.Namespace(source=["ghz-exact", "t1"])
+        assert cli._sources(args, cli.make_family("ghz-noise", 4), True) == [
+            Source.GHZ_EXACT, Source.THEOREM1]
+
+
 class TestFamilyCatalogue:
     @pytest.mark.parametrize("command", ["bound", "witness", "sweep", "threshold"])
     def test_family_choices_are_the_catalogue_in_order(self, command):
@@ -928,13 +968,12 @@ class TestFamilyCatalogue:
             assert family.base.amplitudes.tobytes() == base.amplitudes.tobytes(), (name, n)
 
     def test_ghz_exact_is_a_default_source_exactly_on_ghz_noise(self):
-        args = argparse.Namespace(source=None)
         for name in cli.FAMILIES:
             for n in [4] if name in ("ex3", "ex4") else range(2, 15):
                 for excitations in range(1, n) if name == "dicke-noise" else [None]:
                     family = cli.make_family(name, n, excitations)
                     try:
-                        sources = cli._sources(args, family)
+                        sources = applicable_sources(family)
                     except ValueError as exc:
                         assert str(exc) == f"no bound source applies to {n} qubits"
                         sources = []
@@ -943,7 +982,7 @@ class TestFamilyCatalogue:
 
     def test_a_ghz_state_file_gets_no_ghz_exact_by_default(self):
         rho = white_noise_mix(ghz_state(4), 0.9)
-        assert cli._sources(argparse.Namespace(source=None), rho) == [Source.THEOREM1]
+        assert applicable_sources(rho) == [Source.THEOREM1]
 
 
 def _solver_gives_up(*args, **kwargs):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from entbound import concurrence
-from entbound.bounds import applicable_theorems, theorem_bound
+from entbound.bounds import theorem_bound
 from entbound.concurrence import pairwise_table
 from entbound.errors import DimensionOverflow, ParameterOutOfRange
 from entbound.linalg import BISECTION_STOP
@@ -26,7 +26,9 @@ from entbound.states import (
 )
 from entbound.witness import (
     BISECTION_LEVELS,
+    THEOREM_SOURCES,
     Source,
+    applicable_sources,
     certified_bound,
     detection_threshold,
     k_nonsep_threshold,
@@ -52,9 +54,9 @@ def visibilities(n):
 
 
 def engine_marginals(family, x):
-    """Pair -> marginal matrix, from the classes of family.point(x)."""
-    return {pair: rho.matrix for pairs, rho in family.point(x).pair_marginals()
-            for pair in pairs}
+    """Pair -> marginal matrix, from the one-x row of family.marginal_stacks."""
+    (stack,) = family.marginal_stacks([x])
+    return {pair: m for (pairs, _), m in zip(family.pair_classes, stack[0]) for pair in pairs}
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -83,14 +85,17 @@ def test_tables_are_bit_identical_to_the_dense_path(n):
 
 def dense_reference_threshold(family, k, source):
     """detection_threshold's bisection one step at a time, on the dense members:
-    theorem bounds from the report of each member's pairwise table."""
+    theorem bounds from the report of each member's pairwise table.  It tests
+    a bare bound > threshold, so matching it also shows that exceeds's
+    margin moves none of these crossings."""
     n = family.n_qubits
     threshold = 0.0 if k is None else k_nonsep_threshold(n, 2, k)
 
     def bound(x):
         if source is Source.GHZ_EXACT:
             return certified_bound(family.state_at(x), source)[1]
-        return theorem_bound(source.value.upper(), pairwise_table(family.state_at(x))).bound_on_C
+        table = pairwise_table(family.state_at(x))
+        return theorem_bound(THEOREM_SOURCES[source], table).bound_on_C
 
     if not bound(1.0) > threshold:
         return None
@@ -116,7 +121,7 @@ def test_crossings_equal_the_dense_reference_bisection(n, k):
     bases = builtin_family_bases(n) + haar_random_pure(SamplerConfig(n, seed=8400 + n, count=2))
     for base in bases:
         family = NoisyFamily(base)
-        for source in (Source(t.lower()) for t in applicable_theorems(n)):
+        for source in applicable_sources(family):
             expected = dense_reference_threshold(family, k, source)
             assert detection_threshold(family, k, source) == expected, (base, k, source)
 

@@ -316,8 +316,9 @@ def seeded_marginals():
             family = NoisyFamily(base)
             for x in [0.0, 1.0, *rng.uniform(0.0, 1.0, 3)]:
                 x = float(x)
-                for _, marginal in family.point(x).pair_marginals():
-                    yield marginal
+                (stack,) = family.marginal_stacks([x])
+                for m in stack[0]:
+                    yield states.DensityMatrix._derived(2, m)
                 if n <= 6 or x in (0.0, 1.0):
                     rho = family.state_at(x)
                     for pair in itertools.combinations(range(1, n + 1), 2):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entbound import bounds as bounds_mod
 from entbound.bounds import ghz_noise_exact_concurrence
 from entbound.concurrence import pairwise_table, pure_concurrence
 from entbound.errors import (
@@ -14,13 +15,13 @@ from entbound.errors import (
 )
 from oracle import (
     SamplerConfig,
+    apply_local_unitaries,
     conjugate_by_local_unitaries,
     haar_random_pure,
     random_product_pure,
     random_single_qubit_unitaries,
 )
-from entbound.bounds import applicable_theorems
-from entbound.linalg import FAMILY_MATCH_TOL
+from entbound.linalg import DETECTION_MARGIN, FAMILY_MATCH_TOL
 from entbound.states import (
     DensityMatrix,
     NoisyFamily,
@@ -33,12 +34,15 @@ from entbound.states import (
     white_noise_mix,
 )
 from entbound.witness import (
+    THEOREM_SOURCES,
     Source,
     _ghz_visibility,
     WitnessVerdict,
+    applicable_sources,
     certified_bound,
     detect_k_nonseparability,
     detection_threshold,
+    exceeds,
     k_nonsep_threshold,
     require_source,
     verdict,
@@ -256,23 +260,91 @@ class TestNoisyFamilyBoundsAreNondecreasing:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_no_bound_steps_down(self, n):
-        sources = [Source(t.lower()) for t in applicable_theorems(n)]
         for base in nondecreasing_check_bases(n):
             family = NoisyFamily(base)
-            is_ghz = np.allclose(base.amplitudes, ghz_state(n).amplitudes)
+            sources = applicable_sources(family)
             previous = None
             for x in np.linspace(0.0, 1.0, 41):
-                # one pair table per point, shared by every theorem source
-                rho = family.state_at(float(x))
+                # theorem sources share the dense member's pair table;
+                # ghz-exact reads the point's visibility
+                rho, point = family.state_at(float(x)), family.point(float(x))
                 table = pairwise_table(rho)
-                bounds = [certified_bound(rho, s, table)[1] for s in sources]
-                if is_ghz:
-                    point = family.point(float(x))
-                    bounds.append(certified_bound(point, Source.GHZ_EXACT)[1])
+                bounds = [certified_bound(point if s is Source.GHZ_EXACT else rho, s, table)[1]
+                          for s in sources]
                 if previous is not None:
                     steps = np.subtract(bounds, previous)
                     assert steps.min() >= -1e-12, (base, float(x), steps)
                 previous = bounds
+
+
+class TestApplicableSources:
+    def test_theorem_sources_map_to_the_theorems_in_order(self):
+        assert list(THEOREM_SOURCES.values()) == list(bounds_mod.THEOREMS)
+        assert all(source.value == label.lower() for source, label in THEOREM_SOURCES.items())
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_theorems_on_their_domain_plus_ghz_exact_on_a_ghz_base(self, n):
+        theorems = ([Source.THEOREM1] * (n == 4) + [Source.THEOREM2] * (n >= 5)
+                    + [Source.THEOREM3] * (n >= 6 and n % 2 == 0))
+        for family in (NoisyFamily(w_state(n)), NoisyFamily(ghz_state(n))):
+            expected = theorems + [Source.GHZ_EXACT] * family.has_ghz_base
+            if expected:
+                assert applicable_sources(family) == expected
+            else:
+                with pytest.raises(ValueError, match=f"no bound source applies to {n} qubits"):
+                    applicable_sources(family)
+
+    def test_a_dense_ghz_noise_state_gets_no_ghz_exact(self):
+        assert applicable_sources(white_noise_mix(ghz_state(5), 0.9)) == [Source.THEOREM2]
+
+
+def bell_pair_base(n: int, rng: np.random.Generator) -> PureState:
+    """|Phi+> on a random pair of n qubits, |0> on the rest, under random
+    local unitaries: a rotated, permuted |0..0> (x) Bell."""
+    i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+    amps = np.zeros((2,) * n, dtype=complex)
+    for b in (0, 1):
+        index = [0] * n
+        index[i] = index[j] = b
+        amps[tuple(index)] = 1 / math.sqrt(2)
+    return apply_local_unitaries(PureState(n, amps.reshape(-1)),
+                                 random_single_qubit_unitaries(rng, n))
+
+
+class TestDetectionMargin:
+    """exceeds keeps rounding out of the verdict where a threshold is tight:
+    with a bare `bound > threshold`, a quarter to two fifths of the seeds
+    of each test below read as detected."""
+
+    def test_a_bound_must_beat_the_threshold_by_the_margin(self):
+        assert DETECTION_MARGIN <= 1e-12
+        assert not exceeds(1.0 + DETECTION_MARGIN, 1.0)
+        assert exceeds(1.0 + 2 * DETECTION_MARGIN, 1.0)
+        assert not exceeds(DETECTION_MARGIN, 0.0) and not exceeds(0.0, 0.0)
+        v = verdict(3, 2, Source.USER_SUPPLIED, k_nonsep_threshold(3, 2, 2) + DETECTION_MARGIN / 2)
+        assert not v.detected
+        with pytest.raises(ParameterOutOfRange):
+            WitnessVerdict(3, 2, 2, 1.0, 1.0 + DETECTION_MARGIN / 2, Source.USER_SUPPLIED, True)
+
+    def test_rotated_biseparable_states_are_never_2_nonseparable(self):
+        # C(|0> (x) Bell) = 1 is the n=3, k=2 threshold: tight
+        for seed in range(300):
+            psi = bell_pair_base(3, np.random.default_rng(5100 + seed))
+            for rho in (NoisyFamily(psi).point(1.0), psi.density_matrix()):
+                v = detect_k_nonseparability(rho, 2, Source.PURE_EXACT)
+                assert not v.detected, (seed, v.certified_lower_bound_on_C - v.threshold)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_rotated_werner_edge_marginals_are_never_entangled(self, n):
+        # the Bell pair's marginal at visibility x is the Werner state, separable up to x = 1/3
+        (source,) = applicable_sources(NoisyFamily(w_state(n)))
+        edge = [1 / 3, float(np.nextafter(1 / 3, 0.0)), 1 / 3 - 2e-16, 1 / 3 - 1e-15]
+        for seed in range(150):
+            family = NoisyFamily(bell_pair_base(n, np.random.default_rng(5400 + seed)))
+            for x in edge:
+                bound = certified_bound(family.point(x), source)[1]
+                assert not exceeds(bound, 0.0), (seed, x, bound)
+            assert exceeds(certified_bound(family.point(1 / 3 + 1e-6), source)[1], 0.0)
 
 
 class TestCertifiedBound:
