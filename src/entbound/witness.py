@@ -35,12 +35,21 @@ from .linalg import (
 from .states import DensityMatrix, FamilyPoint, NoisyFamily, PureState, ghz_state
 
 GHZ_CHECK_ENTRIES = 2**18  # entries per row block of the GHZ-noise check, 4 MiB
-# Bisection steps per batch of detection_threshold: a batch evaluates the
-# 2^L - 1 midpoints L steps can visit.  On Dicke thresholds at n = 4..14, two
-# levels beat one up to n = 11 and cost about 15% more at n = 14, where
-# building the marginals dominates; three beat two by about 10% up to n = 7
-# and cost more from n = 10 up.
+# Bisection steps every round of detection_threshold covers in full: a round
+# evaluates the 2^L - 1 midpoints L steps can visit, so it never resolves
+# fewer steps than a plain batched bisection.  On Dicke thresholds at
+# n = 4..14 (sized before rounds took a predicted path), two levels beat one
+# up to n = 11 and cost about 15% more at n = 14, where building the marginals
+# dominates; three beat two by about 10% up to n = 7 and cost more from n = 10
+# up.  The predicted path goes deeper along one line instead of adding levels.
 BISECTION_LEVELS = 2
+# A round also evaluates the midpoints the one-step loop would visit if the
+# crossing sat at the secant guess, until the bracket is PATH_SLACK times
+# narrower than the guess moved since the previous guess (than the bracket,
+# for a first guess).  An untruncated path costs more points than it saves
+# rounds: the W n=14 t3 threshold took 22-29 ms instead of 16-17 (2-vCPU
+# x86_64 host).
+PATH_SLACK = 2**8
 
 
 class Source(str, enum.Enum):
@@ -258,6 +267,23 @@ def detect_k_nonseparability(rho: DensityMatrix | FamilyPoint, k: int,
     return verdict(rho.n_qubits, k, source, certified_bound(rho, source)[1])
 
 
+def _crossing_guess(seen: dict[float, float], threshold: float,
+                    lo: float, hi: float) -> float | None:
+    """Secant estimate, clamped to [lo, hi], of where the bound on C crosses
+    threshold: through the two points of seen (x -> bound on C) with a positive
+    bound nearest threshold.  None with fewer than two such points, equal
+    bounds or a non-finite result.  It only picks which points a bisection
+    round evaluates, never a verdict."""
+    near = sorted((abs(c - threshold), x, c) for x, c in seen.items() if c > 0)[:2]
+    if len(near) < 2:
+        return None
+    (_, x1, c1), (_, x2, c2) = near
+    if c1 == c2:
+        return None
+    guess = x1 + (threshold - c1) * (x2 - x1) / (c2 - c1)
+    return min(max(guess, lo), hi) if math.isfinite(guess) else None
+
+
 def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> float | None:
     """Smallest family parameter at which the certified bound crosses the
     detection threshold, found by bisection to within linalg.BISECTION_TOL.
@@ -278,25 +304,35 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     dense matrix, and a tier-1 test ties them to the dense mixture state_at(x)
     by checking every pair marginal bit for bit; ghz-exact reads x itself.
 
-    The steps are those of the one-point bisection loop, evaluated
-    BISECTION_LEVELS at a time: when a step reaches a midpoint without a
-    verdict, every midpoint the next BISECTION_LEVELS steps can visit from
-    [lo, hi] is formed with the same (lo + hi) / 2 and the same
-    > BISECTION_STOP test, and all of them go through one certified_bounds
-    batch, one stacked Wootters kernel call.  A point's bound does not depend
-    on the batch it is in (marginal_stacks and _wootters_stack give each row
-    the float operations of a one-point call), so every step compares the
-    same bound at the same x, and the crossing is the one-point bisection's,
-    bit for bit.
+    The steps are those of the one-point bisection loop, evaluated in
+    rounds: when a step reaches a midpoint without a bound, one certified_bounds
+    batch, one stacked Wootters kernel call, evaluates the union of two sets of
+    midpoints not evaluated yet, each formed with the same (lo + hi) / 2 and
+    the same width test as the loop's:
+
+    - every midpoint the next BISECTION_LEVELS steps can visit from [lo, hi],
+      so a round never resolves fewer steps than a plain batched bisection;
+    - the predicted path: the midpoints the loop would visit from [lo, hi] if
+      the crossing sat at _crossing_guess's secant estimate g (a midpoint is
+      predicted detected iff it exceeds g), until the bracket is no wider than
+      BISECTION_STOP or 1/PATH_SLACK of how far g moved since the previous
+      guess (of the bracket, for a first guess).
+
+    A point's bound does not depend on the batch it is in (marginal_stacks and
+    _wootters_stack give each row the float operations of a one-point call),
+    and every verdict is exceeds(bound, threshold) at exactly the midpoint the
+    loop visits.  The guess decides only which points share a batch, so the
+    crossing is the one-point bisection's, bit for bit, whatever the guess.
     """
     if type(family) is not NoisyFamily:
         raise NonMonotoneFamily(f"bisection needs a NoisyFamily, got {type(family).__name__}")
     require_source(source, family.n_qubits, family)
     threshold = 0.0 if k is None else k_nonsep_threshold(family.n_qubits, 2, k)
+    seen: dict[float, float] = {}  # x -> certified lower bound on C
 
-    def detected(xs: list[float]) -> dict[float, bool]:
+    def evaluate(xs: list[float]) -> None:
         found = certified_bounds([family.point(x) for x in xs], source)
-        return {x: exceeds(c, threshold) for x, (_, c) in zip(xs, found)}
+        seen.update((x, c) for x, (_, c) in zip(xs, found))
 
     def next_levels(lo: float, hi: float) -> list[float]:
         brackets, mids = [(lo, hi)], []
@@ -306,14 +342,32 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
             brackets = [half for a, b, mid in live for half in ((a, mid), (mid, b))]
         return mids
 
-    if not detected([1.0])[1.0]:
+    def predicted_path(lo: float, hi: float, guess: float, stop: float) -> list[float]:
+        mids = []
+        while hi - lo > stop:
+            mid = (lo + hi) / 2
+            mids.append(mid)
+            if mid > guess:
+                hi = mid
+            else:
+                lo = mid
+        return mids
+
+    evaluate([1.0])
+    if not exceeds(seen[1.0], threshold):
         return None
-    lo, hi, verdicts = 0.0, 1.0, {}
+    lo, hi, last_guess = 0.0, 1.0, None
     while hi - lo > BISECTION_STOP:
         mid = (lo + hi) / 2
-        if mid not in verdicts:
-            verdicts = detected(next_levels(lo, hi))
-        if verdicts[mid]:
+        if mid not in seen:
+            batch = next_levels(lo, hi)
+            guess = _crossing_guess(seen, threshold, lo, hi)
+            if guess is not None:
+                moved = hi - lo if last_guess is None else abs(guess - last_guess)
+                batch += predicted_path(lo, hi, guess, max(BISECTION_STOP, moved / PATH_SLACK))
+                last_guess = guess
+            evaluate([x for x in dict.fromkeys(batch) if x not in seen])
+        if exceeds(seen[mid], threshold):
             hi = mid
         else:
             lo = mid

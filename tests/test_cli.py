@@ -1,7 +1,6 @@
 import argparse
 import inspect
 import json
-import math
 import os
 import re
 import subprocess
@@ -13,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entbound import cli, concurrence, witness
+from entbound import cli, concurrence
 from entbound.cli import build_parser, main
 from entbound.concurrence import pairwise_table, pairwise_tables
 from entbound.linalg import DENSE_DIM_CAP, HERM_TOL, hermiticity_defect
@@ -899,12 +898,12 @@ def test_ghz_witness_recovers_the_visibility_once_for_every_k(monkeypatch, capsy
 
 @pytest.mark.parametrize("argv, tables, kernel_calls", [
     # no table; one kernel call at the noiseless end for the no-crossing test,
-    # then 30 bisection steps, BISECTION_LEVELS per kernel call
-    (["threshold", "--family", "ex4", "--n", "4", "--k", "3", "--source", "t1"],
-     {}, 1 + math.ceil(30 / witness.BISECTION_LEVELS)),
+    # then 30 bisection steps in 3 rounds (15 with BISECTION_LEVELS steps a
+    # round and no predicted path)
+    (["threshold", "--family", "ex4", "--n", "4", "--k", "3", "--source", "t1"], {}, 4),
     # the 11 grid rows in one kernel call, plus the calls of the crossing
     (["sweep", "--family", "ex4", "--n", "4", "--grid", "0:1:11", "--k", "3",
-      "--source", "t1"], {"entbound.cli": 11}, 2 + math.ceil(30 / witness.BISECTION_LEVELS)),
+      "--source", "t1"], {"entbound.cli": 11}, 5),
 ], ids=["threshold", "sweep"])
 def test_crossing_builds_no_sampling_states(monkeypatch, capsys, argv, tables, kernel_calls):
     states = count_calls(monkeypatch, white_noise_mix)

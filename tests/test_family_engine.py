@@ -8,10 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entbound import concurrence
+from entbound import concurrence, witness
 from entbound.bounds import theorem_bound
 from entbound.concurrence import pairwise_table
-from entbound.errors import DimensionOverflow, ParameterOutOfRange
+from entbound.errors import DimensionOverflow, ParameterOutOfRange, WrongQubitCount
 from entbound.linalg import BISECTION_STOP
 from oracle import SamplerConfig, haar_random_pure
 from entbound.states import (
@@ -31,6 +31,7 @@ from entbound.witness import (
     applicable_sources,
     certified_bound,
     detection_threshold,
+    exceeds,
     k_nonsep_threshold,
 )
 
@@ -134,14 +135,146 @@ def test_ghz_exact_crossings_equal_the_dense_reference_bisection(n):
         assert detection_threshold(family, k, Source.GHZ_EXACT) == expected, k
 
 
-def test_bisection_takes_its_levels_in_one_kernel_call_each(monkeypatch):
+def levels(lo, hi):
+    """Every midpoint BISECTION_LEVELS one-step moves can visit from [lo, hi]."""
+    brackets, mids = [(lo, hi)], []
+    for _ in range(BISECTION_LEVELS):
+        live = [(a, b, (a + b) / 2) for a, b in brackets if b - a > BISECTION_STOP]
+        mids += [mid for _, _, mid in live]
+        brackets = [half for a, b, mid in live for half in ((a, mid), (mid, b))]
+    return mids
+
+
+def record_rounds(monkeypatch):
+    """The certified_bounds batches of detection_threshold, each as {x: bound on C}."""
+    batch_bounds, rounds = witness.certified_bounds, []
+
+    def record(states, source, tables=None):
+        found = batch_bounds(states, source, tables)
+        rounds.append({point.x: c for point, (_, c) in zip(states, found)})
+        return found
+
+    monkeypatch.setattr(witness, "certified_bounds", record)
+    return rounds
+
+
+def record_stacks(monkeypatch):
+    """The number of marginals in each stacked Wootters kernel call."""
     kernel, stacks = concurrence._wootters_stack, []
     monkeypatch.setattr(concurrence, "_wootters_stack", lambda m: stacks.append(len(m)) or kernel(m))
-    assert detection_threshold(NoisyFamily(w_state(5)), None, Source.THEOREM2) is not None
-    # the noiseless end alone, then every midpoint of BISECTION_LEVELS steps per call
-    assert len(stacks) == 1 + math.ceil(30 / BISECTION_LEVELS)
-    assert stacks[0] == 1
-    assert max(stacks) == 2**BISECTION_LEVELS - 1
+    return stacks
+
+
+def test_bisection_takes_its_levels_in_one_kernel_call_each(monkeypatch):
+    stacks, rounds = record_stacks(monkeypatch), record_rounds(monkeypatch)
+    x = detection_threshold(NoisyFamily(w_state(5)), None, Source.THEOREM2)
+    # one pair class: a round of m points is one kernel call on m marginals
+    assert stacks == [len(batch) for batch in rounds]
+    # the noiseless end alone, then 6 rounds (15 with the levels alone)
+    assert list(rounds[0]) == [1.0]
+    assert len(stacks) == 7
+    # replay the one-step loop: a round starts where it meets a midpoint no
+    # earlier round evaluated, and holds every midpoint of its bracket's levels
+    # that no earlier round holds
+    seen, later = dict(rounds[0]), iter(rounds[1:])
+    lo, hi = 0.0, 1.0
+    while hi - lo > BISECTION_STOP:
+        mid = (lo + hi) / 2
+        if mid not in seen:
+            batch = next(later)
+            assert mid in batch
+            assert set(levels(lo, hi)) <= set(batch) | set(seen)
+            assert not set(batch) & set(seen)
+            seen.update(batch)
+        if exceeds(seen[mid], 0.0):
+            hi = mid
+        else:
+            lo = mid
+    assert next(later, None) is None
+    assert (lo + hi) / 2 == x
+
+
+def crossing_sources(family):
+    """applicable_sources, or none where no source bounds the family."""
+    try:
+        return applicable_sources(family)
+    except WrongQubitCount:
+        return []
+
+
+def fixed_guesses(seed):
+    """Stand-ins for _crossing_guess: each bracket end, a ulp either side of
+    its midpoint, a seeded point inside it, and no guess."""
+    rng = np.random.default_rng(seed)
+    return {
+        "lo": lambda seen, threshold, lo, hi: lo,
+        "hi": lambda seen, threshold, lo, hi: hi,
+        "mid-ulp": lambda seen, threshold, lo, hi: math.nextafter((lo + hi) / 2, -math.inf),
+        "mid+ulp": lambda seen, threshold, lo, hi: math.nextafter((lo + hi) / 2, math.inf),
+        "random": lambda seen, threshold, lo, hi: float(rng.uniform(lo, hi)),
+        "none": lambda seen, threshold, lo, hi: None,
+    }
+
+
+def bits(x):
+    return None if x is None else x.hex()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_a_guess_picks_points_not_verdicts(monkeypatch, n):
+    bases = builtin_family_bases(n) + haar_random_pure(SamplerConfig(n, seed=8400 + n, count=2))
+    for base in bases:
+        family = NoisyFamily(base)
+        for k in [None] + list(range(2, n + 1)):
+            for source in crossing_sources(family):
+                expected = bits(detection_threshold(family, k, source))
+                assert expected == bits(dense_reference_threshold(family, k, source)), (base, k, source)
+                for name, guess in fixed_guesses(8700 + n).items():
+                    with monkeypatch.context() as m:
+                        m.setattr(witness, "_crossing_guess", guess)
+                        rounds = record_rounds(m)
+                        got = bits(detection_threshold(family, k, source))
+                    assert got == expected, (base, k, source, name)
+                    if name == "none":
+                        # no guess, no path: the levels alone, as a batched bisection takes them
+                        assert len(rounds) == (1 if got is None else 1 + math.ceil(30 / BISECTION_LEVELS))
+
+
+def test_rounds_and_marginals_stay_within_budget(monkeypatch):
+    stacks, rounds = record_stacks(monkeypatch), record_rounds(monkeypatch)
+    # the levels alone take 1 + 15 rounds and 1 + 15 * 3 = 46 points a crossing
+    crossings = marginals = budget = 0
+    for n in range(4, 10):
+        for base in builtin_family_bases(n):
+            family = NoisyFamily(base)
+            for k in [None] + list(range(2, n + 1)):
+                for source in applicable_sources(family):
+                    stacks.clear()
+                    rounds.clear()
+                    if detection_threshold(family, k, source) is None:
+                        continue
+                    crossings += 1
+                    assert len(rounds) <= 16 // 2, (base, k, source)
+                    if source in THEOREM_SOURCES:
+                        assert len(stacks) == len(rounds)
+                        marginals += sum(stacks)
+                        budget += 46 * len(family.pair_classes)
+    assert crossings >= 70
+    assert marginals <= budget
+
+
+@pytest.mark.parametrize("base, source, most_marginals", [
+    (dicke_state(14, 7), Source.THEOREM2, 46),
+    # the bound is 0 below the crossing, so every secant guess extrapolates
+    # from points above it and its paths go astray: 50 marginals in 8 calls,
+    # against 46 in 16 for the levels alone
+    (w_state(14), Source.THEOREM3, 50),
+], ids=["dicke-noise-t2", "w-noise-t3"])
+def test_fourteen_qubit_crossings_stay_within_budget(monkeypatch, base, source, most_marginals):
+    stacks = record_stacks(monkeypatch)
+    assert detection_threshold(NoisyFamily(base), None, source) is not None
+    assert len(stacks) <= 16 // 2
+    assert sum(stacks) <= most_marginals
 
 
 def streamed_marginals(point, step=256):
