@@ -8,15 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entbound import concurrence, witness
+from entbound import concurrence, states, witness
 from entbound.bounds import theorem_bound
 from entbound.concurrence import pairwise_table
 from entbound.errors import DimensionOverflow, ParameterOutOfRange, WrongQubitCount
 from entbound.linalg import BISECTION_STOP
-from oracle import SamplerConfig, haar_random_pure
+from oracle import SamplerConfig, haar_random_pure, pair_block, reference_pair_classes
 from entbound.states import (
     MARGINAL_CHUNK_ENTRIES,
     NoisyFamily,
+    PureState,
     dicke_state,
     example3_state,
     example4_state,
@@ -326,7 +327,59 @@ def test_batched_marginals_are_bit_identical_across_chunks(n):
                     assert got.tobytes() == want[pair].tobytes(), (base, x, pair)
 
 
-@pytest.mark.parametrize("n", range(4, 10))
+def pair_gather_bases(n):
+    """Bases whose pair gathers differ by a sign, by a factor i or by signed
+    zeros: (|01> - |10>)/sqrt2 and (|01> + i|10>)/sqrt2 on qubits 1, 2 times
+    |0...0>, and GHZ with a -0.0 amplitude at either end of its zeros."""
+    bases = []
+    for phase in (-1, 1j):
+        amps = np.zeros(2**n, dtype=complex)
+        amps[1 << (n - 2)], amps[2 << (n - 2)] = 1 / math.sqrt(2), phase / math.sqrt(2)
+        bases.append(PureState(n, amps))
+    for index, zero in [(1, complex(-0.0, 0.0)), (2**n - 2, complex(0.0, -0.0))]:
+        amps = ghz_state(n).amplitudes.copy()
+        amps[index] = zero
+        bases.append(PureState(n, amps))
+    return bases
+
+
+def reference_bases(n):
+    """Every built-in base on n qubits (every Dicke excitation; ex3 and ex4 at
+    n=4), seeded Haar bases at n=3..9 and the pair_gather_bases."""
+    bases = symmetric_bases(n) + pair_gather_bases(n)
+    if n == 4:
+        bases += [example3_state(), example4_state()]
+    if 3 <= n <= 9:
+        bases += haar_random_pure(SamplerConfig(n, seed=8600 + n, count=2))
+    return bases
+
+
+@pytest.mark.parametrize("key_bytes_max", [0, states.GATHER_BYTES_KEY_MAX, 2**30])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_pair_classes_equal_the_block_keyed_reference(n, key_bytes_max, monkeypatch):
+    # 0 keys every gather by its weighted sum, 2**30 every gather by its bytes
+    monkeypatch.setattr(states, "GATHER_BYTES_KEY_MAX", key_bytes_max)
+    for base in reference_bases(n):
+        classes = NoisyFamily(base).pair_classes
+        want = reference_pair_classes(base)
+        assert [pairs for pairs, _ in classes] == [pairs for pairs, _ in want], base
+        for (pairs, block), (_, ref) in zip(classes, want):
+            assert block.shape == ref.shape and block.tobytes() == ref.tobytes(), (base, pairs)
+            for i, j in pairs:
+                assert block.tobytes() == pair_block(base, i, j).tobytes(), (base, i, j)
+
+
+def test_pair_gather_bases_cover_each_grouping():
+    # a sign apart: blocks differ in signed zeros, so (1, 3) and (2, 3) split;
+    # a factor i apart: equal blocks from unequal gathers, so they share;
+    # a -0.0 amplitude splits GHZ's one class in two
+    minus, phase, *ghz = (NoisyFamily(b).pair_classes for b in pair_gather_bases(5))
+    assert [len(pairs) for pairs, _ in minus] == [1, 3, 3, 3]
+    assert [len(pairs) for pairs, _ in phase] == [1, 6, 3]
+    assert [[len(pairs) for pairs, _ in c] for c in ghz] == [[6, 4], [6, 4]]
+
+
+@pytest.mark.parametrize("n", range(4, 15))
 def test_symmetric_bases_have_one_class_of_pairs(n):
     for base in symmetric_bases(n):
         classes = NoisyFamily(base).pair_classes
