@@ -36,9 +36,6 @@ MAX_DENSE_QUBITS = DENSE_DIM_CAP.bit_length() - 1
 # Complex entries in one broadcast of NoisyFamily.marginal_stacks, 1 MiB.
 MARGINAL_CHUNK_ENTRIES = 2**16
 _EYE4 = np.eye(4, dtype=complex)
-# A pair's amplitude gather of at most this many bytes (N <= 9) is its own key
-# in NoisyFamily.pair_classes; a longer one is keyed by a weighted sum of it.
-GATHER_BYTES_KEY_MAX = 2**13
 
 
 def _require_bounded(a: np.ndarray, what: str) -> None:
@@ -241,45 +238,40 @@ class NoisyFamily:
         thus still share a class, and the classes are those of grouping
         every pair by its block's bytes.
 
-        A gather of at most GATHER_BYTES_KEY_MAX bytes (8 KiB, N <= 9) is its
-        own key.  A longer one is keyed by the sum of its real and imaginary
-        parts weighted by sqrt(1), sqrt(2), ...; every gather holds the same
-        amplitudes in another order, so an unweighted sum would not tell
-        them apart.  The sum runs in einsum, as a BLAS dot may spread it over
-        threads whose start costs more than the sum.  A key seen before is
-        confirmed bit for bit against the gather of the pair that brought
-        it, rebuilt then and kept, so at N >= 10 a base whose keys never
-        repeat (Haar) holds no gather but the current one.
+        A gather is keyed by the bytes of its first row, psi at |0...0>,
+        |j>, |i> and |ij>, which tells a generic base's pairs apart.  A key
+        keeps the first pair that brought it, and a later pair with that key
+        compares its gather's bytes with that pair's, rebuilt then and kept;
+        on a mismatch it builds its block as above.  A base whose keys never
+        repeat (Haar) thus holds no gather but the current one, and a base
+        whose keys all repeat pays one gather comparison a pair.
         """
         n = self.n_qubits
         amps = self.base.amplitudes.reshape((2,) * n)
-        exact = 16 << n <= GATHER_BYTES_KEY_MAX  # a gather is 2^N complex entries
-        weights = None if exact else np.sqrt(np.arange(1.0, 2 ** (n + 1) + 1)).reshape(-1, 8)
 
         def gather(i, j):
             traced = [a for a in range(n) if a not in (i - 1, j - 1)]
             return np.ascontiguousarray(amps.transpose(traced + [i - 1, j - 1])).reshape(-1, 4)
 
         classes: dict[bytes, tuple[list, np.ndarray]] = {}
-        earlier: dict = {}  # gather key -> [[first pair, its gather or None, its class's pairs], ...]
+        # first row -> [first pair with it, its gather's bytes or None, its class's pairs]
+        gathers: dict[bytes, list] = {}
         for i, j in itertools.combinations(range(1, n + 1), 2):
             g = gather(i, j)
-            key = g.tobytes() if exact else float(np.einsum("ij,ij", g.view(float), weights))
-            for entry in earlier.get(key, ()):
-                if not exact:
-                    if entry[1] is None:
-                        entry[1] = gather(*entry[0])
-                    if not (entry[1].view(np.uint64) == g.view(np.uint64)).all():
-                        continue
-                entry[2].append((i, j))
-                break
-            else:
-                block = g[:, :, None] * g.conj()[:, None, :]
-                block.setflags(write=False)
-                pairs, _ = classes.setdefault(
-                    block.tobytes(), ([], block.reshape((2,) * (n - 2) + (4, 4))))
-                pairs.append((i, j))
-                earlier.setdefault(key, []).append([(i, j), None, pairs])
+            key = g[0].tobytes()
+            seen = gathers.get(key)
+            if seen is not None:
+                if seen[1] is None:
+                    seen[1] = gather(*seen[0]).tobytes()
+                if seen[1] == g.tobytes():
+                    seen[2].append((i, j))
+                    continue
+            block = g[:, :, None] * g.conj()[:, None, :]
+            block.setflags(write=False)
+            pairs, _ = classes.setdefault(
+                block.tobytes(), ([], block.reshape((2,) * (n - 2) + (4, 4))))
+            pairs.append((i, j))
+            gathers.setdefault(key, [(i, j), None, pairs])
         return tuple((tuple(pairs), block) for pairs, block in classes.values())
 
     def marginal_stacks(self, xs):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entbound import concurrence, states, witness
+from entbound import concurrence, witness
 from entbound.bounds import theorem_bound
 from entbound.concurrence import pairwise_table
 from entbound.errors import DimensionOverflow, ParameterOutOfRange, WrongQubitCount
@@ -343,22 +343,32 @@ def pair_gather_bases(n):
     return bases
 
 
+def high_weight_haar_bases(n):
+    """Seeded Haar bases with every amplitude on at most two excited qubits
+    set to zero: every pair's gather has the same (zero) first row, the
+    key of pair_classes, while the gathers differ."""
+    bases = []
+    for base in haar_random_pure(SamplerConfig(n, seed=8700 + n, count=2)):
+        amps = base.amplitudes.copy()
+        amps[[index for index in range(2**n) if index.bit_count() <= 2]] = 0
+        bases.append(PureState(n, amps / np.linalg.norm(amps)))
+    return bases
+
+
 def reference_bases(n):
     """Every built-in base on n qubits (every Dicke excitation; ex3 and ex4 at
-    n=4), seeded Haar bases at n=3..9 and the pair_gather_bases."""
+    n=4), the pair_gather_bases, and at n=3..9 seeded Haar bases and
+    high_weight_haar_bases."""
     bases = symmetric_bases(n) + pair_gather_bases(n)
     if n == 4:
         bases += [example3_state(), example4_state()]
     if 3 <= n <= 9:
-        bases += haar_random_pure(SamplerConfig(n, seed=8600 + n, count=2))
+        bases += haar_random_pure(SamplerConfig(n, seed=8600 + n, count=2)) + high_weight_haar_bases(n)
     return bases
 
 
-@pytest.mark.parametrize("key_bytes_max", [0, states.GATHER_BYTES_KEY_MAX, 2**30])
 @pytest.mark.parametrize("n", range(2, 13))
-def test_pair_classes_equal_the_block_keyed_reference(n, key_bytes_max, monkeypatch):
-    # 0 keys every gather by its weighted sum, 2**30 every gather by its bytes
-    monkeypatch.setattr(states, "GATHER_BYTES_KEY_MAX", key_bytes_max)
+def test_pair_classes_equal_the_block_keyed_reference(n):
     for base in reference_bases(n):
         classes = NoisyFamily(base).pair_classes
         want = reference_pair_classes(base)
@@ -377,6 +387,9 @@ def test_pair_gather_bases_cover_each_grouping():
     assert [len(pairs) for pairs, _ in minus] == [1, 3, 3, 3]
     assert [len(pairs) for pairs, _ in phase] == [1, 6, 3]
     assert [[len(pairs) for pairs, _ in c] for c in ghz] == [[6, 4], [6, 4]]
+    # high-weight Haar: every pair has the same key, yet no two gathers are equal
+    for base in high_weight_haar_bases(6):
+        assert len(NoisyFamily(base).pair_classes) == math.comb(6, 2)
 
 
 @pytest.mark.parametrize("n", range(4, 15))
