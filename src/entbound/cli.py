@@ -106,7 +106,7 @@ def _sources(args, given: DensityMatrix | NoisyFamily, per_family: bool) -> list
 # ---------------------------------------------------------------- output
 
 def _write_text(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
@@ -161,15 +161,15 @@ def emit(header, rows, doc, args) -> None:
 
 def load_input(args) -> DensityMatrix | NoisyFamily:
     """The --state matrix, or the --family whose --param point is built later."""
-    if args.state and args.family:
+    if args.state is not None and args.family is not None:
         raise ValueError("give either --state or --family, not both")
-    if args.state:
+    if args.state is not None:
         for flag, value in (("--param", args.param), ("--n", args.n),
                             ("--excitations", args.excitations)):
             if value is not None:
                 raise ValueError(f"{flag} applies to --family, not --state")
         return load_density_matrix(args.state, clamp=args.clamp)
-    if args.family:
+    if args.family is not None:
         if args.clamp:
             raise ValueError("--clamp applies to --state, not --family")
         if args.param is None:
@@ -269,7 +269,7 @@ def cmd_sweep(args) -> int:
     }
     emit(header, rows, doc, args)
     # json embeds the crossings; for csv piped to stdout, keep the stream clean
-    if args.format == "table" or (args.format == "csv" and args.out):
+    if args.format == "table" or (args.format == "csv" and args.out is not None):
         for c in crossings:
             where = fmt(c["crossing"]) if c["crossing"] is not None else "no crossing"
             label = "entanglement" if args.k is None else f"k={args.k}"

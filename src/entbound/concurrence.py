@@ -280,42 +280,6 @@ def _sum_of_squares(values) -> float:
     return sum(v * v for v in values)
 
 
-def _marginal_blocks(points, layout: list):
-    """(k, 4, 4) arrays of the pair marginals of points, in point-then-class
-    order.  A run of consecutive FamilyPoints of one family takes its
-    marginals from the family's marginal_stacks, one marginal per class of
-    equal pairs; any other state from its pair_marginals().  Appends to
-    layout, per point, its qubit count, its number of classes and the class
-    of each pair in combinations order."""
-    run, xs = None, []
-    for rho in itertools.chain(points, [None]):  # None flushes the last run
-        family = rho.family if isinstance(rho, FamilyPoint) else None
-        if xs and family is not run:
-            yield from (s.reshape(-1, 4, 4) for s in run.marginal_stacks(xs))
-            xs = []
-        if rho is None:
-            return
-        n = rho.n_qubits
-        if n < 2:
-            raise WrongDimension("pairwise table needs at least 2 qubits")
-        if family is not None:
-            if family is not run:
-                run, classes = family, [pairs for pairs, _ in family.pair_classes]
-                entry = (n, len(classes), _class_order(n, classes))
-            xs.append(rho.x)
-            layout.append(entry)
-        else:
-            classes, marginals = zip(*rho.pair_marginals())
-            layout.append((n, len(classes), _class_order(n, classes)))
-            yield np.array([m.matrix for m in marginals])
-
-
-def _class_order(n: int, classes) -> list[int]:
-    """The index in classes of the class of each pair (i, j), in combinations order."""
-    index = {pair: c for c, pairs in enumerate(classes) for pair in pairs}
-    return [index[pair] for pair in itertools.combinations(range(1, n + 1), 2)]
-
-
 def _stacks(blocks):
     """The marginals of blocks regrouped into stacks of WOOTTERS_STACK, the
     last one shorter."""
@@ -333,24 +297,44 @@ def _stacks(blocks):
 
 
 def _pair_concurrences(points) -> list[tuple[int, list[float]]]:
-    """(N, the concurrence of every pair in combinations order) per state."""
-    layout, found = [], []
-    for stack in _stacks(_marginal_blocks(points, layout)):
-        found += _wootters_stack(stack)
-    out, start = [], 0
-    for n, count, order in layout:
-        cs = found[start:start + count]
-        start += count
-        out.append((n, [cs[c] for c in order]))
+    """(N, the concurrence of every pair in combinations order) per state, run
+    by run (see pairwise_tables); a family run maps its classes back to pairs
+    by one order per run."""
+    out = []
+    for family, run in itertools.groupby(
+            points, lambda rho: rho.family if isinstance(rho, FamilyPoint) else None):
+        if family is None:
+            for rho in run:
+                pairs = _pairs(rho.n_qubits)
+                out.append((rho.n_qubits, _wootters_stack(
+                    np.array([rho.reduced(pair).matrix for pair in pairs]))))
+            continue
+        n, classes = family.n_qubits, family.pair_classes
+        index = {pair: c for c, (pairs, _) in enumerate(classes) for pair in pairs}
+        order = [index[pair] for pair in _pairs(n)]
+        found = []
+        blocks = family.marginal_stacks([rho.x for rho in run])
+        for stack in _stacks(block.reshape(-1, 4, 4) for block in blocks):
+            found += _wootters_stack(stack)
+        for start in range(0, len(found), len(classes)):
+            cs = found[start:start + len(classes)]
+            out.append((n, [cs[c] for c in order]))
     return out
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (i, j) of n qubits, in combinations order."""
+    if n < 2:
+        raise WrongDimension("pairwise table needs at least 2 qubits")
+    return list(itertools.combinations(range(1, n + 1), 2))
 
 
 def pairwise_tables(points) -> list[PairwiseConcurrenceTable]:
     """The pairwise table of each state in points, in order.
 
-    The marginals of every state (per pair for a DensityMatrix, per class of
-    equal pairs for a run of FamilyPoints of one family) go through
-    _wootters_stack in point-then-class order, WOOTTERS_STACK at a time.  No
+    A DensityMatrix takes one _wootters_stack call on its pair marginals; a
+    run of FamilyPoints of one family streams its marginals, one per class
+    of equal pairs, in point-then-class order, WOOTTERS_STACK at a time.  No
     marginal is checked against PSD_TOL, which only states reads: entry
     validation allows a state's eigenvalues down to -PSD_TOL, so a marginal
     of N qubits may reach -2^(N-2) PSD_TOL, and the kernel's floor clips it.

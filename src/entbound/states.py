@@ -185,20 +185,16 @@ class DensityMatrix:
         keep = linalg.SubsetMask.from_qubits(qubits, self.n_qubits)
         return DensityMatrix._derived(keep.size, linalg.partial_trace(self.matrix, keep))
 
-    def pair_marginals(self):
-        """((i, j),) and the marginal on qubits i < j, for every pair in turn."""
-        for pair in itertools.combinations(range(1, self.n_qubits + 1), 2):
-            yield (pair,), self.reduced(pair)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyFamily:
     """White-noise mixture family x -> (1-x)/2^N I + x |base><base|.
 
     detection_threshold's proof rests on this mixture.  point(x) is the
     member: its pair marginals and rows come from the base vector with the
     float operations of the dense reference state_at, in the same order, and
-    tests/test_family_engine.py checks both bit for bit against state_at(x)."""
+    tests/test_family_engine.py checks both bit for bit against state_at(x).
+    A family equals only itself: its pair_classes are cached per object."""
 
     base: PureState
 
@@ -226,7 +222,9 @@ class NoisyFamily:
         a, b index qubits i, j and t the others; a block has one axis per
         traced qubit, lowest label first, then its 4 x 4 kept part, so it
         holds 2^(N-2) x 16 entries, not 4^N.  Classes come in the order of
-        their first pair, and each keeps its first pair's block.
+        their first pair, and each keeps its first pair's block as a
+        read-only view of the bytes its class is keyed by, so a block is held
+        once.
 
         Building a block is the cost, so each pair first looks for an earlier
         pair with a bitwise-equal gather g[t, ab] = psi(a, b, t), a quarter of
@@ -253,7 +251,7 @@ class NoisyFamily:
             traced = [a for a in range(n) if a not in (i - 1, j - 1)]
             return np.ascontiguousarray(amps.transpose(traced + [i - 1, j - 1])).reshape(-1, 4)
 
-        classes: dict[bytes, tuple[list, np.ndarray]] = {}
+        classes: dict[bytes, list] = {}  # block bytes -> the class's pairs
         # first row -> [first pair with it, its gather's bytes or None, its class's pairs]
         gathers: dict[bytes, list] = {}
         for i, j in itertools.combinations(range(1, n + 1), 2):
@@ -266,13 +264,12 @@ class NoisyFamily:
                 if seen[1] == g.tobytes():
                     seen[2].append((i, j))
                     continue
-            block = g[:, :, None] * g.conj()[:, None, :]
-            block.setflags(write=False)
-            pairs, _ = classes.setdefault(
-                block.tobytes(), ([], block.reshape((2,) * (n - 2) + (4, 4))))
+            pairs = classes.setdefault((g[:, :, None] * g.conj()[:, None, :]).tobytes(), [])
             pairs.append((i, j))
             gathers.setdefault(key, [(i, j), None, pairs])
-        return tuple((tuple(pairs), block) for pairs, block in classes.values())
+        shape = (2,) * (n - 2) + (4, 4)
+        return tuple((tuple(pairs), np.frombuffer(block, complex).reshape(shape))
+                     for block, pairs in classes.items())
 
     def marginal_stacks(self, xs):
         """The pair marginals of the members at visibilities xs, as

@@ -625,8 +625,10 @@ def test_oversize_grid_is_input_error_without_large_allocation(capsys):
         "sweep", "--family", "ex4", "--grid", "0:1:1000000000", "--k", "3")
 
 
-def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(capsys):
+def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(monkeypatch, capsys):
     # 6 classes at each of 10001 points: 60006 marginals, in 15 kernel calls
+    kernel, stacks = concurrence._wootters_stack, []
+    monkeypatch.setattr(concurrence, "_wootters_stack", lambda m: stacks.append(len(m)) or kernel(m))
     tracemalloc.start()
     try:
         code = main(["sweep", "--family", "ex3", "--grid", f"0:1:{cli.MAX_GRID_STEPS}"])
@@ -637,6 +639,7 @@ def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(capsys):
     assert code == 0
     assert out.count("\n") == cli.MAX_GRID_STEPS + 2  # the header, the rows, the T1 crossing
     assert peak <= 16 * 2**20
+    assert stacks[:15] == [4096] * 14 + [2662]  # the grid; the crossing follows
 
 
 def test_threshold_at_the_pure_state_cap_stays_below_8_mib(capsys):
@@ -877,6 +880,18 @@ class TestIgnoredFlagsAreErrors:
         code, out, err = run(capsys, *argv, "--excitations", "1")
         assert (code, out) == (2, "")
         assert err == "error: --excitations applies only to --family dicke-noise\n"
+
+    def test_empty_state_with_family(self, capsys):
+        code, out, err = run(capsys, "bound", "--state", "", "--family", "w-noise", "--n", "4",
+                             "--param", "0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: give either --state or --family, not both\n"
+
+    def test_empty_out(self, capsys):
+        code, out, err = run(capsys, "witness", "--family", "w-noise", "--n", "4",
+                             "--param", "0.5", "--out", "")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
 
     def test_excitations_on_dicke(self, capsys):
         code, out, _ = run(capsys, "bound", "--family", "dicke-noise", "--n", "5",

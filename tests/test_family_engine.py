@@ -379,6 +379,20 @@ def test_pair_classes_equal_the_block_keyed_reference(n):
                 assert block.tobytes() == pair_block(base, i, j).tobytes(), (base, i, j)
 
 
+def test_pair_classes_hold_each_block_once():
+    # 66 classes of a 2^10 x 16 complex block: 16.5 MiB, each block a view of its key
+    (base,) = haar_random_pure(SamplerConfig(12, seed=8312))
+    tracemalloc.start()
+    try:
+        classes = NoisyFamily(base).pair_classes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 66
+    assert not any(block.flags.writeable for _, block in classes)
+    assert peak <= 18 * 2**20
+
+
 def test_pair_gather_bases_cover_each_grouping():
     # a sign apart: blocks differ in signed zeros, so (1, 3) and (2, 3) split;
     # a factor i apart: equal blocks from unequal gathers, so they share;

@@ -217,10 +217,9 @@ def record_marginal_floors(monkeypatch) -> tuple[list, list]:
     _wootters_stack, and each marginal's lowest eigenvalue, in stack order."""
     qubits, lows = [], []
 
-    def recording(self, original=states.DensityMatrix.pair_marginals):
-        for item in original(self):
-            qubits.append(self.n_qubits)
-            yield item
+    def recording(self, pair, original=states.DensityMatrix.reduced):
+        qubits.append(self.n_qubits)
+        return original(self, pair)
 
     def recording_stacks(self, xs, original=states.NoisyFamily.marginal_stacks):
         for stack in original(self, xs):
@@ -228,7 +227,7 @@ def record_marginal_floors(monkeypatch) -> tuple[list, list]:
             yield stack
 
     # a family point's marginals, alone or in a batch, come from marginal_stacks
-    monkeypatch.setattr(states.DensityMatrix, "pair_marginals", recording)
+    monkeypatch.setattr(states.DensityMatrix, "reduced", recording)
     monkeypatch.setattr(states.NoisyFamily, "marginal_stacks", recording_stacks)
     kernel = concurrence._wootters_stack
 
@@ -347,6 +346,13 @@ def test_tables_split_across_kernel_calls_match_one_call_per_table(monkeypatch):
     rng = np.random.default_rng(3)
     points = [random_density(rng, n, rank) for n in (2, 3, 5, 6) for rank in (1, 3)]
     points += [NoisyFamily(base).point(0.8) for base in (w_state(5), dicke_state(6, 3))]
+    # a run of a Haar base's points: 10 classes a point, so the run straddles kernel
+    # calls; the next family has as many qubits, and its points are a run of their own
+    haar, other = map(NoisyFamily, haar_random_pure(SamplerConfig(5, seed=11, count=2)))
+    assert len(haar.pair_classes) == 10
+    points += [haar.point(x) for x in (0.1, 0.5, 0.9)] + [other.point(0.5), other.point(0.6)]
+    # one family's points split by a dense state, then one DensityMatrix twice in a row
+    points += [haar.point(0.3), points[2], haar.point(0.7), points[3], points[3]]
     want = [list(pairwise_tables([rho])[0].values.items()) for rho in points]
     monkeypatch.setattr(concurrence, "WOOTTERS_STACK", 7)  # tables straddle kernel calls
     assert [list(t.values.items()) for t in pairwise_tables(points)] == want
