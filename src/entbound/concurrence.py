@@ -305,9 +305,8 @@ def _pair_concurrences(points) -> list[tuple[int, list[float]]]:
             points, lambda rho: rho.family if isinstance(rho, FamilyPoint) else None):
         if family is None:
             for rho in run:
-                pairs = _pairs(rho.n_qubits)
-                out.append((rho.n_qubits, _wootters_stack(
-                    np.array([rho.reduced(pair).matrix for pair in pairs]))))
+                marginals = [rho.reduced(pair).matrix for pair in _pairs(rho.n_qubits)]
+                out.append((rho.n_qubits, _wootters_stack(np.array(marginals))))
             continue
         n, classes = family.n_qubits, family.pair_classes
         index = {pair: c for c, (pairs, _) in enumerate(classes) for pair in pairs}
@@ -322,11 +321,11 @@ def _pair_concurrences(points) -> list[tuple[int, list[float]]]:
     return out
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
+def _pairs(n: int):
     """The pairs (i, j) of n qubits, in combinations order."""
     if n < 2:
         raise WrongDimension("pairwise table needs at least 2 qubits")
-    return list(itertools.combinations(range(1, n + 1), 2))
+    return itertools.combinations(range(1, n + 1), 2)
 
 
 def pairwise_tables(points) -> list[PairwiseConcurrenceTable]:
