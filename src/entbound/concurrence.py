@@ -11,6 +11,7 @@ which yields the reduced state of each bipartition once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,25 +24,30 @@ from .linalg import PURITY_TOL, SIGMA_Y, SubsetMask
 from .states import DensityMatrix, FamilyPoint, PureState
 
 
-def _cut_gram(psi: PureState, subset: SubsetMask) -> np.ndarray:
-    """Reduced state G = M M^dagger of the smaller side of the cut subset|rest.
+def _side_gram(psi: PureState, bits: int) -> np.ndarray:
+    """Reduced state G = M M^dagger of the qubits in mask `bits`, rows in
+    ascending label order.
 
-    Reshapes the state vector along the cut into M, with the smaller side of
-    the cut as rows, so G is at most 2^(N/2) square and no 2^N x 2^N density
-    matrix is ever materialized.
+    Reshapes the state vector into M, with those qubits as rows and the rest
+    as columns, so no 2^N x 2^N density matrix is ever materialized.
     """
+    n = psi.n_qubits
+    axes = [a for a in range(n) if bits >> (n - 1 - a) & 1]
+    rest = [a for a in range(n) if not bits >> (n - 1 - a) & 1]
+    m = psi.amplitudes.reshape((2,) * n).transpose(axes + rest)
+    m = m.reshape(2 ** len(axes), 2 ** len(rest))
+    return m @ m.conj().T
+
+
+def _cut_gram(psi: PureState, subset: SubsetMask) -> np.ndarray:
+    """_side_gram of the smaller side of the cut subset|rest (of the subset
+    at a tie), so G is at most 2^(N/2) square."""
     n = psi.n_qubits
     if subset.n_qubits != n:
         raise WrongDimension(f"mask over {subset.n_qubits} qubits, state has {n}")
     if subset.bits == 0 or subset.size == n:
         raise EmptySubset("subset and complement must both be nonempty")
-    axes = [q - 1 for q in subset.qubits]
-    rest = [a for a in range(n) if a not in axes]
-    if len(axes) > len(rest):
-        axes, rest = rest, axes
-    m = psi.amplitudes.reshape((2,) * n).transpose(axes + rest)
-    m = m.reshape(2 ** len(axes), 2 ** len(rest))
-    return m @ m.conj().T
+    return _side_gram(psi, subset.bits if 2 * subset.size <= n else subset.bits ^ (2**n - 1))
 
 
 def _floored_spectrum(gram: np.ndarray) -> np.ndarray:
@@ -79,13 +85,16 @@ def _gram_deficit(gram: np.ndarray) -> float:
     below 4^7 eps t^2 ~ 4e-12 t^2 in the worst case and a few eps t^2 in
     practice.  An entry of G_T is a sum of 2^(N - |T|) amplitude products,
     whether _cut_gram forms it from the vector as M M^dagger (M at most 2^13
-    columns) or _lattice_grams traces it out of an ancestor's Gram; tracing
-    only reorders that sum, into a matrix product over at most 2^(N/2 + 1)
-    columns followed by at most N/2 pairwise additions.  Either way the
-    error E has ||E||_F <= 2^13 eps t ~ 2e-12 t, which moves D by at most
-    4 t ||E||_F ~ 8e-12 t^2; the eigenvalue path works on the same G, so it
-    shares that error.  Hence D >= PURITY_TOL t^2 (1e-10) proves the cut is
-    not product, and there the two evaluations agree to about 1e-15.
+    columns) or _lattice_grams traces it out of an ancestor's Gram, a top's
+    or a scaffold's; tracing only reorders that sum, into a matrix product
+    over at most 2^(N/2 + 1) columns (2^(N/2) for a scaffold, one qubit
+    larger than its tops) followed by at most N/2 pairwise additions (one
+    from a scaffold to its top, then one per qubit below the top).  Either
+    way the error E has ||E||_F <= 2^13 eps t ~ 2e-12 t, which moves D by
+    at most 4 t ||E||_F ~ 8e-12 t^2; the eigenvalue path works on the same
+    G, so it shares that error.  Hence D >= PURITY_TOL t^2 (1e-10) proves
+    the cut is not product, and there the two evaluations agree to about
+    1e-15.
     """
     t = float(gram.trace().real)
     d = t * t - _gram_purity(gram)
@@ -98,11 +107,52 @@ def _gram_deficit(gram: np.ndarray) -> float:
 
 def _trace_out_bit(gram: np.ndarray, size: int, bit: int) -> np.ndarray:
     """Partial trace of a Gram over `size` qubits (rows in ascending label
-    order) of the qubit at mask bit `bit`, when every lower bit of the mask
-    is also set: that qubit is then the (bit+1)-th from the end of the rows."""
+    order) of the qubit with `bit` of them after it in the rows, which is
+    the number of the side's mask bits below that qubit's."""
     lo, hi = 2**bit, 2 ** (size - 1 - bit)
     r = gram.reshape(hi, 2, lo, hi, 2, lo)
     return (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]).reshape(hi * lo, hi * lo)
+
+
+SCAFFOLD_MIN_TOPS = 3  # a scaffold's Gram costs two tops' Grams from the vector
+
+
+@functools.cache
+def _top_cover(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The sides whose Grams _lattice_grams builds from the vector, each with
+    the tops it yields: (scaffold, its tops) or (top, (top,)).
+
+    The tops are the sides of floor(N/2) qubits without qubit 1 and of
+    ceil(N/2) - 1 qubits with qubit 1.  A scaffold is a side one qubit larger
+    in the same family (with or without qubit 1) over at least
+    SCAFFOLD_MIN_TOPS tops that no other scaffold covers: its Gram costs
+    twice a top's from the vector, and each of its tops is then one partial
+    trace of it.  Covering the tops of a family is covering the j-subsets
+    of qubits 2..N by (j+1)-subsets; a greedy walk over the candidates in
+    combinations order, taking each with at least `need` uncovered tops for
+    `need` from j + 1 down to SCAFFOLD_MIN_TOPS, picks the scaffolds.  Every top
+    is in exactly one entry, and the cover depends on N only.
+    """
+    def sides(k):  # the k-subsets of qubits 2..N as masks, in combinations order
+        return [sum(1 << (n - q) for q in c) for c in itertools.combinations(range(2, n + 1), k)]
+
+    cover = []
+    for fixed, size in ((0, n // 2), (1 << (n - 1), (n + 1) // 2 - 1)):
+        if size < 1:  # no top holds qubit 1 below 3 qubits, and 1 qubit has no cut
+            continue
+        free = size - bool(fixed)  # a top's qubits other than qubit 1
+        tops_in_order = sides(free)
+        uncovered = set(tops_in_order)
+        scaffolds = [(side, [side ^ (1 << i) for i in range(n - 1) if side >> i & 1])
+                     for side in sides(free + 1)]
+        for need in range(free + 1, SCAFFOLD_MIN_TOPS - 1, -1):
+            for side, children in scaffolds:
+                tops = [t for t in children if t in uncovered]
+                if len(tops) >= need:
+                    uncovered.difference_update(tops)
+                    cover.append((fixed | side, tuple(fixed | t for t in tops)))
+        cover += [(fixed | t, (fixed | t,)) for t in tops_in_order if t in uncovered]
+    return tuple(cover)
 
 
 def _lattice_grams(psi: PureState):
@@ -111,31 +161,40 @@ def _lattice_grams(psi: PureState):
     side without qubit 1, 1 .. 2^(N-1) - 1; G is the Gram of the cut's
     smaller side T (for |T| = N/2, the side without qubit 1).
 
-    The cuts of floor(N/2) or floor(N/2) + 1 qubits take G_T from the
-    vector, through _cut_gram.  Every smaller side T is then reached from
-    its parent P = T | (T + 1), T with its lowest clear bit set, whose Gram
-    is one qubit larger: G_T = Tr_q G_P.  _gram_deficit bounds the error
-    of both kinds of Gram.
+    The walk starts at the tops of _top_cover: the sides of floor(N/2)
+    qubits without qubit 1 and of ceil(N/2) - 1 with it, one of which is the
+    smaller side of each cut of floor(N/2) or floor(N/2) + 1 qubits.  A top
+    takes its Gram from the vector, through _side_gram, or as one partial
+    trace of its scaffold's Gram, a side one qubit larger that _side_gram
+    builds once for several tops and that is dropped when they are done.
+    Every smaller side T is then reached from its parent P = T | (T + 1), T
+    with its lowest clear bit set, whose Gram is one qubit larger:
+    G_T = Tr_q G_P.  _gram_deficit bounds the error of every kind of Gram.
 
-    The walk keeps a stack, not a level: the Grams alive at once are the
-    pending siblings along one path, at most ~N of them per level.
+    The walk keeps a stack, not a level: the Grams alive at once are one
+    scaffold's and the pending siblings along one path, at most ~N of them
+    per level.
     """
     n = psi.n_qubits
     full = 2**n - 1
     top = 1 << (n - 1)  # mask bit of qubit 1
-    half = n // 2
-    for canonical in range(1, top):
-        if canonical.bit_count() not in (half, half + 1):
-            continue
-        root = canonical if canonical.bit_count() == half else canonical ^ full
-        stack = [(root, _cut_gram(psi, SubsetMask(canonical, n)))]
-        while stack:
-            bits, gram = stack.pop()
-            yield (bits ^ full if bits & top else bits), gram
-            size = bits.bit_count()
-            if size > 1:
-                ones = (bits ^ (bits + 1)).bit_length() - 1
-                stack += [(bits ^ (1 << i), _trace_out_bit(gram, size, i)) for i in range(ones)]
+    for side, tops in _top_cover(n):
+        from_vector = _side_gram(psi, side)
+        for root in tops:
+            if root == side:
+                gram = from_vector
+            else:  # trace out of the scaffold the qubit root lacks
+                below = (side & ((side ^ root) - 1)).bit_count()
+                gram = _trace_out_bit(from_vector, side.bit_count(), below)
+            stack = [(root, gram)]
+            while stack:
+                bits, gram = stack.pop()
+                yield (bits ^ full if bits & top else bits), gram
+                size = bits.bit_count()
+                if size > 1:
+                    ones = (bits ^ (bits + 1)).bit_length() - 1
+                    stack += [(bits ^ (1 << i), _trace_out_bit(gram, size, i)) for i in range(ones)]
+        del from_vector, gram  # before the next side's Gram is built
 
 
 def _lattice_deficits(psi: PureState) -> list[float]:

@@ -87,9 +87,12 @@ def _cholesky_certifies_psd(herm: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit-norm complex amplitude vector over n_qubits (qubit 1 = MSB)."""
+    """Unit-norm complex amplitude vector over n_qubits (qubit 1 = MSB).
+
+    A state equals only itself, and hashes by identity: its amplitudes are
+    an array, which has no truth value to compare by."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -117,13 +120,14 @@ class PureState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix over n_qubits labeled 1..n.
 
     The constructor validates matrices from outside the package and stores
     the Hermitian part of each.  States derived from validated ones keep the
-    invariants by construction and come from ``_derived`` unchecked.
+    invariants by construction and come from ``_derived`` unchecked.  Like
+    PureState, a matrix equals only itself and hashes by identity.
     """
 
     n_qubits: int

@@ -54,6 +54,12 @@ class TestPureConcurrence:
         expected = math.sqrt((2 ** (n - 1) - 1) / 2 ** (n - 2))
         assert pure_concurrence(ghz_state(n)) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_w_closed_form(self, n):
+        # A W state's k-qubit marginals have eigenvalues k/n and 1 - k/n.
+        radicand = math.fsum(math.comb(n, k) * 2 * (k / n) * (1 - k / n) for k in range(1, n))
+        assert abs(pure_concurrence(w_state(n)) - 2.0 ** (1 - n / 2) * math.sqrt(radicand)) <= 1e-12
+
     def test_bell_pair_product(self):
         assert pure_concurrence(example4_state()) == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
 
@@ -102,29 +108,28 @@ class TestCutConcurrence:
             assert v == pytest.approx(prof.per_subset[full ^ bits], abs=1e-12)
 
     def test_profile_decomposes_each_bipartition_once(self, monkeypatch, rng):
-        # One per-cut rule per bipartition; only the cuts of floor(n/2) or
-        # floor(n/2) + 1 qubits form their Gram from the vector, the others
-        # trace a qubit out of a larger Gram.
+        # One per-cut rule per bipartition; only the sides of _top_cover (its
+        # scaffolds and the tops no scaffold covers) form their Gram from the
+        # vector, the others trace a qubit out of a larger Gram.
         rules, grams = [], []
-        gram_deficit, cut_gram = concurrence._gram_deficit, concurrence._cut_gram
+        gram_deficit, side_gram = concurrence._gram_deficit, concurrence._side_gram
 
         def counting_rule(gram):
             rules.append(gram.shape)
             return gram_deficit(gram)
 
-        def counting_gram(psi, subset):
-            grams.append(subset.bits)
-            return cut_gram(psi, subset)
+        def counting_gram(psi, bits):
+            grams.append(bits)
+            return side_gram(psi, bits)
 
         monkeypatch.setattr(concurrence, "_gram_deficit", counting_rule)
-        monkeypatch.setattr(concurrence, "_cut_gram", counting_gram)
-        for n in (5, 6):
+        monkeypatch.setattr(concurrence, "_side_gram", counting_gram)
+        for n in (5, 6, 8):
             rules.clear()
             grams.clear()
             cut_profile(random_pure(rng, n))
             assert len(rules) == 2 ** (n - 1) - 1
-            assert sorted(grams) == [bits for bits in range(1, 2 ** (n - 1))
-                                     if bits.bit_count() in (n // 2, n // 2 + 1)]
+            assert grams == [side for side, _ in concurrence._top_cover(n)]
 
     @pytest.mark.parametrize("n", [2, 5, 6])
     def test_profile_complements_share_the_canonical_value(self, rng, n):
@@ -496,28 +501,69 @@ class TestLatticeGrams:
 
     def test_purity_sum_folds_the_walk_without_an_eigensolve(self, monkeypatch):
         # Every cut of a product state reads as pure, so pure_concurrence
-        # eigensolves all of them; the purity sum needs none.
+        # eigensolves all of them; the purity sum needs none.  The Grams
+        # built from the vector are the sides of _top_cover, once each.
         def no_eigensolve(m):
             raise AssertionError("eigensolve in purity_sum")
 
-        grams, cut_gram = [], concurrence._cut_gram
+        grams, side_gram = [], concurrence._side_gram
 
-        def counting_gram(psi, subset):
-            grams.append(subset.bits)
-            return cut_gram(psi, subset)
+        def counting_gram(psi, bits):
+            grams.append(bits)
+            return side_gram(psi, bits)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-        monkeypatch.setattr(concurrence, "_cut_gram", counting_gram)
-        for n in (5, 6):
+        monkeypatch.setattr(concurrence, "_side_gram", counting_gram)
+        for n in (5, 6, 8):
             singles = [[q] for q in range(1, n + 1)]
             for psi in (random_product_pure(SamplerConfig(n, seed=1750 + n, count=1), singles)[0],
                         haar_random_pure(SamplerConfig(n, seed=1760 + n, count=1))[0]):
                 grams.clear()
                 total = purity_sum(psi)
                 assert total == pytest.approx(brute_force_purity_sum(psi), rel=1e-13, abs=0)
-                assert sorted(grams) == [bits for bits in range(1, 2 ** (n - 1))
-                                         if bits.bit_count() in (n // 2, n // 2 + 1)]
+                assert grams == [side for side, _ in concurrence._top_cover(n)]
         assert purity_sum(PureState(1, np.array([1.0, 0.0], dtype=complex))) == 0.0
+
+
+class TestTopCover:
+    """_top_cover(n): the sides whose Grams the walk builds from the vector,
+    each scaffold with the tops it covers, each other top alone."""
+
+    @staticmethod
+    def tops(n):
+        # the sides of floor(n/2) qubits without qubit 1 and of
+        # ceil(n/2) - 1 qubits with it, as masks (qubit 1 = highest bit)
+        top = 1 << (n - 1)
+        return sorted(bits for bits in range(1, 2**n - 1)
+                      if bits.bit_count() == (n // 2 if not bits & top else (n + 1) // 2 - 1))
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_every_top_covered_exactly_once(self, n):
+        covered = [t for _, tops in concurrence._top_cover(n) for t in tops]
+        assert sorted(covered) == self.tops(n)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_scaffolds_hold_their_tops(self, n):
+        top = 1 << (n - 1)
+        for side, tops in concurrence._top_cover(n):
+            if tops == (side,):
+                continue
+            assert len(tops) >= concurrence.SCAFFOLD_MIN_TOPS == 3
+            for t in tops:
+                assert t & side == t
+                assert side.bit_count() == t.bit_count() + 1
+                assert side & top == t & top
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_cover_is_deterministic(self, n):
+        assert concurrence._top_cover.__wrapped__(n) == concurrence._top_cover(n)
+
+    def test_scaffolds_cover_most_tops_from_eight_qubits(self):
+        # Every top at n = 8 sits under a scaffold; at n = 12 the vector
+        # builds 204 Grams where one per top would be 792.
+        assert all(tops != (side,) for side, tops in concurrence._top_cover(8))
+        assert len(concurrence._top_cover(12)) == 204
+        assert len(self.tops(12)) == 792
 
 
 class TestLatticeWalkMemory:

@@ -177,6 +177,22 @@ class TestInvariants:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
 
+    @pytest.mark.parametrize("build", [
+        lambda psi: psi,
+        lambda psi: white_noise_mix(psi, 0.5),
+        lambda psi: psi.density_matrix(),
+    ], ids=["pure", "mixed", "derived"])
+    def test_states_compare_and_hash_by_identity(self, build):
+        # Amplitudes and matrices are arrays, which have no truth value, so
+        # a state equals only itself: equal arrays do not make equal states.
+        a, b, twin = build(ghz_state(3)), build(w_state(3)), build(ghz_state(3))
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert a != twin
+        assert hash(a) == hash(a)
+        assert {a: 1, b: 2}[a] == 1
+        assert len({a, b, twin, a}) == 3
+
 
 class TestWhiteNoiseMix:
     def test_endpoints(self):
