@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EmptySubset, WrongDimension
-from .linalg import PURITY_TOL, SIGMA_Y, SubsetMask
+from .linalg import PURITY_TOL, SIGMA_Y, SINGULAR_DUST, SubsetMask
 from .states import DensityMatrix, FamilyPoint, PureState
 
 
@@ -279,30 +279,30 @@ def cut_profile(psi: PureState) -> CutConcurrenceProfile:
 
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
+_singular_values = functools.partial(np.linalg.svd, compute_uv=False)
 WOOTTERS_STACK = 2**12  # marginals per _wootters_stack call, 1 MiB per stacked operand
 
 
 def _wootters_stack(m: np.ndarray) -> list[float]:
     """Wootters concurrences of a (k, 4, 4) stack of two-qubit states.
 
-    max{lambda_1 - lambda_2 - lambda_3 - lambda_4, 0} where lambda_i are the
-    decreasing square roots of the spectrum of rho (sy x sy) rho* (sy x sy).
-    Computed through the Hermitian matrix sqrt(rho) rho~ sqrt(rho), which has
-    the same spectrum and avoids a non-Hermitian eigensolver.  Each matrix
-    goes through the float operations of a one-matrix call, on the last two
-    axes, so a stack gives the bits of separate calls.
+    max{lambda_1 - lambda_2 - lambda_3 - lambda_4, 0}, lambda_i the singular
+    values of M = L^T Y L, Y = sy x sy, rho = L L^dagger, L = V diag(sqrt(w))
+    from one floored eigensolve.  Y is real and symmetric, so M M^dagger =
+    (L^T Y)(L L^dagger Y L*) has the spectrum of (L L^dagger Y L*)(L^T Y) =
+    rho Y rho* Y, whose square roots are Wootters' lambda_i.  By Weyl each
+    singular value errs by about eps ||L||_F^2 = eps Tr rho, with no square
+    root of dust; C <= SINGULAR_DUST Tr rho reads as 0, which only lowers a
+    lower bound.  A stack gives the bits of one-matrix calls: each matrix
+    takes their float operations.
     """
-    rho_tilde = _YY @ m.conj() @ _YY
-    w, v = linalg.psd_eigensystem(m)
-    root = (v * np.sqrt(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    r = root @ rho_tilde @ root
-    r = (r + r.conj().transpose(0, 2, 1)) / 2  # scrub rounding asymmetry before eigh
-    # unit trace fixes the natural scale of r, so eigenvalue dust on
-    # states with vanishing concurrence gets floored to an exact zero
-    w, _ = linalg.psd_eigensystem(r, scale=1.0)
-    lam = np.sqrt(w)
+    w, root = linalg.psd_eigensystem(m)
+    root *= np.sqrt(w)[:, None, :]  # L = V diag(sqrt(w)), in place
+    lam = linalg.converged(_singular_values, root.transpose(0, 2, 1) @ _YY @ root)
     c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
-    return [min(max(x, 0.0), 1.0) for x in c.tolist()]
+    dust = SINGULAR_DUST * w.sum(axis=-1)
+    # every zero is the one 0.0 constant, so a long sweep's rows share it
+    return [0.0 if x <= d else min(x, 1.0) for x, d in zip(c.tolist(), dust.tolist())]
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:

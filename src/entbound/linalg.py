@@ -32,7 +32,8 @@ TRACE_TOL = 1e-10  # |Tr rho - 1| of a density matrix
 NORM_TOL = 1e-12  # | |psi| - 1 | of a pure state
 CLAMP_FLOOR = -1e-8  # --clamp repairs eigenvalues down to this, rejects lower
 ZERO_DUST = 1e-10  # values in [-ZERO_DUST, 0) are rounding dust below a true zero
-EIGEN_DUST = 64 * np.finfo(float).eps  # eigenvalues below this x scale are solver dust
+EIGEN_DUST = 64 * np.finfo(float).eps  # eigenvalues below this x the largest are solver dust
+SINGULAR_DUST = 16 * np.finfo(float).eps  # a Wootters C at most this x Tr rho is rounding
 FAMILY_MATCH_TOL = 1e-10  # max-norm gap between a state and its GHZ-noise model
 GHZ_BASE_TOL = 1e-12  # amplitude gap between a family's base state and GHZ
 PURITY_TOL = 1e-10  # |Tr rho^2 - 1| of a state read as pure
@@ -113,8 +114,8 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def converged(solver, m: np.ndarray):
-    """solver(m) for a numpy.linalg eigensolver, its LinAlgError raised as
-    ConvergenceFailure.  numpy's error subclasses ValueError, which callers
+    """solver(m) for a numpy.linalg eigensolver or SVD, LinAlgError raised as
+    ConvergenceFailure: numpy's error subclasses ValueError, which callers
     read as bad input; a solver that gives up is a numerical failure."""
     try:
         return solver(m)
@@ -136,7 +137,7 @@ def hermitian_eigensystem(m: np.ndarray):
     return w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1])
 
 
-def psd_eigensystem(m: np.ndarray, scale: float | None = None):
+def psd_eigensystem(m: np.ndarray):
     """hermitian_eigensystem of a PSD matrix, or of each matrix of a stack,
     its eigenvalues floored for square roots by floor_eigen_dust.
 
@@ -144,27 +145,23 @@ def psd_eigensystem(m: np.ndarray, scale: float | None = None):
     from a state that entry validation held to -PSD_TOL per eigenvalue, and
     a marginal may add up several of those allowed negatives.  Positive
     values below a noise floor (EIGEN_DUST of the matrix's largest
-    eigenvalue, or of ``scale`` when the caller knows the natural scale)
-    also clamp to zero: such dust is below the eigensolver's own backward
-    error, and carrying it through a square root would inflate it from
-    ~1e-16 to ~1e-8.
+    eigenvalue) also clamp to zero: such dust is below the eigensolver's own
+    backward error, and carrying it through a square root would inflate it
+    from ~1e-16 to ~1e-8.
     """
     w, v = hermitian_eigensystem(m)
-    return floor_eigen_dust(w, scale), v
+    return floor_eigen_dust(w), v
 
 
-def floor_eigen_dust(w: np.ndarray, scale: float | None = None) -> np.ndarray:
+def floor_eigen_dust(w: np.ndarray) -> np.ndarray:
     """Eigenvalues of a PSD matrix, or of each matrix of a stack (..., d),
     with solver dust set to exact zeros.
 
     Clips at 0, then zeroes every value below EIGEN_DUST times its matrix's
-    largest eigenvalue (or ``scale``, when that is larger).  Works on any
-    order.
+    largest eigenvalue.  Works on any order.
     """
     w = np.maximum(w, 0.0)
     top = w.max(axis=-1, keepdims=True, initial=0.0)
-    if scale:
-        top = np.maximum(top, scale)
     w[w < EIGEN_DUST * top] = 0.0
     return w
 

@@ -137,21 +137,20 @@ def exceeds(bound: float, threshold: float) -> bool:
       nonzero threshold, C = 1 at N = 3, k = 2, whose Grams are 2 x 2.
     - T1-T3: C = sqrt(c sum C_ij^2), and c times the number of pairs is at
       most 15/2 (T3 at N = 6), so C errs by less than 3 times one pair's
-      error.  A Wootters value adds and subtracts the square roots of four
-      eigenvalues of a unit-trace matrix: those below the dust floor
-      EIGEN_DUST are exact zeros, and one of size mu errs by a few
-      eps / sqrt(mu).  At the Werner edge, the tight case of plain
-      entanglement detection, every mu is 1/36, and the bounds of rotated
-      edge marginals read up to 7e-16 where the truth is 0.
+      error.  A Wootters value adds and subtracts the four singular values
+      of M = L^T (sy x sy) L, where L L^dagger is the marginal.  By Weyl
+      each moves by at most the norm of M's rounding, a few eps ||L||_F^2 =
+      a few eps Tr rho, so C errs by about 1e-15 whatever the spectrum, and
+      values at most SINGULAR_DUST Tr rho read as exact zeros.
     - ghz-exact: a square root times ((2^(N-1) + 1) p - 1) / 2^(N-1), one
       rounding per operation on values near 1: a few ulp, < 1e-15.
 
     Where a threshold is tight, each side thus errs by about 1e-15, and the
     margin leaves three orders of magnitude for the longer sums of larger N.
-    It is a rounding allowance, not an interval bound: an eigenvalue just
-    above the dust floor carries up to eps / sqrt(EIGEN_DUST), about 2e-9.
-    The margin moves a crossing by margin / slope, below BISECTION_TOL for
-    any slope above 1e-6.
+    It is a rounding allowance, not an interval bound: it does not bound how
+    far C moves between a marginal and the computed L L^dagger.  The margin
+    moves a crossing by margin / slope, below BISECTION_TOL for any slope
+    above 1e-6.
     """
     return bound > threshold + DETECTION_MARGIN
 

@@ -28,6 +28,7 @@ from entbound.states import (
 from entbound.witness import Source, applicable_sources
 
 from conftest import random_density
+from oracle import random_single_qubit_unitaries
 
 
 def run(capsys, *argv):
@@ -100,6 +101,18 @@ class TestBoundCommand:
         code, out, _ = run(capsys, "bound", "--state", str(path), "--clamp")
         assert code == 0
         assert "C_1_2" in out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fully_separable_file_certifies_nothing(self, tmp_path, capsys, seed):
+        # sigma (x) |00><00|, sigma a rotated (1 - eps)|00><00| + eps|11><11| at eps = 1e-12
+        u = np.kron(*random_single_qubit_unitaries(np.random.default_rng(seed), 2))
+        sigma = u @ np.diag([1 - 1e-12, 0, 0, 1e-12]) @ u.conj().T
+        rho = np.kron(sigma, np.diag([1.0, 0, 0, 0]))
+        path = tmp_path / "sep4.json"
+        path.write_text(json.dumps({"n_qubits": 4, "entries": [[z.real, z.imag] for z in rho.flat]}))
+        code, out, _ = run(capsys, "bound", "--state", str(path), "--format", "json")
+        assert code == 0
+        assert [b["bound_on_C"] for b in json.loads(out)["bounds"]] == [0.0]
 
     def test_small_system_reports_pairs_without_bounds(self, tmp_path, capsys):
         rho = white_noise_mix(ghz_state(2), 0.9).matrix

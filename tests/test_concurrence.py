@@ -21,6 +21,7 @@ from oracle import (
     SamplerConfig,
     apply_local_unitaries,
     brute_force_purity_sum,
+    conjugate_by_local_unitaries,
     haar_random_pure,
     random_product_pure,
     random_single_qubit_unitaries,
@@ -167,6 +168,56 @@ class TestWootters:
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimension):
             wootters_concurrence(ghz_state(3).density_matrix())
+
+
+def rotated_separable_marginal(eps: float, seed: int) -> DensityMatrix:
+    """(1 - eps)|00><00| + eps|11><11| under seeded local unitaries: a
+    separable rank-2 state, C = 0, with one small eigenvalue."""
+    rho = DensityMatrix(2, np.diag([1 - eps, 0, 0, eps]).astype(complex))
+    return conjugate_by_local_unitaries(rho, random_single_qubit_unitaries(np.random.default_rng(seed), 2))
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12, 1e-13])
+def test_rotated_separable_marginals_read_exactly_zero(eps):
+    # any positive value here would certify entanglement of a separable state
+    assert [wootters_concurrence(rotated_separable_marginal(eps, seed)) for seed in range(200)] == [0.0] * 200
+
+
+def x_state_closed_form(m: np.ndarray) -> float:
+    """Yu & Eberly's concurrence of an X state (nonzero entries on the
+    diagonal and the anti-diagonal only)."""
+    p = m.diagonal().real
+    return 2 * max(0.0, abs(m[0, 3]) - math.sqrt(p[1] * p[2]), abs(m[1, 2]) - math.sqrt(p[0] * p[3]))
+
+
+def random_x_state(rng: np.random.Generator) -> np.ndarray:
+    """A seeded X state: some diagonal weights 0, coherences up to the PSD edge."""
+    p = rng.dirichlet(np.ones(4)) * (rng.random(4) > 0.15)
+    p = p / p.sum() if p.sum() else np.array([1.0, 0, 0, 0])
+    t = np.where(rng.random(2) < 0.2, 1.0, rng.random(2))  # a coherence at the edge: rank-deficient
+    phases = np.exp(2j * np.pi * rng.random(2))
+    m = np.diag(p).astype(complex)
+    m[0, 3] = t[0] * math.sqrt(p[0] * p[3]) * phases[0]
+    m[1, 2] = t[1] * math.sqrt(p[1] * p[2]) * phases[1]
+    m[3, 0], m[2, 1] = m[0, 3].conjugate(), m[1, 2].conjugate()
+    return m
+
+
+def test_x_states_under_local_unitaries_match_the_closed_form():
+    # local unitaries keep C, so the rotated state's C is the X state's closed form
+    rng = np.random.default_rng(2007)
+    zeros = 0
+    for _ in range(2400):
+        m = random_x_state(rng)
+        want = x_state_closed_form(m)
+        rho = conjugate_by_local_unitaries(DensityMatrix(2, m), random_single_qubit_unitaries(rng, 2))
+        got = wootters_concurrence(rho)
+        if want == 0.0:
+            zeros += 1
+            assert got == 0.0, m
+        else:
+            assert abs(got - want) <= 1e-14, (got, want)
+    assert 500 < zeros < 2000
 
 
 class TestPairwiseTable:

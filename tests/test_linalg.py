@@ -71,7 +71,7 @@ class TestEigensystem:
 
 
 def psd_sqrt(m):
-    """Hermitian square root through psd_eigensystem, as the Wootters kernel takes it."""
+    """Hermitian square root V diag(sqrt(w)) V^dagger from psd_eigensystem's floored eigenvalues."""
     w, v = psd_eigensystem(m)
     return (v * np.sqrt(w)) @ v.conj().T
 
@@ -249,6 +249,7 @@ def test_tolerances_record():
     assert linalg.CLAMP_FLOOR == -1e-8
     assert linalg.ZERO_DUST == 1e-10
     assert linalg.EIGEN_DUST == 64 * np.finfo(float).eps
+    assert linalg.SINGULAR_DUST == 16 * np.finfo(float).eps
     assert linalg.FAMILY_MATCH_TOL == 1e-10
     assert linalg.GHZ_BASE_TOL == 1e-12
     assert linalg.PURITY_TOL == 1e-10
