@@ -21,22 +21,7 @@ import numpy as np
 from . import linalg
 from .errors import EmptySubset, WrongDimension
 from .linalg import PURITY_TOL, SIGMA_Y, SINGULAR_DUST, SubsetMask
-from .states import DensityMatrix, FamilyPoint, PureState
-
-
-def _side_gram(psi: PureState, bits: int) -> np.ndarray:
-    """Reduced state G = M M^dagger of the qubits in mask `bits`, rows in
-    ascending label order.
-
-    Reshapes the state vector into M, with those qubits as rows and the rest
-    as columns, so no 2^N x 2^N density matrix is ever materialized.
-    """
-    n = psi.n_qubits
-    axes = [a for a in range(n) if bits >> (n - 1 - a) & 1]
-    rest = [a for a in range(n) if not bits >> (n - 1 - a) & 1]
-    m = psi.amplitudes.reshape((2,) * n).transpose(axes + rest)
-    m = m.reshape(2 ** len(axes), 2 ** len(rest))
-    return m @ m.conj().T
+from .states import DensityMatrix, FamilyPoint, PureState, _side_gram
 
 
 def _cut_gram(psi: PureState, subset: SubsetMask) -> np.ndarray:
@@ -339,22 +324,6 @@ def _sum_of_squares(values) -> float:
     return sum(v * v for v in values)
 
 
-def _stacks(blocks):
-    """The marginals of blocks regrouped into stacks of WOOTTERS_STACK, the
-    last one shorter."""
-    pending, size = [], 0
-    for block in blocks:
-        while size + len(block) >= WOOTTERS_STACK:
-            cut = WOOTTERS_STACK - size
-            yield np.concatenate(pending + [block[:cut]])
-            pending, size, block = [], 0, block[cut:]
-        if len(block):
-            pending.append(block)
-            size += len(block)
-    if pending:
-        yield np.concatenate(pending)
-
-
 def _pair_concurrences(points) -> list[tuple[int, list[float]]]:
     """(N, the concurrence of every pair in combinations order) per state, run
     by run (see pairwise_tables); a family run maps its classes back to pairs
@@ -370,13 +339,13 @@ def _pair_concurrences(points) -> list[tuple[int, list[float]]]:
         n, classes = family.n_qubits, family.pair_classes
         index = {pair: c for c, (pairs, _) in enumerate(classes) for pair in pairs}
         order = [index[pair] for pair in _pairs(n)]
-        found = []
-        blocks = family.marginal_stacks([rho.x for rho in run])
-        for stack in _stacks(block.reshape(-1, 4, 4) for block in blocks):
-            found += _wootters_stack(stack)
-        for start in range(0, len(found), len(classes)):
-            cs = found[start:start + len(classes)]
-            out.append((n, [cs[c] for c in order]))
+        xs = [rho.x for rho in run]
+        step = max(1, WOOTTERS_STACK // len(classes))
+        for start in range(0, len(xs), step):
+            found = _wootters_stack(family.marginals(xs[start:start + step]).reshape(-1, 4, 4))
+            for row in range(0, len(found), len(classes)):
+                cs = found[row:row + len(classes)]
+                out.append((n, [cs[c] for c in order]))
     return out
 
 
@@ -391,11 +360,12 @@ def pairwise_tables(points) -> list[PairwiseConcurrenceTable]:
     """The pairwise table of each state in points, in order.
 
     A DensityMatrix takes one _wootters_stack call on its pair marginals; a
-    run of FamilyPoints of one family streams its marginals, one per class
-    of equal pairs, in point-then-class order, WOOTTERS_STACK at a time.  No
-    marginal is checked against PSD_TOL, which only states reads: entry
-    validation allows a state's eigenvalues down to -PSD_TOL, so a marginal
-    of N qubits may reach -2^(N-2) PSD_TOL, and the kernel's floor clips it.
+    run of FamilyPoints of one family takes one call per WOOTTERS_STACK //
+    classes points on their rows of family.marginals, one marginal per class
+    of equal pairs, in point-then-class order.  No marginal is checked
+    against PSD_TOL, which only states reads: entry validation allows a
+    state's eigenvalues down to -PSD_TOL, so a marginal of N qubits may
+    reach -2^(N-2) PSD_TOL, and the kernel's floor clips it.
     Each table's values keep combinations order, the order sum_of_squares
     adds in.
     """

@@ -33,8 +33,6 @@ from .linalg import (
 
 # A qubit count above this would need a dense matrix beyond DENSE_DIM_CAP.
 MAX_DENSE_QUBITS = DENSE_DIM_CAP.bit_length() - 1
-# Complex entries in one broadcast of NoisyFamily.marginal_stacks, 1 MiB.
-MARGINAL_CHUNK_ENTRIES = 2**16
 _EYE4 = np.eye(4, dtype=complex)
 
 
@@ -190,15 +188,32 @@ class DensityMatrix:
         return DensityMatrix._derived(keep.size, linalg.partial_trace(self.matrix, keep))
 
 
+def _side_gram(psi: PureState, bits: int) -> np.ndarray:
+    """Reduced state G = M M^dagger of the qubits in mask `bits` (qubit 1 the
+    most significant bit), rows in ascending label order.
+
+    Reshapes the state vector into M, with those qubits as rows and the rest
+    as columns, so no 2^N x 2^N density matrix is ever materialized.  np.dot
+    gives the bits of M @ M^dagger with less call overhead.
+    """
+    n = psi.n_qubits
+    axes = [a for a in range(n) if bits >> (n - 1 - a) & 1]
+    rest = [a for a in range(n) if not bits >> (n - 1 - a) & 1]
+    m = psi.amplitudes.reshape((2,) * n).transpose(axes + rest)
+    m = m.reshape(2 ** len(axes), 2 ** len(rest))
+    return np.dot(m, m.conj().T)
+
+
 @dataclass(frozen=True, eq=False)
 class NoisyFamily:
     """White-noise mixture family x -> (1-x)/2^N I + x |base><base|.
 
-    detection_threshold's proof rests on this mixture.  point(x) is the
-    member: its pair marginals and rows come from the base vector with the
-    float operations of the dense reference state_at, in the same order, and
-    tests/test_family_engine.py checks both bit for bit against state_at(x).
-    A family equals only itself: its pair_classes are cached per object."""
+    Tracing out all qubits but i and j leaves each member the pair marginal
+    (1-x) I/4 + x rho_ij, rho_ij the base's reduced pair state: the formula
+    detection_threshold's proof reads, and the one marginals(xs) computes.
+    state_at(x) is the dense reference, and tests/test_family_engine.py ties
+    the two together to a few ulp.  A family equals only itself: its
+    pair_classes are cached per object."""
 
     base: PureState
 
@@ -220,91 +235,24 @@ class NoisyFamily:
 
     @functools.cached_property
     def pair_classes(self) -> tuple[tuple[tuple[tuple[int, int], ...], np.ndarray], ...]:
-        """The pairs (i, j) grouped by bitwise-equal base blocks
-        B_ij[t, a, b] = psi(a, t) conj psi(b, t), one (pairs, block) per class.
-
-        a, b index qubits i, j and t the others; a block has one axis per
-        traced qubit, lowest label first, then its 4 x 4 kept part, so it
-        holds 2^(N-2) x 16 entries, not 4^N.  Classes come in the order of
-        their first pair, and each keeps its first pair's block as a
-        read-only view of the bytes its class is keyed by, so a block is held
-        once.
-
-        Building a block is the cost, so each pair first looks for an earlier
-        pair with a bitwise-equal gather g[t, ab] = psi(a, b, t), a quarter of
-        a block.  If one exists, the pair joins its class without building a
-        block: the block is the elementwise product g[:, :, None] *
-        conj g[:, None, :], so equal gather bytes give equal block bytes.
-        Otherwise the pair builds its block and looks up the block's bytes.
-        Gathers that differ but give equal blocks (a sign or a phase apart)
-        thus still share a class, and the classes are those of grouping
-        every pair by its block's bytes.
-
-        A gather is keyed by the bytes of its first row, psi at |0...0>,
-        |j>, |i> and |ij>, which tells a generic base's pairs apart.  A key
-        keeps the first pair that brought it, and a later pair with that key
-        compares its gather's bytes with that pair's, rebuilt then and kept;
-        on a mismatch it builds its block as above.  A base whose keys never
-        repeat (Haar) thus holds no gather but the current one, and a base
-        whose keys all repeat pays one gather comparison a pair.
-        """
+        """The pairs (i, j) grouped by the bytes of their reduced base state
+        rho_ij = _side_gram(base, {i, j}), one (pairs, rho_ij) per class, in
+        the order of their first pair.  W, Dicke and GHZ bases have one."""
         n = self.n_qubits
-        amps = self.base.amplitudes.reshape((2,) * n)
-
-        def gather(i, j):
-            traced = [a for a in range(n) if a not in (i - 1, j - 1)]
-            return np.ascontiguousarray(amps.transpose(traced + [i - 1, j - 1])).reshape(-1, 4)
-
-        classes: dict[bytes, list] = {}  # block bytes -> the class's pairs
-        # first row -> [first pair with it, its gather's bytes or None, its class's pairs]
-        gathers: dict[bytes, list] = {}
+        classes: dict[bytes, tuple[list, np.ndarray]] = {}
         for i, j in itertools.combinations(range(1, n + 1), 2):
-            g = gather(i, j)
-            key = g[0].tobytes()
-            seen = gathers.get(key)
-            if seen is not None:
-                if seen[1] is None:
-                    seen[1] = gather(*seen[0]).tobytes()
-                if seen[1] == g.tobytes():
-                    seen[2].append((i, j))
-                    continue
-            pairs = classes.setdefault((g[:, :, None] * g.conj()[:, None, :]).tobytes(), [])
-            pairs.append((i, j))
-            gathers.setdefault(key, [(i, j), None, pairs])
-        shape = (2,) * (n - 2) + (4, 4)
-        return tuple((tuple(pairs), np.frombuffer(block, complex).reshape(shape))
-                     for block, pairs in classes.items())
+            rho = _side_gram(self.base, 1 << (n - i) | 1 << (n - j))
+            classes.setdefault(rho.tobytes(), ([], rho))[0].append((i, j))
+        return tuple((tuple(pairs), rho) for pairs, rho in classes.values())
 
-    def marginal_stacks(self, xs):
-        """The pair marginals of the members at visibilities xs, as
-        (m, classes, 4, 4) arrays over consecutive chunks of m x's, one
-        marginal per class of pair_classes.
-
-        Per class, one broadcast of the noise term plus x times the block runs
-        over the chunk, then the N-2 folds of the traced axes, lowest label
-        first: white_noise_mix's and partial_trace's float operations on these
-        entries, so each row is bit-identical to the one-x call.  The product,
-        the sum and the folds all write into one buffer of at most
-        MARGINAL_CHUNK_ENTRIES entries, reused by every class and chunk.
-        """
-        n = self.n_qubits
-        classes = self.pair_classes
-        step = max(1, MARGINAL_CHUNK_ENTRIES >> (n + 2))
-        xs = np.asarray(xs, dtype=float)
-        buffer = np.empty(min(step, xs.size) << (n + 2), dtype=complex)
-        for start in range(0, xs.size, step):
-            x = xs[start:start + step].reshape((-1,) + (1,) * n)  # over traced and kept axes
-            noise = _EYE4 * ((1.0 - x) / 2**n)
-            broadcast = buffer[:x.size << (n + 2)].reshape((x.size,) + (2,) * (n - 2) + (4, 4))
-            stack = np.empty((x.size, len(classes), 4, 4), dtype=complex)
-            for c, (_, block) in enumerate(classes):
-                t = np.multiply(x, block, out=broadcast)
-                np.add(noise, t, out=t)
-                for _ in range(n - 2):
-                    t, half = t[:, 0], t[:, 1]
-                    np.add(t, half, out=t)
-                stack[:, c] = t
-            yield stack
+    def marginals(self, xs) -> np.ndarray:
+        """The pair marginals (1-x) I/4 + x rho_ij of the members at
+        visibilities xs, one per class of pair_classes, as one
+        (len(xs), classes, 4, 4) broadcast: each row has the bits of the
+        one-x call."""
+        x = np.asarray(xs, dtype=float).reshape(-1, 1, 1, 1)
+        rhos = np.array([rho for _, rho in self.pair_classes])
+        return _EYE4 * ((1.0 - x) / 4) + x * rhos
 
 
 @dataclass(frozen=True)
@@ -312,9 +260,9 @@ class FamilyPoint:
     """The member of a NoisyFamily at visibility x: the base vector and x,
     never a dense matrix, so a point obeys the pure-state cap only.
 
-    Checks x as white_noise_mix does.  Its row of the family's
-    marginal_stacks (one marginal per class of equal pairs) and
-    rows(start, stop) repeat white_noise_mix's float ops.
+    Checks x as white_noise_mix does.  Its pair marginals are its row of the
+    family's marginals; rows(start, stop) repeats white_noise_mix's float
+    ops, so its rows are state_at(x)'s bit for bit.
     """
 
     family: NoisyFamily

@@ -298,10 +298,10 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     grow with every C_ij, and the ghz-exact formula is nondecreasing in p.
     Any other family raises NonMonotoneFamily before it is evaluated.
 
-    The proof rests on the mixture.  Every source reads family.point(x) here:
-    theorem sources take its pair marginals from the base vector without a
-    dense matrix, and a tier-1 test ties them to the dense mixture state_at(x)
-    by checking every pair marginal bit for bit; ghz-exact reads x itself.
+    The proof reads the marginals the engine computes.  Every source reads
+    family.point(x) here: theorem sources take its pair marginals from
+    NoisyFamily.marginals, which forms (1-x) I/4 + x rho_ij itself from the
+    base's reduced pair states, without a dense matrix; ghz-exact reads x.
 
     The steps are those of the one-point bisection loop, evaluated in
     rounds: when a step reaches a midpoint without a bound, one certified_bounds
@@ -317,7 +317,7 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
       BISECTION_STOP or 1/PATH_SLACK of how far g moved since the previous
       guess (of the bracket, for a first guess).
 
-    A point's bound does not depend on the batch it is in (marginal_stacks and
+    A point's bound does not depend on the batch it is in (marginals and
     _wootters_stack give each row the float operations of a one-point call),
     and every verdict is exceeds(bound, threshold) at exactly the midpoint the
     loop visits.  The guess decides only which points share a batch, so the

@@ -2,10 +2,10 @@
 
 Seeded Haar sampling, product-state sampling over arbitrary qubit
 partitions, a brute-force purity-sum recomputation, local-unitary helpers,
-and the block-keyed grouping of a family's pairs.  Everything here exists
-to cross-check the closed-form paths, so none of it reuses them: the purity
-sum takes dense partial traces of the full density matrix, not the Schmidt
-coefficients ``concurrence`` uses.
+and the grouping of a family's pairs by their reduced states.  Everything
+here exists to cross-check the closed-form paths, so none of it reuses
+them: the purity sum takes dense partial traces of the full density matrix,
+not the Schmidt coefficients ``concurrence`` uses.
 """
 
 from __future__ import annotations
@@ -145,24 +145,16 @@ def conjugate_by_local_unitaries(rho: DensityMatrix, unitaries) -> DensityMatrix
     return DensityMatrix(n, u @ rho.matrix @ u.conj().T)
 
 
-def pair_block(psi: PureState, i: int, j: int) -> np.ndarray:
-    """The base block B_ij[t, a, b] = psi(a, t) conj psi(b, t) of the pair
-    (i, j), built from that pair's own amplitude gather, flat as (2^(N-2), 4, 4)."""
-    n = psi.n_qubits
-    traced = [a for a in range(n) if a not in (i - 1, j - 1)]
-    amps = psi.amplitudes.reshape((2,) * n)
-    g = np.ascontiguousarray(amps.transpose(traced + [i - 1, j - 1])).reshape(-1, 4)
-    return g[:, :, None] * g.conj()[:, None, :]
-
-
 def reference_pair_classes(psi: PureState) -> tuple:
-    """NoisyFamily.pair_classes the direct way: every pair builds its block
-    and is grouped by the block's bytes, in order of first appearance; a
-    class keeps its first pair's block, shaped as pair_classes shapes it."""
+    """NoisyFamily.pair_classes the direct way: every pair builds its reduced
+    state rho_ij = M M^dagger, M the vector with qubits i, j moved to the
+    rows, and is grouped by that state's bytes, in order of first
+    appearance; a class keeps its first pair's state."""
     n = psi.n_qubits
+    amps = psi.amplitudes.reshape((2,) * n)
     classes: dict[bytes, tuple[list, np.ndarray]] = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        block = pair_block(psi, i, j)
-        pairs, _ = classes.setdefault(block.tobytes(), ([], block.reshape((2,) * (n - 2) + (4, 4))))
-        pairs.append((i, j))
-    return tuple((tuple(pairs), block) for pairs, block in classes.values())
+        m = np.moveaxis(amps, (i - 1, j - 1), (0, 1)).reshape(4, -1)
+        rho = m @ m.conj().T
+        classes.setdefault(rho.tobytes(), ([], rho))[0].append((i, j))
+    return tuple((tuple(pairs), rho) for pairs, rho in classes.values())

@@ -639,7 +639,7 @@ def test_oversize_grid_is_input_error_without_large_allocation(capsys):
 
 
 def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(monkeypatch, capsys):
-    # 6 classes at each of 10001 points: 60006 marginals, in 15 kernel calls
+    # 5 classes at each of 10001 points: 50005 marginals, 819 points a kernel call
     kernel, stacks = concurrence._wootters_stack, []
     monkeypatch.setattr(concurrence, "_wootters_stack", lambda m: stacks.append(len(m)) or kernel(m))
     tracemalloc.start()
@@ -652,7 +652,7 @@ def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(monkeypatch, capsy
     assert code == 0
     assert out.count("\n") == cli.MAX_GRID_STEPS + 2  # the header, the rows, the T1 crossing
     assert peak <= 16 * 2**20
-    assert stacks[:15] == [4096] * 14 + [2662]  # the grid; the crossing follows
+    assert stacks[:13] == [4095] * 12 + [865]  # the grid; the crossing follows
 
 
 def test_threshold_at_the_pure_state_cap_stays_below_8_mib(capsys):

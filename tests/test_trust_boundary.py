@@ -163,10 +163,11 @@ class TestEigensolverInputsAreHermitian:
         monkeypatch.setattr(concurrence, "_wootters_stack", counting)
         code, _, _ = run(capsys, "bound", "--family", "ex3", "--param", "0.8")
         assert code == 0
-        # ex3's six classes of equal pairs, each marginal once in the eigensolve and the SVD
-        assert calls == [(6, 4, 4)]
-        assert solves == [(6, 4, 4)]
-        assert svds == [(6, 4, 4)]
+        # ex3's five classes of equal pairs ((1,2) and (1,4) share a reduced
+        # state), each marginal once in the eigensolve and the SVD
+        assert calls == [(5, 4, 4)]
+        assert solves == [(5, 4, 4)]
+        assert svds == [(5, 4, 4)]
 
 
 # ------------------------------------------------ a marginal below the PSD floor
@@ -224,14 +225,14 @@ def record_marginal_floors(monkeypatch) -> tuple[list, list]:
         qubits.append(self.n_qubits)
         return original(self, pair)
 
-    def recording_stacks(self, xs, original=states.NoisyFamily.marginal_stacks):
-        for stack in original(self, xs):
-            qubits.extend([self.n_qubits] * (len(stack) * len(self.pair_classes)))
-            yield stack
+    def recording_marginals(self, xs, original=states.NoisyFamily.marginals):
+        stack = original(self, xs)
+        qubits.extend([self.n_qubits] * (stack.shape[0] * stack.shape[1]))
+        return stack
 
-    # a family point's marginals, alone or in a batch, come from marginal_stacks
+    # a family point's marginals, alone or in a batch, come from marginals
     monkeypatch.setattr(states.DensityMatrix, "reduced", recording)
-    monkeypatch.setattr(states.NoisyFamily, "marginal_stacks", recording_stacks)
+    monkeypatch.setattr(states.NoisyFamily, "marginals", recording_marginals)
     kernel = concurrence._wootters_stack
 
     def recording_kernel(m):
@@ -318,8 +319,7 @@ def seeded_marginals():
             family = NoisyFamily(base)
             for x in [0.0, 1.0, *rng.uniform(0.0, 1.0, 3)]:
                 x = float(x)
-                (stack,) = family.marginal_stacks([x])
-                for m in stack[0]:
+                for m in family.marginals([x])[0]:
                     yield states.DensityMatrix._derived(2, m)
                 if n <= 6 or x in (0.0, 1.0):
                     rho = family.state_at(x)
