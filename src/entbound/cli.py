@@ -135,8 +135,6 @@ def _render_csv(header: list[str], rows: list[list]) -> str:
 def _jsonable(obj):
     if isinstance(obj, float):
         return _round9(obj)
-    if isinstance(obj, Source):
-        return obj.value
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -262,9 +260,7 @@ def cmd_sweep(args) -> int:
         "n_qubits": n,
         "k": args.k,
         "threshold": threshold,
-        "rows": [
-            {h: _jsonable(v) for h, v in zip(header, row)} for row in rows
-        ],
+        "rows": [dict(zip(header, row)) for row in rows],
         "crossings": crossings,
     }
     emit(header, rows, doc, args)

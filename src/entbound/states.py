@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -446,9 +447,8 @@ def _parse_json_matrix(text: str) -> np.ndarray:
     raise AssertionError("a type gate failed on entries that all pass")
 
 
-# Data lines per chunk of the vectorised CSV reader: its token lists stay
-# small next to the matrix.
-_CSV_CHUNK_LINES = 2**15
+# One "i,j,re,im" row of a CSV matrix file.
+_CSV_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
 
 
 def _parse_csv_matrix(text: str) -> np.ndarray:
@@ -458,16 +458,26 @@ def _parse_csv_matrix(text: str) -> np.ndarray:
     return _parse_csv_loop(text) if arr is None else arr
 
 
+def _declared_qubits(comment: str, default: int | None) -> int | None:
+    """N from a "# n_qubits = N" comment ('=' or ':' may separate), else
+    default; int()'s ValueError if N is not an integer."""
+    body = comment.lstrip("#").replace("=", " ").replace(":", " ").split()
+    return int(body[1]) if len(body) == 2 and body[0] == "n_qubits" else default
+
+
 def _parse_csv_vectorised(text: str) -> np.ndarray | None:
     """_parse_csv_loop's matrix at C speed, or None to hand the text to it.
 
-    Leading blank and comment lines are read as the loop reads them.  Every
-    later line must be "i,j,re,im" with ASCII-digit indices (no sign, space
-    or underscore), and the values pass through float() as in the loop, so
-    they agree bit for bit.  Chunks of _CSV_CHUNK_LINES lines are joined,
-    split once and converted into preallocated columns.  Anything else,
-    an out-of-range index, a repeated entry or a dimension outside
-    1..MAX_DENSE_QUBITS returns None, and the loop then names the line.
+    Leading blank and comment lines are read as the loop reads them; the
+    rest goes to numpy's C reader, whose int64 and float64 fields take the
+    tokens int() and float() take, with the same values, and which skips
+    empty lines as the loop does.  A token numpy refuses or warns on (numpy
+    2.0 warns on a float written as an index), a line that is not four
+    fields (a comment or whitespace-only line after the first entry among
+    them), a negative, out-of-range or repeated index, or a dimension
+    outside 1..MAX_DENSE_QUBITS returns None, and the loop then names the
+    line.  Warnings become errors through warnings.catch_warnings, whose
+    filter is process-global for the duration of the read.
     """
     lines = text.splitlines()
     declared_n = None
@@ -475,45 +485,33 @@ def _parse_csv_vectorised(text: str) -> np.ndarray | None:
         line = raw.strip()
         if line and not line.startswith("#"):
             break
-        body = line.lstrip("#").replace("=", " ").replace(":", " ").split()
-        if len(body) == 2 and body[0] == "n_qubits":
-            try:
-                declared_n = int(body[1])
-            except ValueError:
-                return None
+        try:
+            declared_n = _declared_qubits(line, declared_n)
+        except ValueError:
+            return None
     else:
         return None
-    count = len(lines) - first
-    index, value = np.empty((2, count), np.int64), np.empty((2, count), float)
-    for start in range(0, count, _CSV_CHUNK_LINES):
-        chunk = lines[first + start:first + start + _CSV_CHUNK_LINES]
-        if set(map(str.count, chunk, itertools.repeat(","))) != {3}:
-            return None
-        tokens = ",".join(chunk).split(",")
-        part = slice(start, start + len(chunk))
-        try:
-            for k in range(2):
-                digits = tokens[k::4]
-                joined = "".join(digits)
-                if not (joined.isascii() and joined.isdigit()):
-                    return None
-                index[k, part] = np.fromiter(map(int, digits), np.int64, len(chunk))
-                value[k, part] = np.fromiter(map(float, tokens[k + 2::4]), float, len(chunk))
-        except (ValueError, OverflowError):
-            return None
-    top = int(index.max())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines[first:], _CSV_ROW, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    del lines  # free the line strings before the complex temporaries
+    i, j = rows["i"], rows["j"]
+    top = int(max(i.max(), j.max()))
     n = declared_n if declared_n is not None else top.bit_length()
-    if not 1 <= n <= MAX_DENSE_QUBITS or top >= 2**n:
+    if min(i.min(), j.min()) < 0 or not 1 <= n <= MAX_DENSE_QUBITS or top >= 2**n:
         return None
     d = 2**n
-    keys = index[0] * d + index[1]
+    keys = i * d + j
     seen = np.zeros(d * d, bool)
     seen[keys] = True
-    if np.count_nonzero(seen) != count:
+    if np.count_nonzero(seen) != keys.size:
         return None
     arr = np.zeros((d, d), dtype=complex)
     with np.errstate(invalid="ignore"):  # re + 1j*im, op for op as in the loop
-        arr.reshape(-1)[keys] = value[0] + 1j * value[1]
+        arr.reshape(-1)[keys] = rows["re"] + 1j * rows["im"]
     return arr
 
 
@@ -525,12 +523,10 @@ def _parse_csv_loop(text: str) -> np.ndarray:
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").replace("=", " ").replace(":", " ").split()
-            if len(body) == 2 and body[0] == "n_qubits":
-                try:
-                    declared_n = int(body[1])
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from exc
+            try:
+                declared_n = _declared_qubits(line, declared_n)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
             continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:

@@ -656,7 +656,8 @@ def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(monkeypatch, capsy
 
 
 def test_threshold_at_the_pure_state_cap_stays_below_8_mib(capsys):
-    # the bisection's batches are chunked like a sweep's grid: one 1 MiB broadcast at a time
+    # the peak is the 2^14-amplitude base (256 KiB), one transposed copy of it per
+    # _side_gram pair Gram, and a bisection round's (points, classes, 4, 4) marginals
     tracemalloc.start()
     try:
         code = main(["threshold", "--family", "dicke-noise", "--n", "14", "--source", "t2"])

@@ -48,7 +48,7 @@ def write_csv(matrix, header=True):
 
 # Tokens the loop reads but the fast reader must leave to it, or read alike.
 ODD_INDICES = ["+3", "1_0", "１", "²", " 1", "1 ", "-1", "", "0x1", "10**3",
-               "99999999999999999999", "007"]
+               "99999999999999999999", "007", "1.0", "1e2", "٣", "0b1"]
 ODD_VALUES = ["nan", "-nan", "1e999", "-1e999", "inf", "-0.0", " 0.25 ", "1_0.5", "+.5",
               "０.５", "", "x", "0x1", "1e-320"]
 
@@ -133,18 +133,39 @@ def test_csv_reader_on_single_edits(text):
 @pytest.mark.parametrize("header", [True, False])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_csv_reader_on_random_states(n, header):
-    # n = 8 spans two chunks of the fast reader
+    # n = 8 has 65 536 data lines
     text = write_csv(random_density(np.random.default_rng(100 + n), n).matrix, header)
     fast = states._parse_csv_vectorised(text)
     assert fast is not None  # the file took the fast path
     assert fast.tobytes() == states._parse_csv_loop(text).tobytes()
 
 
-def test_csv_reader_with_an_index_line_past_the_first_chunk():
+def test_csv_reader_with_a_signed_index_deep_in_a_large_file():
     text = write_csv(random_density(np.random.default_rng(5), 8).matrix)
     lines = text.splitlines()
-    lines[states._CSV_CHUNK_LINES + 7] = "3,+4,0.0,0.0"
+    lines[2**15 + 7] = "3,+4,0.0,0.0"
     assert_same_reading("\n".join(lines))
+
+
+LINES_3 = write_csv(random_density(np.random.default_rng(6), 3).matrix).splitlines()
+ROWS_3 = [row.split(",") for row in LINES_3[1:]]
+
+FAST_PATH_VARIANTS = {
+    "crlf": "\r\n".join(LINES_3) + "\r\n",
+    "cr": "\r".join(LINES_3) + "\r",
+    "no trailing newline": "\n".join(LINES_3),
+    "blank lines between rows": "\n\n".join(LINES_3) + "\n\n",
+    "space-padded indices": "\n".join(
+        LINES_3[:1] + [f" {i} ,  {j},{re},{im}" for i, j, re, im in ROWS_3]),
+    "signed index": "\n".join(LINES_3[:1] + [f"+{i},{j},{re},{im}" for i, j, re, im in ROWS_3]),
+}
+
+
+@pytest.mark.parametrize("text", FAST_PATH_VARIANTS.values(), ids=FAST_PATH_VARIANTS.keys())
+def test_common_valid_variants_take_the_fast_path(text):
+    fast = states._parse_csv_vectorised(text)
+    assert fast is not None
+    assert fast.tobytes() == states._parse_csv_loop(text).tobytes()
 
 
 # ------------------------------------------------------------------------ PSD
