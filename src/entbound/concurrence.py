@@ -52,7 +52,15 @@ def subset_purity(psi: PureState, subset: SubsetMask) -> float:
     return _gram_purity(_cut_gram(psi, subset))
 
 
-def _gram_deficit(gram: np.ndarray) -> float:
+def _floored_deficit(gram: np.ndarray) -> float:
+    """The cross terms of the floored eigenvalues of G: _gram_deficit's rule
+    for a Gram that reads as pure."""
+    s2 = _floored_spectrum(gram)
+    total = float(s2.sum())
+    return float(np.dot(s2, total - s2))
+
+
+def _gram_deficit(gram: np.ndarray, reads_pure=_floored_deficit) -> float:
     """1 - Tr(rho^2) of the reduced state with Gram matrix G, as the cross
     terms sum_{i != j} lambda_i lambda_j of its eigenvalues.
 
@@ -63,7 +71,9 @@ def _gram_deficit(gram: np.ndarray) -> float:
     matters: those that read as pure, D < PURITY_TOL t^2.  There the floored
     eigenvalues decide: an exactly product cut has one nonzero Schmidt
     weight after the dust floor, so its deficit is an exact 0 and product
-    states read 0.
+    states read 0.  A Gram that reads as pure goes to reads_pure, by default
+    that floored eigenvalue path; _lattice_deficits passes a rule that first
+    asks whether the cut is covered by product qubits.
 
     Error argument.  G is at most 2^7 square at PURE_DIM_CAP, so ||G||_F^2
     sums at most 4^7 terms and t^2 - ||G||_F^2 rounds with an absolute error
@@ -85,9 +95,7 @@ def _gram_deficit(gram: np.ndarray) -> float:
     d = t * t - _gram_purity(gram)
     if d >= PURITY_TOL * t * t:
         return d
-    s2 = _floored_spectrum(gram)
-    total = float(s2.sum())
-    return float(np.dot(s2, total - s2))
+    return reads_pure(gram)
 
 
 def _trace_out_bit(gram: np.ndarray, size: int, bit: int) -> np.ndarray:
@@ -182,12 +190,59 @@ def _lattice_grams(psi: PureState):
         del from_vector, gram  # before the next side's Gram is built
 
 
+def _product_qubits(psi: PureState) -> int:
+    """Mask bits of the product qubits: those whose one-qubit Gram has exactly
+    one nonzero floored weight.  The N 2x2 Grams take one stacked eigensolve."""
+    n = psi.n_qubits
+    weights = _floored_spectrum(np.array([_side_gram(psi, 1 << i) for i in range(n)]))
+    return sum(1 << i for i, nonzero in enumerate(np.count_nonzero(weights, axis=1)) if nonzero == 1)
+
+
 def _lattice_deficits(psi: PureState) -> list[float]:
     """Purity deficit of every canonical cut, indexed by its mask bits (entry
-    0 is unused): _gram_deficit of each Gram of _lattice_grams."""
-    deficits = [0.0] * 2 ** (psi.n_qubits - 1)
+    0 is unused): _gram_deficit of each Gram of _lattice_grams.
+
+    Product qubits.  At the first cut that reads as pure the walk takes, once,
+    the mask of the product qubits (_product_qubits).  A cut that reads as
+    pure and has a side inside that mask is covered: its deficit is 0.0,
+    with no eigensolve.  Other cuts keep _gram_deficit's floored eigenvalue
+    path.  When the mask holds every qubit the state is product, and the walk
+    stops with every deficit 0.0.  Haar, GHZ and W states have no cut that
+    reads as pure, so they never take the mask.
+
+    Why 0.0 is sound.  For pure psi, the product of each qubit's top
+    eigenvector and a union bound give, for every side T,
+    t - lambda_max(G_T) <= sum_{q in T} (t - lambda_max(G_q)), t the trace.
+    A product qubit has t - lambda_max < EIGEN_DUST t (up to the few eps t
+    to which its 2x2 eigensolve resolves it), so a covered cut has
+    D <= 2 t (t - lambda_max) < 2 |T| EIGEN_DUST t^2, about 2e-13 t^2 at
+    |T| = 7: far below PURITY_TOL t^2, so such a cut always reads as pure.
+    Where each small weight of the cut's Gram is clear of EIGEN_DUST of the
+    largest, the floored eigenvalue path zeroes them and the two rules give
+    the same 0.0.  Where up to |T| weights add up to one eigenvalue above
+    the floor, or a weight lies within rounding of it (the one-qubit Gram
+    from the vector and the walk's traced Gram may round to either side),
+    the eigen path may keep a deficit below that bound where the shortcut
+    reads 0.0.  Either way the shortcut only lowers a deficit, to the value
+    of an exactly product cut.
+    """
+    n = psi.n_qubits
+    full = 2**n - 1
+    deficits = [0.0] * 2 ** (n - 1)
+    product = None  # mask of the product qubits, once a cut reads as pure
+
+    def reads_pure(gram):  # the rule for the cut `bits` the walk is at
+        nonlocal product
+        if product is None:
+            product = _product_qubits(psi)
+        if bits | product == product or (bits ^ full) | product == product:
+            return 0.0
+        return _floored_deficit(gram)
+
     for bits, gram in _lattice_grams(psi):
-        deficits[bits] = _gram_deficit(gram)
+        deficits[bits] = _gram_deficit(gram, reads_pure)
+        if product == full:
+            return [0.0] * len(deficits)
     return deficits
 
 

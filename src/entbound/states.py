@@ -449,6 +449,7 @@ def _parse_json_matrix(text: str) -> np.ndarray:
 
 # One "i,j,re,im" row of a CSV matrix file.
 _CSV_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
+_load_csv_rows = functools.partial(np.loadtxt, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
 
 
 def _parse_csv_matrix(text: str) -> np.ndarray:
@@ -471,13 +472,16 @@ def _parse_csv_vectorised(text: str) -> np.ndarray | None:
     Leading blank and comment lines are read as the loop reads them; the
     rest goes to numpy's C reader, whose int64 and float64 fields take the
     tokens int() and float() take, with the same values, and which skips
-    empty lines as the loop does.  A token numpy refuses or warns on (numpy
-    2.0 warns on a float written as an index), a line that is not four
-    fields (a comment or whitespace-only line after the first entry among
-    them), a negative, out-of-range or repeated index, or a dimension
-    outside 1..MAX_DENSE_QUBITS returns None, and the loop then names the
-    line.  Warnings become errors through warnings.catch_warnings, whose
-    filter is process-global for the duration of the read.
+    empty lines as the loop does.  numpy reads a whitespace-only line as a
+    one-field row, so when the read fails and such a line exists, it reads
+    once more without those lines, which the loop skips too; a clean file
+    reads once.  A token numpy refuses or warns on (numpy 2.0 warns on a
+    float written as an index), a line that is not four fields (a comment
+    after the first entry among them), a negative, out-of-range or repeated
+    index, or a dimension outside 1..MAX_DENSE_QUBITS returns None, and the
+    loop then names the line.  Warnings become errors through
+    warnings.catch_warnings, whose filter is process-global for the
+    duration of the read.
     """
     lines = text.splitlines()
     declared_n = None
@@ -491,10 +495,16 @@ def _parse_csv_vectorised(text: str) -> np.ndarray | None:
             return None
     else:
         return None
+    lines = lines[first:]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(lines[first:], _CSV_ROW, delimiter=",", comments=None, ndmin=1)
+            try:
+                rows = _load_csv_rows(lines)
+            except ValueError:
+                if not any(map(str.isspace, lines)):
+                    raise
+                rows = _load_csv_rows([line for line in lines if not line.isspace()])
     except (ValueError, Warning):
         return None
     del lines  # free the line strings before the complex temporaries

@@ -16,7 +16,7 @@ from entbound.concurrence import (
     wootters_concurrence,
 )
 from entbound.errors import EmptySubset, WrongDimension
-from entbound.linalg import SIGMA_Y, SubsetMask
+from entbound.linalg import EIGEN_DUST, PURITY_TOL, SIGMA_Y, SubsetMask
 from oracle import (
     SamplerConfig,
     apply_local_unitaries,
@@ -115,9 +115,9 @@ class TestCutConcurrence:
         rules, grams = [], []
         gram_deficit, side_gram = concurrence._gram_deficit, concurrence._side_gram
 
-        def counting_rule(gram):
+        def counting_rule(gram, *reads_pure):
             rules.append(gram.shape)
-            return gram_deficit(gram)
+            return gram_deficit(gram, *reads_pure)
 
         def counting_gram(psi, bits):
             grams.append(bits)
@@ -520,9 +520,11 @@ class TestFrobeniusDeficitAgainstEigenPath:
 
     @pytest.mark.parametrize("psi, eigensolves", [
         (haar_random_pure(SamplerConfig(8, seed=1500, count=1))[0], 0),
+        # a product state: one stacked solve for the mask of product qubits
         (random_product_pure(SamplerConfig(8, seed=1501, count=1),
-                             [[q] for q in range(1, 9)])[0], 2**7 - 1),
-        (near_product(8, 1e-11, seed=1502), 2**7 - 1),
+                             [[q] for q in range(1, 9)])[0], 1),
+        # every cut reads as pure and no qubit is product: the mask covers nothing
+        (near_product(8, 1e-11, seed=1502), 2**7 - 1 + 1),
         (near_product(8, 1e-9, seed=1503), 0),
     ])
     def test_eigensolves_only_on_cuts_that_read_as_pure(self, monkeypatch, psi, eigensolves):
@@ -538,6 +540,165 @@ class TestFrobeniusDeficitAgainstEigenPath:
         assert len(calls) == eigensolves
 
 
+def reference_deficits(psi):
+    """Each canonical cut's deficit by the per-cut rule without product
+    qubits: every Gram of the walk through _gram_deficit's Frobenius test,
+    then the floored eigenvalue path on the Grams that read as pure."""
+    deficits = [0.0] * 2 ** (psi.n_qubits - 1)
+    for bits, gram in concurrence._lattice_grams(psi):
+        t = float(gram.trace().real)
+        d = t * t - float(np.vdot(gram, gram).real)
+        if d < PURITY_TOL * t * t:
+            s2 = concurrence._floored_spectrum(gram)
+            d = float(np.dot(s2, float(s2.sum()) - s2))
+        deficits[bits] = d
+    return deficits
+
+
+def haar_times_product(n, haar_qubits, seed):
+    """A Haar factor on haar_qubits times one Haar qubit on each other qubit."""
+    blocks = [list(haar_qubits)] + [[q] for q in range(1, n + 1) if q not in haar_qubits]
+    return random_product_pure(SamplerConfig(n, seed=seed, count=1), blocks)[0]
+
+
+def top_weight_gap(psi, bits):
+    """Tr G - lambda_max(G) for the Gram of the qubits in mask bits."""
+    w = np.linalg.eigvalsh(concurrence._side_gram(psi, bits))
+    return float(w.sum() - w[-1])
+
+
+class TestProductQubits:
+    """A cut that reads as pure and has a side inside the mask of product
+    qubits reads 0.0 without an eigensolve; the rule without product qubits,
+    reference_deficits, is the reference on every cut."""
+
+    @staticmethod
+    def assert_same_bits(psi):
+        deficits = concurrence._lattice_deficits(psi)
+        assert deficits == reference_deficits(psi)
+        prof = cut_profile(psi)
+        for bits, d in enumerate(deficits[1:], start=1):
+            assert prof.per_subset[bits] == max(2.0 * d, 0.0)
+
+    @staticmethod
+    def assert_lower_only_where_covered(psi):
+        """Where the reference's floor decision is a matter of rounding, a
+        covered cut may read 0.0 where the reference kept a deficit below
+        2 |T| EIGEN_DUST, plus the few eps to which a one-qubit eigensolve
+        resolves each weight; every other cut has the reference's bits."""
+        n = psi.n_qubits
+        full, product = 2**n - 1, concurrence._product_qubits(psi)
+        got, want = concurrence._lattice_deficits(psi), reference_deficits(psi)
+        for bits in range(1, 2 ** (n - 1)):
+            sides = [side for side in (bits, full ^ bits) if side | product == product]
+            if sides and got[bits] != want[bits]:
+                assert got[bits] == 0.0
+                rounding = 8 * np.finfo(float).eps
+                assert want[bits] <= 2 * min(s.bit_count() for s in sides) * (EIGEN_DUST + rounding)
+            else:
+                assert got[bits] == want[bits]
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_product_states(self, n):
+        singles = [[q] for q in range(1, n + 1)]
+        psi = random_product_pure(SamplerConfig(n, seed=1800 + n, count=1), singles)[0]
+        self.assert_same_bits(psi)
+        assert pure_concurrence(psi) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 11])
+    @pytest.mark.parametrize("weight", [1e-17, 1e-16, 1e-15, 1e-14, 2e-14, 1e-13])
+    def test_near_product_around_the_dust_floor(self, n, weight):
+        # Every cut's weights are 1-w and w, so every qubit is product below
+        # EIGEN_DUST (1.42e-14) and none is above it.
+        self.assert_same_bits(near_product(n, weight, seed=1850 + n))
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 11])
+    @pytest.mark.parametrize("weight", [1.4e-14, 1.45e-14])
+    def test_near_product_within_rounding_of_the_dust_floor(self, n, weight):
+        # Within a few percent of EIGEN_DUST, rounding decides, Gram by Gram,
+        # on which side of the floor w falls: the mask's one-qubit Grams from
+        # the vector and the walk's traced Grams may decide apart.
+        for seed in range(1860, 1870):
+            self.assert_lower_only_where_covered(near_product(n, weight, seed=seed + n))
+
+    @pytest.mark.parametrize("haar_qubits", [(5, 6, 7, 8), (1, 2, 3, 4, 5), (1, 3, 5, 7)],
+                             ids=["product first", "product last", "interleaved"])
+    def test_haar_times_product(self, monkeypatch, haar_qubits):
+        psi = haar_times_product(8, haar_qubits, seed=1900 + len(haar_qubits))
+        self.assert_same_bits(psi)
+        self.assert_same_bits(lu_rotated(psi, 1910 + haar_qubits[1]))
+        # A cut reads as pure only with the Haar factor on one side, so the
+        # other side, or the complement of the canonical one, is covered.
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
+        concurrence._lattice_deficits(psi)
+        assert shapes == [(8, 2, 2)]
+
+    def test_concentrated_dust_reads_lower(self):
+        # sqrt(1-e)|0>|0000000> + sqrt(e)|1>|W_7>: each of qubits 2..8 has
+        # weight e/7 below the dust floor, so they are product, but the cut
+        # 1|2..8 has weights 1-e and e with e above it.  The eigen path keeps
+        # that cut's deficit 2e(1-e); the shortcut reads 0.0, lower.  Every
+        # cut has a side inside qubits 2..8, so every cut reads 0.0.
+        e = 5e-14
+        amps = np.zeros(2**8, dtype=complex)
+        amps[0] = math.sqrt(1 - e)
+        for q in range(7):
+            amps[1 << 7 | 1 << q] = math.sqrt(e / 7)
+        psi = PureState(8, amps)
+        assert concurrence._product_qubits(psi) == 0b1111111
+        got, want = concurrence._lattice_deficits(psi), reference_deficits(psi)
+        assert got == [0.0] * 2**7
+        assert 0.0 < want[0b1111111] <= 2 * 7 * EIGEN_DUST
+        assert min(want) >= 0.0
+
+    def test_fully_product_state_takes_one_stacked_eigensolve(self, monkeypatch):
+        eigvalsh, lattice_grams = np.linalg.eigvalsh, concurrence._lattice_grams
+        shapes, yielded = [], []
+
+        def counting_eigvalsh(m):
+            shapes.append(m.shape)
+            return eigvalsh(m)
+
+        def counting_grams(psi):
+            for item in lattice_grams(psi):
+                yielded.append(item[0])
+                yield item
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(concurrence, "_lattice_grams", counting_grams)
+        singles = [[q] for q in range(1, 9)]
+        assert pure_concurrence(random_product_pure(SamplerConfig(8, seed=1950, count=1), singles)[0]) == 0.0
+        assert shapes == [(8, 2, 2)]
+        assert len(yielded) <= 1
+        shapes.clear()
+        pure_concurrence(haar_random_pure(SamplerConfig(8, seed=1951, count=1))[0])
+        assert shapes == []
+
+    def test_fourteen_qubit_product_state_reads_zero(self):
+        singles = [[q] for q in range(1, 15)]
+        psi = random_product_pure(SamplerConfig(14, seed=1960, count=1), singles)[0]
+        assert pure_concurrence(psi) == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union_bound_over_nearly_product_qubits(self, seed):
+        # Haar on the other qubits, 1-3 product qubits, then a perturbation
+        # of weight 1e-15 .. 1e-3: for every side T,
+        # t - lambda_max(G_T) <= sum_{q in T} (t - lambda_max(G_q)).
+        n = 6
+        rng = np.random.default_rng(1970 + seed)
+        product = sorted(rng.choice(np.arange(1, n + 1), size=1 + seed % 3, replace=False).tolist())
+        base = haar_times_product(n, [q for q in range(1, n + 1) if q not in product], 1980 + seed)
+        weight = 10.0 ** rng.uniform(-15, -3)
+        kick = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        amps = base.amplitudes + math.sqrt(weight) * kick / np.linalg.norm(kick)
+        psi = PureState(n, amps / np.linalg.norm(amps))
+        single = [top_weight_gap(psi, 1 << (n - q)) for q in range(1, n + 1)]
+        for bits in range(1, 2**n - 1):
+            bound = sum(single[q - 1] for q in range(1, n + 1) if bits >> (n - q) & 1)
+            assert top_weight_gap(psi, bits) <= bound + 1e-14
+
+
 class TestLatticeGrams:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_each_canonical_cut_once_with_its_gram(self, n):
@@ -551,9 +712,10 @@ class TestLatticeGrams:
         assert sorted(seen) == list(range(1, 2 ** (n - 1)))
 
     def test_purity_sum_folds_the_walk_without_an_eigensolve(self, monkeypatch):
-        # Every cut of a product state reads as pure, so pure_concurrence
-        # eigensolves all of them; the purity sum needs none.  The Grams
-        # built from the vector are the sides of _top_cover, once each.
+        # Every cut of a product state reads as pure, where pure_concurrence
+        # takes the mask of product qubits; the purity sum needs no
+        # eigensolve.  The Grams built from the vector are the sides of
+        # _top_cover, once each.
         def no_eigensolve(m):
             raise AssertionError("eigensolve in purity_sum")
 

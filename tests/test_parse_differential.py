@@ -158,6 +158,8 @@ FAST_PATH_VARIANTS = {
     "space-padded indices": "\n".join(
         LINES_3[:1] + [f" {i} ,  {j},{re},{im}" for i, j, re, im in ROWS_3]),
     "signed index": "\n".join(LINES_3[:1] + [f"+{i},{j},{re},{im}" for i, j, re, im in ROWS_3]),
+    "space-only lines between rows": "\n   \n".join(LINES_3) + "\n   \n",
+    "tab-only lines between rows": "\n\t\n".join(LINES_3) + "\n\t\n",
 }
 
 
