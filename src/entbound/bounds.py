@@ -105,6 +105,14 @@ def ghz_noise_separability_edge(n: int) -> float:
     return 1.0 / (2 ** (n - 1) + 1)
 
 
+def ghz_noise_exact_visibility(n: int, c: float) -> float:
+    """The visibility at which ghz_noise_exact_concurrence(n, p) reaches
+    c >= 0: its linear branch solved for p, ghz_noise_separability_edge(n)
+    at c = 0, and above 1 where no visibility reaches c."""
+    half = 2 ** (n - 1)
+    return (c * half / math.sqrt((half - 1) / 2 ** (n - 2)) + 1) / (half + 1)
+
+
 def ghz_noise_exact_concurrence(n: int, p: float) -> float:
     """Exact concurrence of (1-p)/2^n I + p |GHZ_n><GHZ_n|.
 

@@ -214,7 +214,7 @@ class NoisyFamily:
     detection_threshold's proof reads, and the one marginals(xs) computes.
     state_at(x) is the dense reference, and tests/test_family_engine.py ties
     the two together to a few ulp.  A family equals only itself: its
-    pair_classes are cached per object."""
+    pair_classes and what derives from them are cached per object."""
 
     base: PureState
 
@@ -246,14 +246,36 @@ class NoisyFamily:
             classes.setdefault(rho.tobytes(), ([], rho))[0].append((i, j))
         return tuple((tuple(pairs), rho) for pairs, rho in classes.values())
 
+    @functools.cached_property
+    def class_states(self) -> np.ndarray:
+        """The reduced base states rho_ij of pair_classes, in its order, as one
+        read-only (classes, 4, 4) stack."""
+        rhos = np.array([rho for _, rho in self.pair_classes])
+        rhos.flags.writeable = False
+        return rhos
+
+    @functools.cached_property
+    def entanglement_edge(self) -> float | None:
+        """The smallest x at which some pair marginal is entangled, or None
+        when no pair ever is.
+
+        By the Peres-Horodecki criterion a two-qubit state is entangled
+        exactly when its partial transpose has a negative eigenvalue.  The
+        marginal's is (1-x) I/4 + x rho_ij^{T_B}, whose least eigenvalue
+        (1-x)/4 + x mu turns negative for x > 1/(1 - 4 mu) once mu =
+        lambda_min(rho_ij^{T_B}) < 0.  The edge is that value at the least mu
+        of the classes, at least 1/3 since mu >= -1/2; above it C_ij > 0."""
+        pt = self.class_states.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+        mu = float(linalg.converged(np.linalg.eigvalsh, pt)[:, 0].min())
+        return 1.0 / (1.0 - 4.0 * mu) if mu < 0 else None
+
     def marginals(self, xs) -> np.ndarray:
         """The pair marginals (1-x) I/4 + x rho_ij of the members at
         visibilities xs, one per class of pair_classes, as one
         (len(xs), classes, 4, 4) broadcast: each row has the bits of the
         one-x call."""
         x = np.asarray(xs, dtype=float).reshape(-1, 1, 1, 1)
-        rhos = np.array([rho for _, rho in self.pair_classes])
-        return _EYE4 * ((1.0 - x) / 4) + x * rhos
+        return _EYE4 * ((1.0 - x) / 4) + x * self.class_states
 
 
 @dataclass(frozen=True)

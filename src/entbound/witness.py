@@ -46,9 +46,10 @@ BISECTION_LEVELS = 2
 # A round also evaluates the midpoints the one-step loop would visit if the
 # crossing sat at the secant guess, until the bracket is PATH_SLACK times
 # narrower than the guess moved since the previous guess (than the bracket,
-# for a first guess).  An untruncated path costs more points than it saves
+# when no guess came before).  An untruncated path costs more points than it saves
 # rounds: the W n=14 t3 threshold took 22-29 ms instead of 16-17 (2-vCPU
-# x86_64 host).
+# x86_64 host).  A first guess from a closed form (witness._first_guess)
+# names the crossing to far below BISECTION_STOP, so its path is not cut.
 PATH_SLACK = 2**8
 
 
@@ -286,6 +287,22 @@ def _crossing_guess(seen: dict[float, float], threshold: float,
     return min(max(guess, lo), hi) if math.isfinite(guess) else None
 
 
+def _first_guess(family: NoisyFamily, threshold: float, source: Source) -> float | None:
+    """Where the bound on C of family crosses threshold, where a closed form
+    names it: for ghz-exact, the visibility at which its formula reaches
+    threshold; for a theorem source at threshold 0 (plain detection), the
+    family's entanglement edge.  None for a theorem source above threshold 0,
+    a family with no entangled pair, and a crossing outside (0, 1).  Like
+    _crossing_guess, it only picks which points a bisection round evaluates."""
+    if source is Source.GHZ_EXACT:
+        guess = bounds_mod.ghz_noise_exact_visibility(family.n_qubits, threshold)
+    elif threshold == 0.0:
+        guess = family.entanglement_edge
+    else:
+        return None
+    return guess if guess is not None and 0.0 < guess < 1.0 else None
+
+
 def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> float | None:
     """Smallest family parameter at which the certified bound crosses the
     detection threshold, found by bisection to within linalg.BISECTION_TOL.
@@ -307,24 +324,40 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     base's reduced pair states, without a dense matrix; ghz-exact reads x.
 
     The steps are those of the one-point bisection loop, evaluated in
-    rounds: when a step reaches a midpoint without a bound, one certified_bounds
-    batch, one stacked Wootters kernel call, evaluates the union of two sets of
-    midpoints not evaluated yet, each formed with the same (lo + hi) / 2 and
-    the same width test as the loop's:
+    rounds of one certified_bounds batch each, one stacked Wootters kernel
+    call for theorem sources.  Every midpoint is formed with the loop's
+    (lo + hi) / 2 and width test, and the predicted path from [lo, hi] to a
+    guess g is the midpoints the loop would visit if the crossing sat at g (a
+    midpoint is predicted detected iff it exceeds g).
+
+    The first round evaluates the noiseless end together with the whole
+    predicted path from [0, 1] to _first_guess, where a closed form names the
+    crossing.  At threshold 0 a theorem bound is positive exactly when some
+    C_ij is, and by the Peres-Horodecki criterion a two-qubit marginal is
+    entangled exactly when its partial transpose is not positive, so the
+    family's entanglement_edge is the crossing up to DETECTION_MARGIN over
+    the bound's slope; ghz-exact solves its formula for the visibility.  The
+    computed bounds still decide every step: the edge is only a guess, and a
+    midpoint that lands between it and the computed crossing sends the loop
+    off the path into the rounds below.  Without a guess in (0, 1) the first
+    round is the noiseless end alone, so a family that is never detected
+    costs one point.
+
+    After that, when a step reaches a midpoint without a bound, one round
+    evaluates the union of two sets of midpoints not evaluated yet:
 
     - every midpoint the next BISECTION_LEVELS steps can visit from [lo, hi],
       so a round never resolves fewer steps than a plain batched bisection;
-    - the predicted path: the midpoints the loop would visit from [lo, hi] if
-      the crossing sat at _crossing_guess's secant estimate g (a midpoint is
-      predicted detected iff it exceeds g), until the bracket is no wider than
-      BISECTION_STOP or 1/PATH_SLACK of how far g moved since the previous
-      guess (of the bracket, for a first guess).
+    - the predicted path from [lo, hi] to _crossing_guess's secant estimate
+      g, until the bracket is no wider than BISECTION_STOP or 1/PATH_SLACK of
+      how far g moved since the previous guess (of the bracket, when no guess
+      came before).
 
     A point's bound does not depend on the batch it is in (marginals and
     _wootters_stack give each row the float operations of a one-point call),
     and every verdict is exceeds(bound, threshold) at exactly the midpoint the
-    loop visits.  The guess decides only which points share a batch, so the
-    crossing is the one-point bisection's, bit for bit, whatever the guess.
+    loop visits.  The guesses decide only which points share a batch, so the
+    crossing is the one-point bisection's, bit for bit, whatever they are.
     """
     if type(family) is not NoisyFamily:
         raise NonMonotoneFamily(f"bisection needs a NoisyFamily, got {type(family).__name__}")
@@ -355,10 +388,12 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
                 lo = mid
         return mids
 
-    evaluate([1.0])
+    last_guess = _first_guess(family, threshold, source)
+    first = [] if last_guess is None else predicted_path(0.0, 1.0, last_guess, BISECTION_STOP)
+    evaluate([1.0] + first)
     if not exceeds(seen[1.0], threshold):
         return None
-    lo, hi, last_guess = 0.0, 1.0, None
+    lo, hi = 0.0, 1.0
     while hi - lo > BISECTION_STOP:
         mid = (lo + hi) / 2
         if mid not in seen:

@@ -10,6 +10,7 @@ from entbound.bounds import (
     applicable_theorems,
     best_bound,
     ghz_noise_exact_concurrence,
+    ghz_noise_exact_visibility,
     ghz_noise_separability_edge,
     require_domain,
     theorem_bound,
@@ -206,6 +207,15 @@ class TestGhzNoiseExact:
             mid = ghz_noise_exact_concurrence(n, (p1 + p2) / 2)
             avg = (ghz_noise_exact_concurrence(n, p1) + ghz_noise_exact_concurrence(n, p2)) / 2
             assert abs(mid - avg) < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_visibility_inverts_the_concurrence(self, n):
+        assert ghz_noise_exact_visibility(n, 0.0) == ghz_noise_separability_edge(n)
+        for p in (ghz_noise_separability_edge(n) + 1e-3, 0.5, 0.9, 1.0):
+            c = ghz_noise_exact_concurrence(n, p)
+            assert ghz_noise_exact_visibility(n, c) == pytest.approx(p, abs=1e-14)
+        # a concurrence above the pure state's is reached at no visibility in [0, 1]
+        assert ghz_noise_exact_visibility(n, 1.001 * ghz_noise_exact_concurrence(n, 1.0)) > 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterOutOfRange):

@@ -13,7 +13,7 @@ from entbound import concurrence, witness
 from entbound.bounds import theorem_bound
 from entbound.concurrence import pairwise_table
 from entbound.errors import DimensionOverflow, ParameterOutOfRange, WrongQubitCount
-from entbound.linalg import BISECTION_STOP
+from entbound.linalg import BISECTION_STOP, BISECTION_TOL
 from oracle import SamplerConfig, haar_random_pure, reference_pair_classes
 from entbound.states import (
     NoisyFamily,
@@ -196,12 +196,13 @@ def record_stacks(monkeypatch):
 
 def test_bisection_takes_its_levels_in_one_kernel_call_each(monkeypatch):
     stacks, rounds = record_stacks(monkeypatch), record_rounds(monkeypatch)
-    x = detection_threshold(NoisyFamily(w_state(5)), None, Source.THEOREM2)
+    # k = N: no closed form names this crossing, so the rounds guess by secant
+    x = detection_threshold(NoisyFamily(w_state(5)), 5, Source.THEOREM2)
     # one pair class: a round of m points is one kernel call on m marginals
     assert stacks == [len(batch) for batch in rounds]
-    # the noiseless end alone, then 6 rounds (15 with the levels alone)
+    # the noiseless end alone, then 7 rounds (15 with the levels alone)
     assert list(rounds[0]) == [1.0]
-    assert len(stacks) == 7
+    assert len(stacks) == 8
     # replay the one-step loop: a round starts where it meets a midpoint no
     # earlier round evaluated, and holds every midpoint of its bracket's levels
     # that no earlier round holds
@@ -215,12 +216,53 @@ def test_bisection_takes_its_levels_in_one_kernel_call_each(monkeypatch):
             assert set(levels(lo, hi)) <= set(batch) | set(seen)
             assert not set(batch) & set(seen)
             seen.update(batch)
-        if exceeds(seen[mid], 0.0):
+        if exceeds(seen[mid], k_nonsep_threshold(5, 2, 5)):
             hi = mid
         else:
             lo = mid
     assert next(later, None) is None
     assert (lo + hi) / 2 == x
+
+
+def loop_path(family, k, source):
+    """The midpoints the one-step loop visits, in order."""
+    threshold = 0.0 if k is None else k_nonsep_threshold(family.n_qubits, 2, k)
+    lo, hi, mids = 0.0, 1.0, []
+    while hi - lo > BISECTION_STOP:
+        mid = (lo + hi) / 2
+        mids.append(mid)
+        if exceeds(certified_bound(family.point(mid), source)[1], threshold):
+            hi = mid
+        else:
+            lo = mid
+    return mids
+
+
+def test_plain_detection_takes_one_round_along_the_entanglement_edge(monkeypatch):
+    stacks, rounds = record_stacks(monkeypatch), record_rounds(monkeypatch)
+    family = NoisyFamily(w_state(5))
+    x = detection_threshold(family, None, Source.THEOREM2)
+    # the noiseless end and the loop's whole path, in one kernel call
+    assert len(rounds) == len(stacks) == 1
+    assert stacks[0] == len(rounds[0]) <= 31
+    assert list(rounds[0]) == [1.0] + loop_path(family, None, Source.THEOREM2)
+    assert x == dense_reference_threshold(family, None, Source.THEOREM2)
+
+
+@pytest.mark.parametrize("base, k, source", [
+    (ghz_state(4), None, Source.THEOREM1),
+    (ghz_state(6), None, Source.THEOREM3),
+    (ghz_state(5), None, Source.THEOREM2),
+    (w_state(4), 2, Source.THEOREM1),
+    (ghz_state(4), 2, Source.GHZ_EXACT),
+    (ghz_state(7), 3, Source.GHZ_EXACT),
+], ids=["ghz4-t1", "ghz6-t3", "ghz5-t2", "w4-t1-k2", "ghz4-exact-k2", "ghz7-exact-k3"])
+def test_a_threshold_without_a_crossing_evaluates_one_point(monkeypatch, base, k, source):
+    # a GHZ base has no entangled pair, and ghz-exact names no visibility in
+    # (0, 1) at a k it cannot reach, so only the noiseless end is evaluated
+    rounds = record_rounds(monkeypatch)
+    assert detection_threshold(NoisyFamily(base), k, source) is None
+    assert [list(batch) for batch in rounds] == [[1.0]]
 
 
 def crossing_sources(family):
@@ -233,7 +275,8 @@ def crossing_sources(family):
 
 def fixed_guesses(seed):
     """Stand-ins for _crossing_guess: each bracket end, a ulp either side of
-    its midpoint, a seeded point inside it, and no guess."""
+    its midpoint, a seeded point inside it, and no guess.  first_guess turns
+    one into a stand-in for _first_guess, on the bracket [0, 1]."""
     rng = np.random.default_rng(seed)
     return {
         "lo": lambda seen, threshold, lo, hi: lo,
@@ -249,22 +292,35 @@ def bits(x):
     return None if x is None else x.hex()
 
 
+def first_guess(guess):
+    return lambda family, threshold, source: guess({}, threshold, 0.0, 1.0)
+
+
+def guess_pairs(guesses):
+    """(first, later) stand-in names: each stand-in for both guesses, and each
+    for the first guess alone (later None keeps the secant rule)."""
+    return [(name, name) for name in guesses] + [(name, None) for name in guesses]
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_a_guess_picks_points_not_verdicts(monkeypatch, n):
     bases = builtin_family_bases(n) + haar_random_pure(SamplerConfig(n, seed=8400 + n, count=2))
+    guesses = fixed_guesses(8700 + n)
     for base in bases:
         family = NoisyFamily(base)
         for k in [None] + list(range(2, n + 1)):
             for source in crossing_sources(family):
                 expected = bits(detection_threshold(family, k, source))
                 assert expected == bits(dense_reference_threshold(family, k, source)), (base, k, source)
-                for name, guess in fixed_guesses(8700 + n).items():
+                for first, name in guess_pairs(guesses):
                     with monkeypatch.context() as m:
-                        m.setattr(witness, "_crossing_guess", guess)
+                        m.setattr(witness, "_first_guess", first_guess(guesses[first]))
+                        if name is not None:
+                            m.setattr(witness, "_crossing_guess", guesses[name])
                         rounds = record_rounds(m)
                         got = bits(detection_threshold(family, k, source))
-                    assert got == expected, (base, k, source, name)
-                    if name == "none":
+                    assert got == expected, (base, k, source, first, name)
+                    if first == name == "none":
                         # no guess, no path: the levels alone, as a batched bisection takes them
                         assert len(rounds) == (1 if got is None else 1 + math.ceil(30 / BISECTION_LEVELS))
 
@@ -292,18 +348,17 @@ def test_rounds_and_marginals_stay_within_budget(monkeypatch):
     assert marginals <= budget
 
 
-@pytest.mark.parametrize("base, source, most_marginals", [
-    (dicke_state(14, 7), Source.THEOREM2, 46),
-    # the bound is 0 below the crossing, so every secant guess extrapolates
-    # from points above it and its paths go astray: 50 marginals in 8 calls,
-    # against 46 in 16 for the levels alone
-    (w_state(14), Source.THEOREM3, 50),
+@pytest.mark.parametrize("base, source", [
+    (dicke_state(14, 7), Source.THEOREM2),
+    (w_state(14), Source.THEOREM3),
 ], ids=["dicke-noise-t2", "w-noise-t3"])
-def test_fourteen_qubit_crossings_stay_within_budget(monkeypatch, base, source, most_marginals):
+def test_fourteen_qubit_crossings_stay_within_budget(monkeypatch, base, source):
+    # the entanglement edge predicts the whole path: one call on the
+    # noiseless end and at most 30 midpoints (46 in 16 for the levels alone)
     stacks = record_stacks(monkeypatch)
     assert detection_threshold(NoisyFamily(base), None, source) is not None
-    assert len(stacks) <= 16 // 2
-    assert sum(stacks) <= most_marginals
+    assert len(stacks) == 1
+    assert stacks[0] <= 31
 
 
 def streamed_marginals(point, step=256):
@@ -407,6 +462,55 @@ def test_symmetric_bases_have_one_class_of_pairs(n):
 def test_haar_base_has_one_class_per_pair(n):
     (base,) = haar_random_pure(SamplerConfig(n, seed=8300 + n))
     assert len(NoisyFamily(base).pair_classes) == math.comb(n, 2)
+
+
+def test_class_states_are_one_read_only_stack_of_the_pair_classes():
+    family = NoisyFamily(example3_state())
+    stack = family.class_states
+    assert stack is family.class_states and not stack.flags.writeable
+    assert [rho.tobytes() for rho in stack] == [rho.tobytes() for _, rho in family.pair_classes]
+
+
+def w_edge(n):
+    """1/(1 - 4 mu), mu the least eigenvalue of rho_12^{T_B} for W_N: the
+    block [[a, 1/N], [1/N, 0]] on |00>, |11>, a = (N-2)/N, gives
+    mu = a/2 - sqrt(a^2/4 + 1/N^2)."""
+    a = (n - 2) / n
+    return 1 / (1 - 4 * (a / 2 - math.sqrt(a * a / 4 + 1 / n**2)))
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_w_family_entanglement_edge_has_its_closed_form(n):
+    assert abs(NoisyFamily(w_state(n)).entanglement_edge - w_edge(n)) <= 4 * EPS
+    assert NoisyFamily(ghz_state(n)).entanglement_edge is None
+
+
+@pytest.mark.parametrize("base, edge", [
+    (w_state(4), 1 / math.sqrt(2)),
+    (dicke_state(4, 2), 0.6),
+    (example4_state(), 1 / 3),
+    (example3_state(), (math.sqrt(5) - 1) / 2),
+], ids=["w4", "dicke4-2", "ex4", "ex3"])
+def test_four_qubit_entanglement_edges_have_their_closed_forms(base, edge):
+    assert abs(NoisyFamily(base).entanglement_edge - edge) <= 4 * EPS
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_the_entanglement_edge_sits_just_below_the_plain_detection_crossing(n):
+    bases = builtin_family_bases(n) + haar_random_pure(SamplerConfig(n, seed=8800 + n, count=2))
+    for base in bases:
+        family = NoisyFamily(base)
+        edge = family.entanglement_edge
+        if edge is None:  # no pair is entangled, not even the noiseless one's
+            assert max(pairwise_table(family.point(1.0)).values.values()) == 0.0, base
+            continue
+        below, above = (max(pairwise_table(family.point(x)).values.values())
+                        for x in (edge - BISECTION_TOL, min(edge + BISECTION_TOL, 1.0)))
+        assert below == 0.0 < above, base
+        for source in crossing_sources(family):
+            if source in THEOREM_SOURCES:
+                crossing = detection_threshold(family, None, source)
+                assert -BISECTION_STOP <= crossing - edge <= BISECTION_TOL, (base, source)
 
 
 def test_threshold_allocates_less_than_one_dense_matrix():
