@@ -35,21 +35,16 @@ from .linalg import (
 from .states import DensityMatrix, FamilyPoint, NoisyFamily, PureState, ghz_state
 
 GHZ_CHECK_ENTRIES = 2**18  # entries per row block of the GHZ-noise check, 4 MiB
-# Bisection steps every round of detection_threshold covers in full: a round
-# evaluates the 2^L - 1 midpoints L steps can visit, so it never resolves
-# fewer steps than a plain batched bisection.  On Dicke thresholds at
-# n = 4..14 (sized before rounds took a predicted path), two levels beat one
-# up to n = 11 and cost about 15% more at n = 14, where building the marginals
-# dominates; three beat two by about 10% up to n = 7 and cost more from n = 10
-# up.  The predicted path goes deeper along one line instead of adding levels.
-BISECTION_LEVELS = 2
-# A round also evaluates the midpoints the one-step loop would visit if the
-# crossing sat at the secant guess, until the bracket is PATH_SLACK times
-# narrower than the guess moved since the previous guess (than the bracket,
-# when no guess came before).  An untruncated path costs more points than it saves
-# rounds: the W n=14 t3 threshold took 22-29 ms instead of 16-17 (2-vCPU
-# x86_64 host).  A first guess from a closed form (witness._first_guess)
-# names the crossing to far below BISECTION_STOP, so its path is not cut.
+# A round after the first evaluates the midpoints the one-step loop would
+# visit if the crossing sat at the secant guess, until the bracket is
+# PATH_SLACK times narrower than the guess moved since the previous guess
+# (than the bracket, when no guess came before).  On the 8 k >= 2 theorem
+# crossings of built-in bases at n = 4-5 that take more than one round, an
+# untruncated path took 592 points instead of 314 and about 35% longer
+# (2-vCPU x86_64 host); a slack of 2^4 took more rounds on two of them, 2^12
+# more points on five.  A first guess from a closed form
+# (witness._first_guess) names the crossing to far below BISECTION_STOP, so
+# its path is not cut.
 PATH_SLACK = 2**8
 
 
@@ -271,13 +266,15 @@ def detect_k_nonseparability(rho: DensityMatrix | FamilyPoint, k: int,
 
 
 def _crossing_guess(seen: dict[float, float], threshold: float,
-                    lo: float, hi: float) -> float | None:
+                    lo: float, hi: float, root: float | None) -> float | None:
     """Secant estimate, clamped to [lo, hi], of where the bound on C crosses
-    threshold: through the two points of seen (x -> bound on C) with a positive
-    bound nearest threshold.  None with fewer than two such points, equal
+    threshold: through the two points nearest threshold among those of seen
+    (x -> bound on C) with a positive bound and (root, 0), where the bound
+    leaves 0 (None when unknown).  None with fewer than two such points, equal
     bounds or a non-finite result.  It only picks which points a bisection
     round evaluates, never a verdict."""
-    near = sorted((abs(c - threshold), x, c) for x, c in seen.items() if c > 0)[:2]
+    points = [(x, c) for x, c in seen.items() if c > 0] + ([] if root is None else [(root, 0.0)])
+    near = sorted((abs(c - threshold), x, c) for x, c in points)[:2]
     if len(near) < 2:
         return None
     (_, x1, c1), (_, x2, c2) = near
@@ -344,14 +341,18 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     costs one point.
 
     After that, when a step reaches a midpoint without a bound, one round
-    evaluates the union of two sets of midpoints not evaluated yet:
-
-    - every midpoint the next BISECTION_LEVELS steps can visit from [lo, hi],
-      so a round never resolves fewer steps than a plain batched bisection;
-    - the predicted path from [lo, hi] to _crossing_guess's secant estimate
-      g, until the bracket is no wider than BISECTION_STOP or 1/PATH_SLACK of
-      how far g moved since the previous guess (of the bracket, when no guess
-      came before).
+    evaluates the predicted path from [lo, hi] to _crossing_guess's secant
+    estimate g, until the bracket is no wider than BISECTION_STOP or
+    1/PATH_SLACK of how far g moved since the previous guess (of the bracket,
+    when no guess came before); that midpoint alone when there is no g or the
+    cut leaves no point.  Besides the computed bounds, the secant may run
+    through (root, 0), root being _first_guess at threshold 0.  That point
+    lies on the bound's graph.  A theorem bound is 0 exactly while every C_ij
+    is, so up to the entanglement edge by Peres-Horodecki, and C_ij is
+    continuous in x, so the bound leaves 0 at the edge.  The ghz-exact
+    formula is 0 below the family's separability edge, and its linear branch
+    starts from 0 at that edge.  root is computed only once the noiseless end
+    is detected, so a family that is never detected never computes it.
 
     A point's bound does not depend on the batch it is in (marginals and
     _wootters_stack give each row the float operations of a one-point call),
@@ -369,14 +370,6 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
         found = certified_bounds([family.point(x) for x in xs], source)
         seen.update((x, c) for x, (_, c) in zip(xs, found))
 
-    def next_levels(lo: float, hi: float) -> list[float]:
-        brackets, mids = [(lo, hi)], []
-        for _ in range(BISECTION_LEVELS):
-            live = [(a, b, (a + b) / 2) for a, b in brackets if b - a > BISECTION_STOP]
-            mids += [mid for _, _, mid in live]
-            brackets = [half for a, b, mid in live for half in ((a, mid), (mid, b))]
-        return mids
-
     def predicted_path(lo: float, hi: float, guess: float, stop: float) -> list[float]:
         mids = []
         while hi - lo > stop:
@@ -393,17 +386,17 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     evaluate([1.0] + first)
     if not exceeds(seen[1.0], threshold):
         return None
+    root = _first_guess(family, 0.0, source)
     lo, hi = 0.0, 1.0
     while hi - lo > BISECTION_STOP:
         mid = (lo + hi) / 2
         if mid not in seen:
-            batch = next_levels(lo, hi)
-            guess = _crossing_guess(seen, threshold, lo, hi)
+            guess, path = _crossing_guess(seen, threshold, lo, hi, root), []
             if guess is not None:
                 moved = hi - lo if last_guess is None else abs(guess - last_guess)
-                batch += predicted_path(lo, hi, guess, max(BISECTION_STOP, moved / PATH_SLACK))
+                path = predicted_path(lo, hi, guess, max(BISECTION_STOP, moved / PATH_SLACK))
                 last_guess = guess
-            evaluate([x for x in dict.fromkeys(batch) if x not in seen])
+            evaluate([x for x in path if x not in seen] or [mid])
         if exceeds(seen[mid], threshold):
             hi = mid
         else:

@@ -927,12 +927,11 @@ def test_ghz_witness_recovers_the_visibility_once_for_every_k(monkeypatch, capsy
 
 @pytest.mark.parametrize("argv, tables, kernel_calls", [
     # no table; one kernel call at the noiseless end for the no-crossing test,
-    # then 30 bisection steps in 3 rounds (15 with BISECTION_LEVELS steps a
-    # round and no predicted path)
-    (["threshold", "--family", "ex4", "--n", "4", "--k", "3", "--source", "t1"], {}, 4),
+    # then 30 bisection steps in 2 rounds (30 one point at a time)
+    (["threshold", "--family", "ex4", "--n", "4", "--k", "3", "--source", "t1"], {}, 3),
     # the 11 grid rows in one kernel call, plus the calls of the crossing
     (["sweep", "--family", "ex4", "--n", "4", "--grid", "0:1:11", "--k", "3",
-      "--source", "t1"], {"entbound.cli": 11}, 5),
+      "--source", "t1"], {"entbound.cli": 11}, 4),
 ], ids=["threshold", "sweep"])
 def test_crossing_builds_no_sampling_states(monkeypatch, capsys, argv, tables, kernel_calls):
     states = count_calls(monkeypatch, white_noise_mix)

@@ -26,7 +26,7 @@ from entbound.states import (
     white_noise_mix,
 )
 from entbound.witness import (
-    BISECTION_LEVELS,
+    PATH_SLACK,
     THEOREM_SOURCES,
     Source,
     applicable_sources,
@@ -164,16 +164,6 @@ def test_ghz_exact_crossings_equal_the_dense_reference_bisection(n):
         assert detection_threshold(family, k, Source.GHZ_EXACT) == expected, k
 
 
-def levels(lo, hi):
-    """Every midpoint BISECTION_LEVELS one-step moves can visit from [lo, hi]."""
-    brackets, mids = [(lo, hi)], []
-    for _ in range(BISECTION_LEVELS):
-        live = [(a, b, (a + b) / 2) for a, b in brackets if b - a > BISECTION_STOP]
-        mids += [mid for _, _, mid in live]
-        brackets = [half for a, b, mid in live for half in ((a, mid), (mid, b))]
-    return mids
-
-
 def record_rounds(monkeypatch):
     """The certified_bounds batches of detection_threshold, each as {x: bound on C}."""
     batch_bounds, rounds = witness.certified_bounds, []
@@ -194,29 +184,45 @@ def record_stacks(monkeypatch):
     return stacks
 
 
-def test_bisection_takes_its_levels_in_one_kernel_call_each(monkeypatch):
+def predicted_path(lo, hi, guess, stop):
+    """The midpoints the one-step loop visits from [lo, hi] until the bracket
+    is no wider than stop, if the crossing sat at guess."""
+    mids = []
+    while hi - lo > stop:
+        mid = (lo + hi) / 2
+        mids.append(mid)
+        lo, hi = (lo, mid) if mid > guess else (mid, hi)
+    return mids
+
+
+def test_each_later_round_is_the_path_to_the_anchored_secant_guess(monkeypatch):
     stacks, rounds = record_stacks(monkeypatch), record_rounds(monkeypatch)
     # k = N: no closed form names this crossing, so the rounds guess by secant
-    x = detection_threshold(NoisyFamily(w_state(5)), 5, Source.THEOREM2)
+    family = NoisyFamily(w_state(5))
+    x = detection_threshold(family, 5, Source.THEOREM2)
     # one pair class: a round of m points is one kernel call on m marginals
     assert stacks == [len(batch) for batch in rounds]
-    # the noiseless end alone, then 7 rounds (15 with the levels alone)
+    # the noiseless end alone, then 6 rounds
     assert list(rounds[0]) == [1.0]
-    assert len(stacks) == 8
+    assert len(stacks) == 7
     # replay the one-step loop: a round starts where it meets a midpoint no
-    # earlier round evaluated, and holds every midpoint of its bracket's levels
-    # that no earlier round holds
-    seen, later = dict(rounds[0]), iter(rounds[1:])
+    # earlier round evaluated, and is the PATH_SLACK-cut predicted path to the
+    # secant guess through the entanglement edge, less the points seen
+    threshold, root = k_nonsep_threshold(5, 2, 5), family.entanglement_edge
+    seen, later, last_guess = dict(rounds[0]), iter(rounds[1:]), None
     lo, hi = 0.0, 1.0
     while hi - lo > BISECTION_STOP:
         mid = (lo + hi) / 2
         if mid not in seen:
+            guess, path = witness._crossing_guess(seen, threshold, lo, hi, root), []
+            if guess is not None:
+                moved = hi - lo if last_guess is None else abs(guess - last_guess)
+                path = predicted_path(lo, hi, guess, max(BISECTION_STOP, moved / PATH_SLACK))
+                last_guess = guess
             batch = next(later)
-            assert mid in batch
-            assert set(levels(lo, hi)) <= set(batch) | set(seen)
-            assert not set(batch) & set(seen)
+            assert list(batch) == ([p for p in path if p not in seen] or [mid])
             seen.update(batch)
-        if exceeds(seen[mid], k_nonsep_threshold(5, 2, 5)):
+        if exceeds(seen[mid], threshold):
             hi = mid
         else:
             lo = mid
@@ -259,10 +265,38 @@ def test_plain_detection_takes_one_round_along_the_entanglement_edge(monkeypatch
 ], ids=["ghz4-t1", "ghz6-t3", "ghz5-t2", "w4-t1-k2", "ghz4-exact-k2", "ghz7-exact-k3"])
 def test_a_threshold_without_a_crossing_evaluates_one_point(monkeypatch, base, k, source):
     # a GHZ base has no entangled pair, and ghz-exact names no visibility in
-    # (0, 1) at a k it cannot reach, so only the noiseless end is evaluated
-    rounds = record_rounds(monkeypatch)
-    assert detection_threshold(NoisyFamily(base), k, source) is None
+    # (0, 1) at a k it cannot reach, so only the noiseless end is evaluated;
+    # the secant's anchor waits for a detected noiseless end, so at k >= 2
+    # the entanglement edge is never computed
+    rounds, family = record_rounds(monkeypatch), NoisyFamily(base)
+    assert detection_threshold(family, k, source) is None
     assert [list(batch) for batch in rounds] == [[1.0]]
+    assert (k is None) == ("entanglement_edge" in family.__dict__)
+
+
+def test_the_secant_runs_through_the_point_where_the_bound_leaves_zero():
+    # one positive bound and the root: the line through (0.5, 0) and (1, 0.8)
+    assert witness._crossing_guess({1.0: 0.8, 0.25: 0.0}, 0.4, 0.5, 1.0, 0.5) == 0.75
+    assert witness._crossing_guess({1.0: 0.8, 0.25: 0.0}, 0.4, 0.5, 1.0, None) is None
+
+
+@pytest.mark.parametrize("base, k, source, level_tree, pinned", [
+    (w_state(4), 4, Source.THEOREM1, (6, 49), (5, 40)),
+    (w_state(5), 5, Source.THEOREM2, (8, 54), (7, 47)),
+    (dicke_state(4, 2), 4, Source.THEOREM1, (4, 34), (3, 31)),
+    (example3_state(), 4, Source.THEOREM1, (7, 47), (6, 47)),
+    (example4_state(), 3, Source.THEOREM1, (4, 34), (3, 31)),
+    (example4_state(), 4, Source.THEOREM1, (4, 34), (3, 31)),
+], ids=["w4-k4-t1", "w5-k5-t2", "dicke42-k4-t1", "ex3-k4-t1", "ex4-k3-t1", "ex4-k4-t1"])
+def test_multi_round_crossings_take_their_pinned_rounds_and_points(
+        monkeypatch, base, k, source, level_tree, pinned):
+    # the --family crossings that take more than one round: (rounds, points)
+    # at most those of rounds that also took 3 midpoints per 2 steps
+    rounds = record_rounds(monkeypatch)
+    assert detection_threshold(NoisyFamily(base), k, source) is not None
+    got = (len(rounds), sum(map(len, rounds)))
+    assert got == pinned
+    assert got[0] <= level_tree[0] and got[1] <= level_tree[1]
 
 
 def crossing_sources(family):
@@ -279,12 +313,12 @@ def fixed_guesses(seed):
     one into a stand-in for _first_guess, on the bracket [0, 1]."""
     rng = np.random.default_rng(seed)
     return {
-        "lo": lambda seen, threshold, lo, hi: lo,
-        "hi": lambda seen, threshold, lo, hi: hi,
-        "mid-ulp": lambda seen, threshold, lo, hi: math.nextafter((lo + hi) / 2, -math.inf),
-        "mid+ulp": lambda seen, threshold, lo, hi: math.nextafter((lo + hi) / 2, math.inf),
-        "random": lambda seen, threshold, lo, hi: float(rng.uniform(lo, hi)),
-        "none": lambda seen, threshold, lo, hi: None,
+        "lo": lambda seen, threshold, lo, hi, root: lo,
+        "hi": lambda seen, threshold, lo, hi, root: hi,
+        "mid-ulp": lambda seen, threshold, lo, hi, root: math.nextafter((lo + hi) / 2, -math.inf),
+        "mid+ulp": lambda seen, threshold, lo, hi, root: math.nextafter((lo + hi) / 2, math.inf),
+        "random": lambda seen, threshold, lo, hi, root: float(rng.uniform(lo, hi)),
+        "none": lambda seen, threshold, lo, hi, root: None,
     }
 
 
@@ -293,7 +327,7 @@ def bits(x):
 
 
 def first_guess(guess):
-    return lambda family, threshold, source: guess({}, threshold, 0.0, 1.0)
+    return lambda family, threshold, source: guess({}, threshold, 0.0, 1.0, None)
 
 
 def guess_pairs(guesses):
@@ -321,13 +355,14 @@ def test_a_guess_picks_points_not_verdicts(monkeypatch, n):
                         got = bits(detection_threshold(family, k, source))
                     assert got == expected, (base, k, source, first, name)
                     if first == name == "none":
-                        # no guess, no path: the levels alone, as a batched bisection takes them
-                        assert len(rounds) == (1 if got is None else 1 + math.ceil(30 / BISECTION_LEVELS))
+                        # no guess, no path: the noiseless end, then the one-step loop
+                        assert len(rounds) == (1 if got is None else 1 + 30)
 
 
 def test_rounds_and_marginals_stay_within_budget(monkeypatch):
     stacks, rounds = record_stacks(monkeypatch), record_rounds(monkeypatch)
-    # the levels alone take 1 + 15 rounds and 1 + 15 * 3 = 46 points a crossing
+    # a crossing takes at most 7 rounds, and on average no more points than
+    # the 1 + 15 * 3 = 46 of rounds of 3 midpoints per 2 steps
     crossings = marginals = budget = 0
     for n in range(4, 10):
         for base in builtin_family_bases(n):
@@ -339,7 +374,7 @@ def test_rounds_and_marginals_stay_within_budget(monkeypatch):
                     if detection_threshold(family, k, source) is None:
                         continue
                     crossings += 1
-                    assert len(rounds) <= 16 // 2, (base, k, source)
+                    assert len(rounds) <= 7, (base, k, source)
                     if source in THEOREM_SOURCES:
                         assert len(stacks) == len(rounds)
                         marginals += sum(stacks)
@@ -354,7 +389,7 @@ def test_rounds_and_marginals_stay_within_budget(monkeypatch):
 ], ids=["dicke-noise-t2", "w-noise-t3"])
 def test_fourteen_qubit_crossings_stay_within_budget(monkeypatch, base, source):
     # the entanglement edge predicts the whole path: one call on the
-    # noiseless end and at most 30 midpoints (46 in 16 for the levels alone)
+    # noiseless end and at most 30 midpoints (31 rounds one point at a time)
     stacks = record_stacks(monkeypatch)
     assert detection_threshold(NoisyFamily(base), None, source) is not None
     assert len(stacks) == 1
