@@ -6,7 +6,9 @@ invariant that enters the even-qubit monogamy equality.
 
 Every whole-state cut quantity (pure_concurrence, cut_profile, purity_sum)
 is a fold over one depth-first walk of the subset lattice, _lattice_grams,
-which yields the reduced state of each bipartition once.
+which yields the reduced state of each bipartition once.  A
+permutation-symmetric state's deficits take one Gram per cut size instead
+(_size_deficits).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _gram_deficit(gram: np.ndarray, reads_pure=_floored_deficit) -> float:
     eigenvalues decide: an exactly product cut has one nonzero Schmidt
     weight after the dust floor, so its deficit is an exact 0 and product
     states read 0.  A Gram that reads as pure goes to reads_pure, by default
-    that floored eigenvalue path; _lattice_deficits passes a rule that first
+    that floored eigenvalue path; _walk_deficits passes a rule that first
     asks whether the cut is covered by product qubits.
 
     Error argument.  G is at most 2^7 square at PURE_DIM_CAP, so ||G||_F^2
@@ -200,7 +202,48 @@ def _product_qubits(psi: PureState) -> int:
 
 def _lattice_deficits(psi: PureState) -> list[float]:
     """Purity deficit of every canonical cut, indexed by its mask bits (entry
-    0 is unused): _gram_deficit of each Gram of _lattice_grams.
+    0 is unused): _size_deficits for a permutation-symmetric state, else
+    _walk_deficits."""
+    return _size_deficits(psi) if psi.permutation_symmetric else _walk_deficits(psi)
+
+
+def _size_deficits(psi: PureState) -> list[float]:
+    """_lattice_deficits of a permutation-symmetric state: one
+    _gram_deficit(_side_gram(psi, qubits 1..m)) per size m <= N/2, read by
+    every canonical cut whose smaller side has m qubits.
+
+    Why one Gram per size.  The state's tensor has its own bytes under every
+    permutation of the qubits (PureState.permutation_symmetric), so the M
+    that _side_gram builds for any side of m qubits is the M of qubits 1..m
+    bit for bit, and so is its Gram: the per-cut rule would read this same
+    deficit on every cut of that size.  The walk's Grams are traced out of
+    larger ones, so its deficits may differ in the last bits; a Gram from
+    the vector lies inside _gram_deficit's error argument, so both read the
+    same deficit to about 1e-15 and the same floored eigenvalue decision on
+    cuts that read as pure.
+
+    Product qubits.  The walk's mask of product qubits is all qubits or none
+    here, since every one-qubit Gram has the bytes of qubit 1's.  The size-1
+    deficit is 0.0 exactly when the floored eigenvalues of that Gram keep one
+    weight, which is when _product_qubits finds every qubit product; the walk
+    then reads every cut 0.0, and so does this path.  So phi^(x N) reads
+    exactly 0.0 through the floored eigen path of one 2x2 Gram.  With no
+    product qubit the walk covers no cut, and each size keeps
+    _gram_deficit's default rule, as here.
+    """
+    n = psi.n_qubits
+    per_size = [0.0]
+    for m in range(1, n // 2 + 1):
+        per_size.append(_gram_deficit(_side_gram(psi, (2**m - 1) << (n - m))))
+        if per_size[1] == 0.0:
+            return [0.0] * 2 ** (n - 1)
+    sizes = np.bitwise_count(np.arange(2 ** (n - 1)))
+    return np.array(per_size)[np.minimum(sizes, n - sizes)].tolist()
+
+
+def _walk_deficits(psi: PureState) -> list[float]:
+    """_lattice_deficits of any state: _gram_deficit of each Gram of
+    _lattice_grams.
 
     Product qubits.  At the first cut that reads as pure the walk takes, once,
     the mask of the product qubits (_product_qubits).  A cut that reads as

@@ -112,6 +112,21 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
+    @functools.cached_property
+    def permutation_symmetric(self) -> bool:
+        """Whether every permutation of the qubits leaves the amplitudes
+        unchanged bit for bit: the (2,)*N amplitude tensor has the same
+        tobytes() after swapping qubits 1 and 2 and after the cyclic shift of
+        all qubits.  Those two permutations generate S_N, so each amplitude's
+        bits then depend only on the Hamming weight of its index, and every
+        transpose of the tensor is the tensor itself, byte for byte.  The
+        test is exact: a signed zero or one ulp breaks it."""
+        if self.n_qubits < 2:
+            return True
+        t = self.amplitudes.reshape((2,) * self.n_qubits)
+        raw = t.tobytes()
+        return t.swapaxes(0, 1).tobytes() == raw and np.moveaxis(t, 0, -1).tobytes() == raw
+
     def density_matrix(self) -> "DensityMatrix":
         linalg.require_within_cap(self.n_qubits, DENSE_DIM_CAP, "dense-matrix")
         return DensityMatrix._derived(
@@ -189,6 +204,15 @@ class DensityMatrix:
         return DensityMatrix._derived(keep.size, linalg.partial_trace(self.matrix, keep))
 
 
+@functools.cache
+def _side_layout(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, int]]:
+    """The tensor shape, transpose order and matrix shape with which
+    _side_gram moves the qubits in mask `bits` of n to the rows."""
+    axes = [a for a in range(n) if bits >> (n - 1 - a) & 1]
+    rest = [a for a in range(n) if not bits >> (n - 1 - a) & 1]
+    return (2,) * n, tuple(axes + rest), (2 ** len(axes), 2 ** len(rest))
+
+
 def _side_gram(psi: PureState, bits: int) -> np.ndarray:
     """Reduced state G = M M^dagger of the qubits in mask `bits` (qubit 1 the
     most significant bit), rows in ascending label order.
@@ -197,11 +221,8 @@ def _side_gram(psi: PureState, bits: int) -> np.ndarray:
     as columns, so no 2^N x 2^N density matrix is ever materialized.  np.dot
     gives the bits of M @ M^dagger with less call overhead.
     """
-    n = psi.n_qubits
-    axes = [a for a in range(n) if bits >> (n - 1 - a) & 1]
-    rest = [a for a in range(n) if not bits >> (n - 1 - a) & 1]
-    m = psi.amplitudes.reshape((2,) * n).transpose(axes + rest)
-    m = m.reshape(2 ** len(axes), 2 ** len(rest))
+    tensor, order, matrix = _side_layout(psi.n_qubits, bits)
+    m = psi.amplitudes.reshape(tensor).transpose(order).reshape(matrix)
     return np.dot(m, m.conj().T)
 
 
@@ -230,18 +251,40 @@ class NoisyFamily:
 
     @functools.cached_property
     def has_ghz_base(self) -> bool:
-        """Whether the base is GHZ to within GHZ_BASE_TOL in max-abs amplitude."""
-        gap = np.max(np.abs(self.base.amplitudes - ghz_state(self.n_qubits).amplitudes))
+        """Whether the base is GHZ to within GHZ_BASE_TOL in max-abs amplitude.
+
+        The gap is the one against ghz_state(N)'s vector, without building it:
+        the two corners minus 1/sqrt(2) and the moduli of the other entries
+        (x - 0 is x), each through the array np.abs that gave its bits, with
+        ghz_state's errors for N outside 2..the pure cap."""
+        n = self.n_qubits
+        linalg.require_within_cap(n, PURE_DIM_CAP, "pure-state")
+        if n < 2:
+            raise TooFewQubits("GHZ state needs at least 2 qubits")
+        amps = self.base.amplitudes
+        gap = max(np.abs(amps[[0, -1]] - 1.0 / math.sqrt(2)).max(), np.abs(amps[1:-1]).max())
         return bool(gap <= GHZ_BASE_TOL)
 
     @functools.cached_property
     def pair_classes(self) -> tuple[tuple[tuple[tuple[int, int], ...], np.ndarray], ...]:
         """The pairs (i, j) grouped by the bytes of their reduced base state
         rho_ij = _side_gram(base, {i, j}), one (pairs, rho_ij) per class, in
-        the order of their first pair.  W, Dicke and GHZ bases have one."""
+        the order of their first pair.  W, Dicke and GHZ bases have one.
+
+        A permutation-symmetric base (PureState.permutation_symmetric) takes
+        one Gram, of qubits {1, 2}, for its one class.  Proof: the tensor
+        _side_gram transposes to move i and j to the rows is the base's
+        tensor permuted, which has the base's bytes, so every pair's M is
+        the M of {1, 2} bit for bit, and np.dot gives every pair the bytes of
+        rho_12.  The loop below would put every pair, in combinations order,
+        into the one class of rho_12: this return.  Every other base takes
+        the loop, and N = 1 has no pairs."""
         n = self.n_qubits
+        all_pairs = tuple(itertools.combinations(range(1, n + 1), 2))
+        if all_pairs and self.base.permutation_symmetric:
+            return ((all_pairs, _side_gram(self.base, 0b11 << (n - 2))),)
         classes: dict[bytes, tuple[list, np.ndarray]] = {}
-        for i, j in itertools.combinations(range(1, n + 1), 2):
+        for i, j in all_pairs:
             rho = _side_gram(self.base, 1 << (n - i) | 1 << (n - j))
             classes.setdefault(rho.tobytes(), ([], rho))[0].append((i, j))
         return tuple((tuple(pairs), rho) for pairs, rho in classes.values())

@@ -132,8 +132,9 @@ def exceeds(bound: float, threshold: float) -> bool:
       in its worst case at PURE_DIM_CAP): about 1e-15 at the one tight
       nonzero threshold, C = 1 at N = 3, k = 2, whose Grams are 2 x 2.
       A cut covered by product qubits reads D = 0 where the eigen path
-      may keep up to 2 |T| EIGEN_DUST (see _lattice_deficits): that only
-      lowers C, so it cannot lift a state into a detection.
+      may keep up to 2 |T| EIGEN_DUST (see _walk_deficits, whose rule
+      _size_deficits keeps): that only lowers C, so it cannot lift a state
+      into a detection.
     - T1-T3: C = sqrt(c sum C_ij^2), and c times the number of pairs is at
       most 15/2 (T3 at N = 6), so C errs by less than 3 times one pair's
       error.  A Wootters value adds and subtracts the four singular values

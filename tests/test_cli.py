@@ -656,8 +656,10 @@ def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(monkeypatch, capsy
 
 
 def test_threshold_at_the_pure_state_cap_stays_below_8_mib(capsys):
-    # the peak is the 2^14-amplitude base (256 KiB), one transposed copy of it per
-    # _side_gram pair Gram, and a bisection round's (points, classes, 4, 4) marginals
+    # the peak is the 2^14-amplitude base (256 KiB), the byte copies of its
+    # permutation-symmetry test, the one pair Gram of a symmetric base (qubits 1, 2,
+    # a reshape of the vector without a copy), and a bisection round's
+    # (points, classes, 4, 4) marginals
     tracemalloc.start()
     try:
         code = main(["threshold", "--family", "dicke-noise", "--n", "14", "--source", "t2"])

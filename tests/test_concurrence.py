@@ -61,6 +61,20 @@ class TestPureConcurrence:
         radicand = math.fsum(math.comb(n, k) * 2 * (k / n) * (1 - k / n) for k in range(1, n))
         assert abs(pure_concurrence(w_state(n)) - 2.0 ** (1 - n / 2) * math.sqrt(radicand)) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_dicke_closed_form(self, n):
+        # A Dicke(n, k) state's m-qubit marginal is diagonal in the weight-j
+        # Dicke states of the m qubits, with hypergeometric weights p_j.
+        def comb(a, b):
+            return math.comb(a, b) if 0 <= b <= a else 0
+
+        for k in range(1, n):
+            purities = sum(math.comb(n, m) * sum((comb(m, j) * comb(n - m, k - j) / math.comb(n, k)) ** 2
+                                                 for j in range(m + 1))
+                           for m in range(1, n))
+            c2 = 2.0 ** (2 - n) * ((2**n - 2) - purities)
+            assert abs(pure_concurrence(dicke_state(n, k)) - math.sqrt(c2)) <= 1e-12, k
+
     def test_bell_pair_product(self):
         assert pure_concurrence(example4_state()) == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
 
@@ -697,6 +711,74 @@ class TestProductQubits:
         for bits in range(1, 2**n - 1):
             bound = sum(single[q - 1] for q in range(1, n + 1) if bits >> (n - q) & 1)
             assert top_weight_gap(psi, bits) <= bound + 1e-14
+
+
+def symmetric_product(n, seed):
+    """phi^(x N) for a seeded one-qubit phi, each amplitude computed once per
+    Hamming weight, so the state is permutation symmetric bit for bit."""
+    a, b = random_single_qubit_unitaries(np.random.default_rng(seed), 1)[0][:, 0]
+    per_weight = np.array([a ** (n - w) * b**w for w in range(n + 1)])
+    return PureState(n, per_weight[np.bitwise_count(np.arange(2**n))])
+
+
+class TestSymmetricStates:
+    """A permutation-symmetric state takes one Gram per cut size; the lattice
+    walk, _walk_deficits, is the reference."""
+
+    @staticmethod
+    def walk(psi):
+        """pure_concurrence and cut_profile's values from the walk's deficits,
+        added in the same order."""
+        deficits = concurrence._walk_deficits(psi)
+        radicand = 0.0
+        for d in deficits[1:]:
+            radicand += 2.0 * d
+        c = 2.0 ** (1 - psi.n_qubits / 2) * math.sqrt(max(radicand, 0.0))
+        return c, [max(2.0 * d, 0.0) for d in deficits[1:]]
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_one_gram_per_size_agrees_with_the_walk(self, monkeypatch, n):
+        grams, side_gram = [], concurrence._side_gram
+        monkeypatch.setattr(concurrence, "_side_gram", lambda psi, bits: grams.append(bits) or side_gram(psi, bits))
+        full = 2**n - 1
+        for psi in [w_state(n), ghz_state(n)] + [dicke_state(n, k) for k in range(1, n)]:
+            assert psi.permutation_symmetric
+            grams.clear()
+            c, prof = pure_concurrence(psi), cut_profile(psi)
+            assert grams == 2 * [(2**m - 1) << (n - m) for m in range(1, n // 2 + 1)]
+            want_c, want_cuts = self.walk(psi)
+            assert abs(c - want_c) <= 1e-14
+            for bits, want in enumerate(want_cuts, start=1):
+                assert abs(prof.per_subset[bits] - want) <= 1e-14
+                assert prof.per_subset[full ^ bits] == prof.per_subset[bits]
+            for size in range(1, n):
+                values = {v for bits, v in prof.per_subset.items() if bits.bit_count() == size}
+                assert len(values) == 1, size
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_symmetric_product_reads_exactly_zero(self, monkeypatch, n):
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
+        for seed in range(2000 + 4 * n, 2004 + 4 * n):
+            psi = symmetric_product(n, seed)
+            assert psi.permutation_symmetric
+            shapes.clear()
+            assert pure_concurrence(psi) == 0.0
+            assert shapes == [(2, 2)]  # the size-1 Gram decides for every cut
+            if n <= 12:
+                assert set(cut_profile(psi).per_subset.values()) <= {0.0}
+
+    def test_other_states_take_the_walk(self, monkeypatch):
+        walks, walk = [], concurrence._walk_deficits
+        monkeypatch.setattr(concurrence, "_walk_deficits", lambda psi: walks.append(psi) or walk(psi))
+        haar = haar_random_pure(SamplerConfig(6, seed=2100, count=1))[0]
+        ghz = ghz_state(6).amplitudes.copy()
+        ghz[1] = complex(-0.0, 0.0)
+        for psi in (haar, PureState(6, ghz), lu_rotated(w_state(6), 2101)):
+            assert not psi.permutation_symmetric
+            walks.clear()
+            pure_concurrence(psi)
+            assert walks == [psi]
 
 
 class TestLatticeGrams:

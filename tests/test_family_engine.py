@@ -9,11 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entbound import concurrence, witness
+from entbound import concurrence, states, witness
 from entbound.bounds import theorem_bound
 from entbound.concurrence import pairwise_table
-from entbound.errors import DimensionOverflow, ParameterOutOfRange, WrongQubitCount
-from entbound.linalg import BISECTION_STOP, BISECTION_TOL
+from entbound.errors import DimensionOverflow, ParameterOutOfRange, TooFewQubits, WrongQubitCount
+from entbound.linalg import BISECTION_STOP, BISECTION_TOL, GHZ_BASE_TOL
 from oracle import SamplerConfig, haar_random_pure, reference_pair_classes
 from entbound.states import (
     NoisyFamily,
@@ -471,9 +471,32 @@ def reference_bases(n):
     return bases
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+def near_miss_bases(n):
+    """Bases one step from permutation symmetry, which take the per-pair
+    loop: Dicke(n, n//2) with one amplitude moved by one ulp, a base
+    invariant under the swap (1 2) only, (|01> + |10>)/sqrt2 on qubits 1, 2
+    times |0...0> (n >= 3), and one invariant under the cyclic shift only,
+    the ring of adjacent excitation pairs (n >= 4; at n=4,
+    (|0011> + |0110> + |1100> + |1001>)/2)."""
+    amps = dicke_state(n, n // 2).amplitudes.copy()
+    index = int(np.flatnonzero(amps)[-1])
+    amps[index] = np.nextafter(amps[index].real, 1.0)
+    bases = [PureState(n, amps)]
+    if n >= 3:
+        amps = np.zeros(2**n, dtype=complex)
+        amps[1 << (n - 2)] = amps[2 << (n - 2)] = 1 / math.sqrt(2)
+        bases.append(PureState(n, amps))
+    if n >= 4:
+        amps = np.zeros(2**n, dtype=complex)
+        ring = {(3 << q | 3 >> (n - q)) & (2**n - 1) for q in range(n)}
+        amps[sorted(ring)] = 1 / math.sqrt(n)
+        bases.append(PureState(n, amps))
+    return bases
+
+
+@pytest.mark.parametrize("n", range(2, 15))
 def test_pair_classes_equal_the_reduced_state_keyed_reference(n):
-    for base in reference_bases(n):
+    for base in reference_bases(n) + near_miss_bases(n):
         classes = NoisyFamily(base).pair_classes
         want = reference_pair_classes(base)
         assert [pairs for pairs, _ in classes] == [pairs for pairs, _ in want], base
@@ -483,6 +506,61 @@ def test_pair_classes_equal_the_reduced_state_keyed_reference(n):
                 for pair in pairs:
                     dense = base.density_matrix().reduced(pair).matrix
                     assert np.abs(rho - dense).max() <= 4 * EPS, (base, pair)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_only_permutation_symmetric_bases_take_one_gram(monkeypatch, n):
+    # -psi and i psi of a symmetric base are symmetric too; every near miss,
+    # and GHZ with a -0.0 amplitude, takes one Gram per pair
+    side_grams, side_gram = [], states._side_gram
+    monkeypatch.setattr(states, "_side_gram", lambda psi, bits: side_grams.append(bits) or side_gram(psi, bits))
+    turned = [PureState(n, phase * base.amplitudes)
+              for base in symmetric_bases(n) for phase in (-1, 1j)]
+    for symmetric, bases in [(True, symmetric_bases(n) + turned),
+                             (False, near_miss_bases(n) + phase_bases(n)[2:])]:
+        for base in bases:
+            assert base.permutation_symmetric == symmetric, base
+            side_grams.clear()
+            classes = NoisyFamily(base).pair_classes
+            assert len(side_grams) == (1 if symmetric else math.comb(n, 2)), base
+            want = reference_pair_classes(base)
+            assert [pairs for pairs, _ in classes] == [pairs for pairs, _ in want], base
+            assert [rho.tobytes() for _, rho in classes] == [rho.tobytes() for _, rho in want], base
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_side_gram_moves_the_masked_qubits_to_the_rows(n):
+    (base,) = haar_random_pure(SamplerConfig(n, seed=8650 + n))
+    tensor = base.amplitudes.reshape((2,) * n)
+    for bits in range(1, 2**n):
+        axes = [q - 1 for q in range(1, n + 1) if bits >> (n - q) & 1]
+        m = np.moveaxis(tensor, axes, range(len(axes))).reshape(2 ** len(axes), -1)
+        assert states._side_gram(base, bits).tobytes() == np.dot(m, m.conj().T).tobytes(), bits
+
+
+def test_a_one_qubit_base_has_no_pairs():
+    base = PureState(1, np.array([0.6, 0.8j]))
+    assert base.permutation_symmetric and NoisyFamily(base).pair_classes == ()
+
+
+def test_ghz_base_gap_is_the_gap_to_the_ghz_vector():
+    # the rule without building ghz_state(n), against the rule that builds it,
+    # on perturbations either side of GHZ_BASE_TOL and on other bases
+    rng = np.random.default_rng(8700)
+    for n in range(2, 10):
+        bases = [w_state(n), dicke_state(n, n // 2)] + haar_random_pure(SamplerConfig(n, seed=8700 + n))
+        for scale in (0.5, 0.999, 1.001, 2.0):
+            for index in (0, 1, 2**n - 2, 2**n - 1):
+                amps = ghz_state(n).amplitudes.copy()
+                amps[index] += scale * GHZ_BASE_TOL * np.exp(1j * rng.uniform(0, 2 * math.pi))
+                bases.append(PureState(n, amps / np.linalg.norm(amps)))
+        for base in bases + phase_bases(n):
+            gap = np.max(np.abs(base.amplitudes - ghz_state(n).amplitudes))
+            assert NoisyFamily(base).has_ghz_base == bool(gap <= GHZ_BASE_TOL), base
+    with pytest.raises(TooFewQubits):
+        NoisyFamily(PureState(1, np.array([1.0, 0.0]))).has_ghz_base
+    with pytest.raises(DimensionOverflow):
+        NoisyFamily(PureState(15, np.full(2**15, 2**-7.5))).has_ghz_base
 
 
 @pytest.mark.parametrize("n", range(4, 15))

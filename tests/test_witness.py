@@ -395,16 +395,17 @@ class TestGhzFamilyPointVisibility:
         assert certified_bound(NoisyFamily(w_state(4)).point(0.0), Source.GHZ_EXACT) == (0, 0)
 
     def test_ghz_base_is_decided_once_per_family(self, monkeypatch):
-        import entbound.states as states_mod
+        import functools
 
+        decide, decided = NoisyFamily.has_ghz_base.func, []
+        counting = functools.cached_property(lambda family: decided.append(family) or decide(family))
+        counting.__set_name__(NoisyFamily, "has_ghz_base")
+        monkeypatch.setattr(NoisyFamily, "has_ghz_base", counting)
         family = NoisyFamily(ghz_state(6))
-        built = []
-        monkeypatch.setattr(states_mod, "ghz_state",
-                            lambda n: built.append(n) or ghz_state(n))
         for x in (0.2, 0.5, 0.9):
             certified_bound(family.point(x), Source.GHZ_EXACT)
         require_source(Source.GHZ_EXACT, 6, family)
-        assert built == [6]
+        assert decided == [family] and family.has_ghz_base
 
 
 class TestCertifiedBoundIsTheOnePath:
