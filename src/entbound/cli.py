@@ -13,14 +13,17 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
 from dataclasses import asdict, astuple, fields
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import states
-from .concurrence import pairwise_table, pairwise_tables, pure_concurrence
+from .concurrence import pair_concurrence_rows, pairwise_table, pairwise_tables, pure_concurrence
 from .errors import ConvergenceFailure
 from .states import DensityMatrix, FamilyPoint, NoisyFamily, load_density_matrix
 from .witness import (
@@ -320,21 +323,24 @@ class _CaseChecker:
 
 def _grid_errors(family, closed_forms, pair_coeff: float) -> tuple[float, float]:
     """Worst |computed - closed form| over a 101-point grid and all pairs, and
-    worst |T1 bound - pair_coeff * C12^2| over the same grid."""
-    worst_pair = worst_t1 = 0.0
+    worst |T1 bound - pair_coeff * C12^2| over the same grid.
+
+    closed_forms(x, pairs) is a numpy expression of the (points, 1) grid
+    column and the pairs in combinations order, broadcast against the
+    (points, pairs) concurrences."""
     grid = _grid_points(0.0, 1.0, 101)
-    for x, table in zip(grid, pairwise_tables(family.point(x) for x in grid)):
-        for (i, j), value in table.pairs():
-            worst_pair = max(worst_pair, abs(value - closed_forms(i, j, x)))
-        r = bounds_mod.theorem_bound("T1", table)
-        worst_t1 = max(worst_t1, abs(r.bound_on_C2 - pair_coeff * table.value(1, 2) ** 2))
+    values, square_sums = pair_concurrence_rows(family.point(x) for x in grid)
+    pairs = list(itertools.combinations(range(1, family.n_qubits + 1), 2))
+    worst_pair = float(np.abs(values - closed_forms(np.array(grid)[:, None], pairs)).max())
+    worst_t1 = max(abs(bounds_mod.theorem_c2("T1", family.n_qubits, s) - pair_coeff * c12 ** 2)
+                   for s, c12 in zip(square_sums, values[:, 0].tolist()))
     return worst_pair, worst_t1
 
 
 def _case1() -> bool:
     family = make_family("w-noise", 4)
     c = _CaseChecker(1, "four-qubit W state + white noise")
-    closed = lambda i, j, t: max(0.0, (t - math.sqrt(1 - t * t)) / 2)
+    closed = lambda t, pairs: np.maximum(0.0, (t - np.sqrt(1 - t * t)) / 2)
     pair_err, t1_err = _grid_errors(family, closed, 21 / 4)
     c.check("pairwise closed form max{0,(t-sqrt(1-t^2))/2}, 101-pt grid", pair_err, 1e-9)
     c.check("T1 bound equals 21/4 C12^2 on grid", t1_err, 1e-12)
@@ -344,7 +350,7 @@ def _case1() -> bool:
 def _case2() -> bool:
     family = make_family("dicke-noise", 4, 2)
     c = _CaseChecker(2, "four-qubit two-excitation Dicke state + white noise")
-    closed = lambda i, j, t: max(0.0, (5 * t - 3) / 6)
+    closed = lambda t, pairs: np.maximum(0.0, (5 * t - 3) / 6)
     pair_err, t1_err = _grid_errors(family, closed, 21 / 4)
     c.check("pairwise closed form max{0,(5t-3)/6}, 101-pt grid", pair_err, 1e-9)
     c.check("T1 bound equals 21/4 C12^2 on grid", t1_err, 1e-12)
@@ -361,10 +367,9 @@ def _case3() -> bool:
     family = make_family("ex3", 4)
     c = _CaseChecker(3, "four-qubit pair-cycle state + white noise")
 
-    def closed(i, j, a):
-        if (i, j) in ((1, 3), (2, 4)):
-            return 0.0
-        return max(0.0, (a - math.sqrt(1 - a)) / 2)
+    def closed(a, pairs):
+        cycle = np.array([pair not in ((1, 3), (2, 4)) for pair in pairs])
+        return np.where(cycle, np.maximum(0.0, (a - np.sqrt(1 - a)) / 2), 0.0)
 
     pair_err, t1_err = _grid_errors(family, closed, 7 / 2)
     c.check("pairwise closed form (cycle pairs (a-sqrt(1-a))/2, diagonals 0)", pair_err, 1e-9)
@@ -376,10 +381,9 @@ def _case4() -> bool:
     family = make_family("ex4", 4)
     c = _CaseChecker(4, "Bell-pair product state + white noise")
 
-    def closed(i, j, t):
-        if (i, j) in ((1, 2), (3, 4)):
-            return max(0.0, (3 * t - 1) / 2)
-        return 0.0
+    def closed(t, pairs):
+        bell = np.array([pair in ((1, 2), (3, 4)) for pair in pairs])
+        return np.where(bell, np.maximum(0.0, (3 * t - 1) / 2), 0.0)
 
     pair_err, t1_err = _grid_errors(family, closed, 7 / 4)
     c.check("pairwise closed form (C12=C34=max{0,(3t-1)/2}, rest 0)", pair_err, 1e-9)

@@ -425,7 +425,23 @@ def _sum_of_squares(values) -> float:
 def _pair_concurrences(points) -> list[tuple[int, list[float]]]:
     """(N, the concurrence of every pair in combinations order) per state, run
     by run (see pairwise_tables); a family run maps its classes back to pairs
-    by one order per run."""
+    by one order per run.
+
+    In a family run, a row (point x, class c) with x <= class_edges[c] reads
+    0.0 without the kernel; only the other rows take family.marginals and
+    _wootters_stack, each with the float operations of a one-marginal call.
+
+    Why 0.0 is sound.  The row's marginal (1-x) I/4 + x rho_c has a partial
+    transpose with least eigenvalue (1-x)/4 + x mu_c, mu_c =
+    lambda_min(rho_c^{T_B}), which is >= 0 up to the class's edge 1/(1 -
+    4 mu_c); there the marginal is PPT, hence separable (Peres-Horodecki), and
+    its concurrence is exactly 0.  The computed mu_c may move the edge by a
+    few eps; a row between the true and the computed edge has a true
+    concurrence of that order, which the kernel itself reads as 0.0 at or
+    below SINGULAR_DUST Tr rho, and in any case a 0.0 there only lowers a
+    certified lower bound, so verdicts stay one-sided (the argument of
+    _walk_deficits's product-cut shortcut).
+    """
     out = []
     for family, run in itertools.groupby(
             points, lambda rho: rho.family if isinstance(rho, FamilyPoint) else None):
@@ -437,13 +453,18 @@ def _pair_concurrences(points) -> list[tuple[int, list[float]]]:
         n, classes = family.n_qubits, family.pair_classes
         index = {pair: c for c, (pairs, _) in enumerate(classes) for pair in pairs}
         order = [index[pair] for pair in _pairs(n)]
+        edges = np.array(family.class_edges)
         xs = [rho.x for rho in run]
         step = max(1, WOOTTERS_STACK // len(classes))
         for start in range(0, len(xs), step):
-            found = _wootters_stack(family.marginals(xs[start:start + step]).reshape(-1, 4, 4))
-            for row in range(0, len(found), len(classes)):
-                cs = found[row:row + len(classes)]
-                out.append((n, [cs[c] for c in order]))
+            chunk = np.array(xs[start:start + step])
+            found = [[0.0] * len(classes) for _ in range(len(chunk))]
+            at, cls = np.nonzero(chunk[:, None] > edges)  # the entangled rows
+            if len(at):
+                cs = _wootters_stack(family.marginals(chunk[at], cls))
+                for p, c, value in zip(at.tolist(), cls.tolist(), cs):
+                    found[p][c] = value
+            out += [(n, [cs[c] for c in order]) for cs in found]
     return out
 
 
@@ -458,9 +479,11 @@ def pairwise_tables(points) -> list[PairwiseConcurrenceTable]:
     """The pairwise table of each state in points, in order.
 
     A DensityMatrix takes one _wootters_stack call on its pair marginals; a
-    run of FamilyPoints of one family takes one call per WOOTTERS_STACK //
-    classes points on their rows of family.marginals, one marginal per class
-    of equal pairs, in point-then-class order.  No marginal is checked
+    run of FamilyPoints of one family takes at most one call per
+    WOOTTERS_STACK // classes points, on the rows of family.marginals (one
+    marginal per class of equal pairs, in point-then-class order) above
+    their class's edge, NoisyFamily.class_edges; every other row is
+    separable and reads 0.0 (see _pair_concurrences).  No marginal is checked
     against PSD_TOL, which only states reads: entry validation allows a
     state's eigenvalues down to -PSD_TOL, so a marginal of N qubits may
     reach -2^(N-2) PSD_TOL, and the kernel's floor clips it.
@@ -474,6 +497,15 @@ def pairwise_tables(points) -> list[PairwiseConcurrenceTable]:
 def pair_square_sums(points) -> list[float]:
     """sum_of_squares of each state's pairwise table, without building the tables."""
     return [_sum_of_squares(cs) for _, cs in _pair_concurrences(points)]
+
+
+def pair_concurrence_rows(points) -> tuple[np.ndarray, list[float]]:
+    """The concurrence of every pair, in combinations order, of each state in
+    points, which share one qubit count, as one (points, pairs) array:
+    pairwise_tables' values without the tables; and each row's
+    pair_square_sums value, from the same kernel pass."""
+    rows = [cs for _, cs in _pair_concurrences(points)]
+    return np.array(rows), [_sum_of_squares(cs) for cs in rows]
 
 
 def pairwise_table(rho: DensityMatrix | FamilyPoint) -> PairwiseConcurrenceTable:

@@ -298,27 +298,36 @@ class NoisyFamily:
         return rhos
 
     @functools.cached_property
-    def entanglement_edge(self) -> float | None:
-        """The smallest x at which some pair marginal is entangled, or None
-        when no pair ever is.
+    def class_edges(self) -> tuple[float, ...]:
+        """For each class of pair_classes, in its order, the largest x at
+        which its pair marginal is separable: inf when it never is entangled.
 
         By the Peres-Horodecki criterion a two-qubit state is entangled
         exactly when its partial transpose has a negative eigenvalue.  The
         marginal's is (1-x) I/4 + x rho_ij^{T_B}, whose least eigenvalue
         (1-x)/4 + x mu turns negative for x > 1/(1 - 4 mu) once mu =
-        lambda_min(rho_ij^{T_B}) < 0.  The edge is that value at the least mu
-        of the classes, at least 1/3 since mu >= -1/2; above it C_ij > 0."""
+        lambda_min(rho_ij^{T_B}) < 0: that value is the class's edge, at
+        least 1/3 since mu >= -1/2.  A class with mu >= 0 is separable at
+        every x.  One stacked eigensolve serves every class."""
         pt = self.class_states.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-        mu = float(linalg.converged(np.linalg.eigvalsh, pt)[:, 0].min())
-        return 1.0 / (1.0 - 4.0 * mu) if mu < 0 else None
+        mus = linalg.converged(np.linalg.eigvalsh, pt)[:, 0].tolist()
+        return tuple(1.0 / (1.0 - 4.0 * mu) if mu < 0 else math.inf for mu in mus)
 
-    def marginals(self, xs) -> np.ndarray:
+    @functools.cached_property
+    def entanglement_edge(self) -> float | None:
+        """The smallest x at which some pair marginal is entangled, or None
+        when no pair ever is: the least of class_edges.  Above it some
+        C_ij > 0."""
+        edge = min(self.class_edges, default=math.inf)
+        return None if edge == math.inf else edge
+
+    def marginals(self, xs, classes) -> np.ndarray:
         """The pair marginals (1-x) I/4 + x rho_ij of the members at
-        visibilities xs, one per class of pair_classes, as one
-        (len(xs), classes, 4, 4) broadcast: each row has the bits of the
-        one-x call."""
-        x = np.asarray(xs, dtype=float).reshape(-1, 1, 1, 1)
-        return _EYE4 * ((1.0 - x) / 4) + x * self.class_states
+        visibilities xs, that of class classes[r] of pair_classes at xs[r]
+        for each r, as one (len(xs), 4, 4) stack: each marginal has the bits
+        of the one-marginal call."""
+        x = np.asarray(xs, dtype=float).reshape(-1, 1, 1)
+        return _EYE4 * ((1.0 - x) / 4) + x * self.class_states[np.asarray(classes, dtype=np.intp)]
 
 
 @dataclass(frozen=True)

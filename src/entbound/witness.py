@@ -322,8 +322,8 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     base's reduced pair states, without a dense matrix; ghz-exact reads x.
 
     The steps are those of the one-point bisection loop, evaluated in
-    rounds of one certified_bounds batch each, one stacked Wootters kernel
-    call for theorem sources.  Every midpoint is formed with the loop's
+    rounds of one certified_bounds batch each, at most one stacked Wootters
+    kernel call for theorem sources.  Every midpoint is formed with the loop's
     (lo + hi) / 2 and width test, and the predicted path from [lo, hi] to a
     guess g is the midpoints the loop would visit if the crossing sat at g (a
     midpoint is predicted detected iff it exceeds g).
@@ -356,7 +356,8 @@ def detection_threshold(family: NoisyFamily, k: int | None, source: Source) -> f
     is detected, so a family that is never detected never computes it.
 
     A point's bound does not depend on the batch it is in (marginals and
-    _wootters_stack give each row the float operations of a one-point call),
+    _wootters_stack give each row the float operations of a one-point call,
+    and a row at or below its class's edge reads 0.0 in any batch),
     and every verdict is exceeds(bound, threshold) at exactly the midpoint the
     loop visits.  The guesses decide only which points share a batch, so the
     crossing is the one-point bisection's, bit for bit, whatever they are.

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entbound import cli, concurrence
+from entbound import cli, concurrence, witness
+from entbound.bounds import theorem_bound
 from entbound.cli import build_parser, main
 from entbound.concurrence import pairwise_table, pairwise_tables
 from entbound.linalg import DENSE_DIM_CAP, HERM_TOL, hermiticity_defect
@@ -264,6 +266,30 @@ class TestReproduceCommand:
     def test_bad_case_is_input_error(self, capsys):
         code, _, _ = run(capsys, "reproduce", "9")
         assert code == 2
+
+    # cases 1-4's closed forms, one pair and one point at a time
+    SCALAR_CLOSED_FORMS = [
+        lambda i, j, t: max(0.0, (t - math.sqrt(1 - t * t)) / 2),
+        lambda i, j, t: max(0.0, (5 * t - 3) / 6),
+        lambda i, j, a: 0.0 if (i, j) in ((1, 3), (2, 4)) else max(0.0, (a - math.sqrt(1 - a)) / 2),
+        lambda i, j, t: max(0.0, (3 * t - 1) / 2) if (i, j) in ((1, 2), (3, 4)) else 0.0,
+    ]
+
+    def test_grid_errors_have_the_bits_of_the_per_point_checks(self, monkeypatch, capsys):
+        grid_errors, calls = cli._grid_errors, []
+        monkeypatch.setattr(cli, "_grid_errors",
+                            lambda *args: calls.append((args, grid_errors(*args))) or calls[-1][1])
+        assert main(["reproduce", "all"]) == 0
+        assert len(calls) == len(self.SCALAR_CLOSED_FORMS)
+        grid = cli._grid_points(0.0, 1.0, 101)
+        for ((family, _, coeff), got), closed in zip(calls, self.SCALAR_CLOSED_FORMS):
+            worst_pair = worst_t1 = 0.0
+            for x, table in zip(grid, pairwise_tables(family.point(x) for x in grid)):
+                for (i, j), value in table.pairs():
+                    worst_pair = max(worst_pair, abs(value - closed(i, j, x)))
+                report = theorem_bound("T1", table)
+                worst_t1 = max(worst_t1, abs(report.bound_on_C2 - coeff * table.value(1, 2) ** 2))
+            assert [e.hex() for e in got] == [worst_pair.hex(), worst_t1.hex()]
 
     def test_case_5_builds_no_dense_member(self, monkeypatch, capsys):
         counts = count_calls(monkeypatch, white_noise_mix)
@@ -639,7 +665,15 @@ def test_oversize_grid_is_input_error_without_large_allocation(capsys):
 
 
 def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(monkeypatch, capsys):
-    # 5 classes at each of 10001 points: 50005 marginals, 819 points a kernel call
+    # 5 classes at each of 10001 points, 819 points a kernel call: each call
+    # takes the chunk's rows above their class's edge, and a chunk with none
+    # makes no call
+    edges = cli.make_family("ex3", 4).class_edges
+    grid = cli._grid_points(0.0, 1.0, cli.MAX_GRID_STEPS)
+    step = concurrence.WOOTTERS_STACK // len(edges)
+    chunks = [sum(x > edge for x in grid[i:i + step] for edge in edges)
+              for i in range(0, len(grid), step)]
+    expected = [rows for rows in chunks if rows]
     kernel, stacks = concurrence._wootters_stack, []
     monkeypatch.setattr(concurrence, "_wootters_stack", lambda m: stacks.append(len(m)) or kernel(m))
     tracemalloc.start()
@@ -652,7 +686,34 @@ def test_longest_sweep_stacks_its_marginals_in_bounded_chunks(monkeypatch, capsy
     assert code == 0
     assert out.count("\n") == cli.MAX_GRID_STEPS + 2  # the header, the rows, the T1 crossing
     assert peak <= 16 * 2**20
-    assert stacks[:13] == [4095] * 12 + [865]  # the grid; the crossing follows
+    assert len(chunks) == 13 and max(expected) <= 4095
+    assert stacks[:len(expected)] == expected  # the grid; the crossing follows
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "ghz-noise", "--grid", "0:1:101"],
+    ["bound", "--family", "ghz-noise", "--n", "14", "--param", "1"],
+], ids=["sweep", "bound-n14"])
+def test_ghz_family_commands_make_no_kernel_calls(monkeypatch, capsys, argv):
+    # no GHZ pair marginal is entangled at any visibility: every row is at or
+    # below its class's edge
+    monkeypatch.setattr(concurrence, "_wootters_stack", None)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_plain_threshold_sends_only_its_entangled_points_to_the_kernel(monkeypatch, capsys):
+    kernel, stacks = concurrence._wootters_stack, []
+    monkeypatch.setattr(concurrence, "_wootters_stack", lambda m: stacks.append(len(m)) or kernel(m))
+    batch_bounds, rounds = witness.certified_bounds, []
+    monkeypatch.setattr(witness, "certified_bounds",
+                        lambda states, *args: rounds.append([p.x for p in states]) or batch_bounds(states, *args))
+    code, _, _ = run(capsys, "threshold", "--family", "w-noise", "--n", "7", "--source", "t2")
+    assert code == 0
+    (edge,) = cli.make_family("w-noise", 7).class_edges
+    assert [len(xs) for xs in rounds] == [31]  # one round: the noiseless end and the path
+    assert stacks == [sum(x > edge for x in rounds[0])] == [10]
 
 
 def test_threshold_at_the_pure_state_cap_stays_below_8_mib(capsys):

@@ -58,8 +58,15 @@ def visibilities(n):
 EPS = np.finfo(float).eps
 
 
+def all_marginals(family, xs):
+    """family.marginals of every class at each of xs, as one
+    (len(xs), classes, 4, 4) array in point-then-class order."""
+    k = len(family.pair_classes)
+    return family.marginals(np.repeat(xs, k), np.tile(range(k), len(xs))).reshape(len(xs), k, 4, 4)
+
+
 def class_marginals(family, row):
-    """Pair -> marginal matrix, from one row of family.marginals."""
+    """Pair -> marginal matrix, from one row of all_marginals."""
     return {pair: m for (pairs, _), m in zip(family.pair_classes, row) for pair in pairs}
 
 
@@ -69,7 +76,7 @@ def test_marginals_agree_with_the_dense_path(n):
         family = NoisyFamily(base)
         for x in visibilities(n):
             dense = family.state_at(x)
-            got = class_marginals(family, family.marginals([x])[0])
+            got = class_marginals(family, all_marginals(family, [x])[0])
             for pair in itertools.combinations(range(1, n + 1), 2):
                 gap = np.abs(got[pair] - dense.reduced(pair).matrix).max()
                 assert gap <= 4 * EPS, (base, x, pair, gap)
@@ -200,11 +207,14 @@ def test_each_later_round_is_the_path_to_the_anchored_secant_guess(monkeypatch):
     # k = N: no closed form names this crossing, so the rounds guess by secant
     family = NoisyFamily(w_state(5))
     x = detection_threshold(family, 5, Source.THEOREM2)
-    # one pair class: a round of m points is one kernel call on m marginals
-    assert stacks == [len(batch) for batch in rounds]
+    # one pair class: a round is one kernel call on its points above the
+    # class's edge, and a round with none makes no call
+    edge, = family.class_edges
+    entangled = [sum(x > edge for x in batch) for batch in rounds]
+    assert stacks == [rows for rows in entangled if rows]
     # the noiseless end alone, then 6 rounds
     assert list(rounds[0]) == [1.0]
-    assert len(stacks) == 7
+    assert len(rounds) == 7
     # replay the one-step loop: a round starts where it meets a midpoint no
     # earlier round evaluated, and is the PATH_SLACK-cut predicted path to the
     # secant guess through the entanglement edge, less the points seen
@@ -248,9 +258,11 @@ def test_plain_detection_takes_one_round_along_the_entanglement_edge(monkeypatch
     stacks, rounds = record_stacks(monkeypatch), record_rounds(monkeypatch)
     family = NoisyFamily(w_state(5))
     x = detection_threshold(family, None, Source.THEOREM2)
-    # the noiseless end and the loop's whole path, in one kernel call
+    # the noiseless end and the loop's whole path, in one round; its points
+    # above the edge, in one kernel call
+    edge, = family.class_edges
     assert len(rounds) == len(stacks) == 1
-    assert stacks[0] == len(rounds[0]) <= 31
+    assert stacks[0] == sum(x > edge for x in rounds[0]) < len(rounds[0]) <= 31
     assert list(rounds[0]) == [1.0] + loop_path(family, None, Source.THEOREM2)
     assert x == dense_reference_threshold(family, None, Source.THEOREM2)
 
@@ -430,10 +442,11 @@ def test_batched_marginals_equal_one_x_rows_bit_for_bit(n):
     for base in bases:
         family = NoisyFamily(base)
         xs = [0.0, 1.0] + [float(x) for x in np.random.default_rng(n).uniform(0, 1, 97)]
-        rows = family.marginals(xs)
+        rows = all_marginals(family, xs)
         assert rows.shape == (len(xs), len(family.pair_classes), 4, 4)
         for x, row in zip(xs, rows):
-            assert row.tobytes() == family.marginals([x])[0].tobytes(), (base, x)
+            for c, m in enumerate(row):
+                assert m.tobytes() == family.marginals([x], [c])[0].tobytes(), (base, x, c)
         for x, row in [(xs[0], rows[0]), (xs[1], rows[1]), (xs[-1], rows[-1])]:
             if n <= 9:
                 dense = family.state_at(x)
@@ -624,6 +637,77 @@ def test_the_entanglement_edge_sits_just_below_the_plain_detection_crossing(n):
             if source in THEOREM_SOURCES:
                 crossing = detection_threshold(family, None, source)
                 assert -BISECTION_STOP <= crossing - edge <= BISECTION_TOL, (base, source)
+
+
+def test_class_edges_are_the_per_class_ppt_edges():
+    ex3 = NoisyFamily(example3_state())
+    edges = dict(zip((pairs for pairs, _ in ex3.pair_classes), ex3.class_edges))
+    assert {pairs for pairs, edge in edges.items() if edge == math.inf} == {((1, 3),), ((2, 4),)}
+    assert ex3.class_edges is ex3.class_edges
+    assert ex3.entanglement_edge == min(ex3.class_edges)
+    for n in range(3, 15):
+        (edge,) = NoisyFamily(w_state(n)).class_edges
+        assert abs(edge - w_edge(n)) <= 4 * EPS
+        assert NoisyFamily(ghz_state(n)).class_edges == (math.inf,)
+
+
+def all_rows_pair_concurrences(points):
+    """concurrence._pair_concurrences with every family row through the
+    kernel, the separable ones too: the reference for the edge skip."""
+    out = []
+    for family, run in itertools.groupby(points, lambda rho: rho.family):
+        n, classes = family.n_qubits, family.pair_classes
+        index = {pair: c for c, (pairs, _) in enumerate(classes) for pair in pairs}
+        order = [index[pair] for pair in itertools.combinations(range(1, n + 1), 2)]
+        found = concurrence._wootters_stack(all_marginals(family, [rho.x for rho in run]).reshape(-1, 4, 4))
+        out += [(n, [found[row + c] for c in order]) for row in range(0, len(found), len(classes))]
+    return out
+
+
+def edge_points(family):
+    """257 grid points, and each finite class edge, a ulp either side of it,
+    and 1e-15, 1e-12 and 1e-9 either side, within [0, 1]."""
+    xs = np.linspace(0.0, 1.0, 257).tolist()
+    for edge in set(family.class_edges) - {math.inf}:
+        xs += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        xs += [edge + d for d in (-1e-9, -1e-12, -1e-15, 1e-15, 1e-12, 1e-9)]
+    return [x for x in xs if 0.0 <= x <= 1.0]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_rows_at_or_below_their_class_edge_read_the_kernel_bits(n):
+    for base in engine_bases(n):
+        family = NoisyFamily(base)
+        points = [family.point(x) for x in edge_points(family)]
+        got = [[v.hex() for v in t.values.values()] for t in concurrence.pairwise_tables(points)]
+        want = [[v.hex() for v in cs] for _, cs in all_rows_pair_concurrences(points)]
+        assert got == want, base
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_crossings_keep_their_bits_with_separable_rows_skipped(monkeypatch, n):
+    for base in engine_bases(n):
+        family = NoisyFamily(base)
+        for k in [None] + list(range(2, n + 1)):
+            for source in crossing_sources(family):
+                got = bits(detection_threshold(family, k, source))
+                with monkeypatch.context() as m:
+                    m.setattr(concurrence, "_pair_concurrences", all_rows_pair_concurrences)
+                    assert got == bits(detection_threshold(family, k, source)), (base, k, source)
+
+
+def test_families_without_an_entangled_pair_make_no_kernel_calls(monkeypatch):
+    stacks = record_stacks(monkeypatch)
+    (haar,) = haar_random_pure(SamplerConfig(8, seed=8900))
+    for base in [ghz_state(n) for n in range(3, 15)] + [haar]:
+        family = NoisyFamily(base)
+        assert set(family.class_edges) == {math.inf}
+        tables = concurrence.pairwise_tables([family.point(x) for x in np.linspace(0, 1, 101)])
+        assert {v for t in tables for v in t.values.values()} == {0.0}
+        for source in crossing_sources(family):
+            if source in THEOREM_SOURCES:
+                assert detection_threshold(family, None, source) is None
+    assert stacks == []
 
 
 def test_threshold_allocates_less_than_one_dense_matrix():

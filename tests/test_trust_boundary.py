@@ -98,6 +98,10 @@ FAMILY_COMMANDS = [
 ] + [
     ["witness", "--family", "dicke-noise", "--n", "7", "--param", "0.95", "--k", "3"],
     ["reproduce", "all"],
+] + [  # grids above the entanglement edge: every row reaches the Wootters kernel
+    ["sweep", "--family", "ex3", "--grid", "0.62:1:201"],
+    ["sweep", "--family", "dicke-noise", "--n", "6", "--grid", "0.9:1:151", "--source", "t3"],
+    ["sweep", "--family", "w-noise", "--n", "8", "--grid", "0.93:1:151", "--source", "t3"],
 ]
 
 
@@ -164,10 +168,13 @@ class TestEigensolverInputsAreHermitian:
         code, _, _ = run(capsys, "bound", "--family", "ex3", "--param", "0.8")
         assert code == 0
         # ex3's five classes of equal pairs ((1,2) and (1,4) share a reduced
-        # state), each marginal once in the eigensolve and the SVD
-        assert calls == [(5, 4, 4)]
-        assert solves == [(5, 4, 4)]
-        assert svds == [(5, 4, 4)]
+        # state); the three entangled at 0.8 (all but (1,3) and (2,4)), each
+        # marginal once in the eigensolve and the SVD
+        entangled = sum(0.8 > edge for edge in states.NoisyFamily(states.example3_state()).class_edges)
+        assert entangled == 3
+        assert calls == [(entangled, 4, 4)]
+        assert solves == [(entangled, 4, 4)]
+        assert svds == [(entangled, 4, 4)]
 
 
 # ------------------------------------------------ a marginal below the PSD floor
@@ -225,9 +232,9 @@ def record_marginal_floors(monkeypatch) -> tuple[list, list]:
         qubits.append(self.n_qubits)
         return original(self, pair)
 
-    def recording_marginals(self, xs, original=states.NoisyFamily.marginals):
-        stack = original(self, xs)
-        qubits.extend([self.n_qubits] * (stack.shape[0] * stack.shape[1]))
+    def recording_marginals(self, xs, classes=None, original=states.NoisyFamily.marginals):
+        stack = original(self, xs, classes)
+        qubits.extend([self.n_qubits] * (stack.size // 16))
         return stack
 
     # a family point's marginals, alone or in a batch, come from marginals
@@ -319,7 +326,8 @@ def seeded_marginals():
             family = NoisyFamily(base)
             for x in [0.0, 1.0, *rng.uniform(0.0, 1.0, 3)]:
                 x = float(x)
-                for m in family.marginals([x])[0]:
+                k = len(family.pair_classes)
+                for m in family.marginals([x] * k, range(k)):
                     yield states.DensityMatrix._derived(2, m)
                 if n <= 6 or x in (0.0, 1.0):
                     rho = family.state_at(x)
